@@ -381,6 +381,10 @@ def cmd_optimize(args) -> int:
                    args.record_timing, time.perf_counter() - started)
     print(f"optimize: iteration {state.iteration}, R {trace[0].r_value:.6g} -> "
           f"{trace[-1].r_value:.6g}; wrote {target}")
+    if trace[-1].r_value > trace[0].r_value:
+        print(f"warning: R rose from {trace[0].r_value:.6g} to {trace[-1].r_value:.6g}; "
+              f"epsilon = {opt_cfg.resolved_epsilon(basis.size):.3g} is likely too large "
+              f"for K = {basis.size}", file=sys.stderr)
     return EXIT_OK
 
 

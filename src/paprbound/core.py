@@ -259,19 +259,59 @@ def save_codebook(codebook: Codebook, path: str | Path) -> None:
         fh.write(payload.tobytes())
 
 
-def load_codebook(path: str | Path) -> Codebook:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Header field checks: (what the value must be, predicate).
+SIZE_FIELD = ("a nonnegative integer", lambda v: _is_int(v) and v >= 0)
+INT_OR_NULL_FIELD = ("an integer or null", lambda v: v is None or _is_int(v))
+_CODEBOOK_FIELDS = {
+    "k_carriers": SIZE_FIELD,
+    "count": SIZE_FIELD,
+    "subset_sizes": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "p_av": ("a number", _is_number),
+    "seed": INT_OR_NULL_FIELD,
+    "qam_order": INT_OR_NULL_FIELD,
+    "qam_scale": ("a number or null", lambda v: v is None or _is_number(v)),
+}
+
+
+def read_artifact(path: str | Path, file_format: str, version: int, fields: dict) -> tuple[dict, bytes]:
+    """Read a binary artifact: one JSON header line, then the payload.
+
+    Checks the format tag and version, and every header field in
+    ``fields`` (name -> (description, predicate); a missing field is
+    checked as null).  Any mismatch raises ValueError naming the file.
+    """
+    kind = file_format.split("/")[-1]
     with open(path, "rb") as fh:
         header_line = fh.readline()
         raw = fh.read()
     try:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: not a codebook file ({exc})") from exc
-    if header.get("format") != CODEBOOK_FORMAT:
+        raise ValueError(f"{path}: not a {kind} file ({exc})") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: not a {kind} file (header is not a JSON object)")
+    if header.get("format") != file_format:
         raise ValueError(f"{path}: unexpected format {header.get('format')!r}")
-    if header.get("version") != FORMAT_VERSION:
+    if header.get("version") != version:
         raise ValueError(f"{path}: unsupported version {header.get('version')!r}")
-    count, k = int(header["count"]), int(header["k_carriers"])
+    for key, (what, valid) in fields.items():
+        if not valid(header.get(key)):
+            got = repr(header[key]) if key in header else "missing"
+            raise ValueError(f"{path}: header field '{key}' must be {what} (got {got})")
+    return header, raw
+
+
+def load_codebook(path: str | Path) -> Codebook:
+    header, raw = read_artifact(path, CODEBOOK_FORMAT, FORMAT_VERSION, _CODEBOOK_FIELDS)
+    count, k = header["count"], header["k_carriers"]
     expected = count * k * 2 * 8
     if len(raw) != expected:
         raise ValueError(f"{path}: payload is {len(raw)} bytes, expected {expected}")

@@ -4,12 +4,21 @@ Each subset of the codebook gets its own K x K unitary W_n.  A step
 moves W_n against the generalized complex gradient of the quartic
 statistic restricted to that subset (evaluated per codeword with two
 FFTs and a rank-one outer product) and then projects back onto the
-unitary matrices, either by row-wise Gram-Schmidt or by symmetric
-decorrelation (W (W W*)^{-1/2} ... the polar unitary factor).  The
-batch step sums the gradient over a whole subset; the stochastic step
-uses one uniformly drawn codeword per subset and iteration, with the
-draw stream keyed by (seed, subset, iteration) so trajectories are
-reproducible and resumable.
+unitary matrices, either by row-wise Gram-Schmidt (the LQ factor of a
+QR factorization) or by symmetric decorrelation (W (W W*)^{-1/2} ...
+the polar unitary factor).  The batch step sums the gradient over a
+whole subset; the stochastic step uses one uniformly drawn codeword per
+subset and iteration, with the draw stream keyed by (seed, subset,
+iteration) so trajectories are reproducible and resumable.
+
+The symmetric-decorrelation step never forms a K x K eigenproblem.  An
+update from m codewords is W (I - eps H C*) with H = W* G, which
+differs from W only on the span of [H, C] (rank <= 2m), so the polar
+factor needs one 2m x 2m eigendecomposition and O(K^2 m) products: a
+stochastic step is O(K^2) per subset, and all subsets move as one stack.
+The correction multiplies W on the right, which carries rounding error
+in W forward instead of amplifying it; no periodic re-projection is
+needed.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import r_statistic
-from .core import Codebook
+from .core import INT_OR_NULL_FIELD, SIZE_FIELD, Codebook, read_artifact
 from .spectral import SpectralBasis
 
 UNITARY_FORMAT = "paprbound/unitary-set"
@@ -125,6 +134,20 @@ class OptimizerConfig:
         return float(self.epsilon) if self.epsilon is not None else k_carriers ** -1.5
 
 
+def _gradient_rows(rows: np.ndarray, w: np.ndarray, basis: SpectralBasis) -> np.ndarray:
+    """Per-codeword gradient rows V*(|alpha|^2 alpha) + V_hat*(|beta|^2 beta)
+    with alpha = V W c, beta = V_hat W c.
+
+    ``rows`` holds codewords as rows, shape (..., m, K), and ``w`` the
+    matching transforms, shape (..., K, K); the result has the shape of
+    ``rows``.
+    """
+    u = rows @ np.swapaxes(w, -1, -2)
+    alpha = basis.to_alpha(u)
+    beta = basis.to_beta(u)
+    return basis.from_alpha(np.abs(alpha) ** 2 * alpha) + basis.from_beta(np.abs(beta) ** 2 * beta)
+
+
 def delta_w(subset: np.ndarray, w: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     """Unscaled descent direction for one subset.
 
@@ -141,33 +164,35 @@ def delta_w(subset: np.ndarray, w: np.ndarray, basis: SpectralBasis) -> np.ndarr
         return np.zeros((k, k), dtype=np.complex128)
     if block.shape[1] != k or w.shape != (k, k):
         raise ValueError("subset and transform must match the basis size")
-    u = block @ w.T
-    alpha = basis.to_alpha(u)
-    beta = basis.to_beta(u)
-    va = basis.from_alpha(np.abs(alpha) ** 2 * alpha)
-    vb = basis.from_beta(np.abs(beta) ** 2 * beta)
-    return (va + vb).T @ block.conj()
+    return _gradient_rows(block, w, basis).T @ block.conj()
 
 
 def project_gram_schmidt(w: np.ndarray) -> np.ndarray:
     """Orthonormalize the rows in index order.
 
     Row k keeps only its component orthogonal to rows 1..k-1, then is
-    normalized.  Fails loudly on rank deficiency, naming the row whose
-    residual collapses.
+    normalized: the unitary factor of the LQ factorization W = L U with
+    a positive diagonal of L, computed as the QR factorization of W*.
+    Fails loudly on rank deficiency, naming the row whose residual
+    collapses.
     """
-    out = np.array(w, dtype=np.complex128)
-    k = out.shape[0]
-    for row in range(k):
-        for prev in range(row):
-            out[row] -= np.vdot(out[prev], out[row]) * out[prev]
-        norm = np.linalg.norm(out[row])
-        if norm <= 1e-12:
-            raise RankDeficientUpdate(
-                f"row {row} is in the span of rows 0..{row - 1}; matrix is rank deficient"
-            )
-        out[row] /= norm
-    return out
+    q, r = np.linalg.qr(np.asarray(w, dtype=np.complex128).conj().T)
+    diag = np.diagonal(r)
+    collapsed = np.flatnonzero(np.abs(diag) <= 1e-12)
+    if collapsed.size:
+        row = int(collapsed[0])
+        raise RankDeficientUpdate(
+            f"row {row} is in the span of rows 0..{row - 1}; matrix is rank deficient"
+        )
+    return (q * (diag / np.abs(diag))).conj().T
+
+
+def _require_nonsingular(lam: np.ndarray) -> None:
+    if lam.min() <= 1e-12:
+        raise RankDeficientUpdate(
+            f"updated matrix is near singular (min eigenvalue {lam.min():.3e}); "
+            "reduce the step size epsilon"
+        )
 
 
 def project_symmetric(w: np.ndarray) -> np.ndarray:
@@ -178,27 +203,69 @@ def project_symmetric(w: np.ndarray) -> np.ndarray:
     """
     h = w @ w.conj().T
     lam, f = np.linalg.eigh(h)
-    if lam.min() <= 1e-12:
-        raise RankDeficientUpdate(
-            f"updated matrix is near singular (min eigenvalue {lam.min():.3e}); "
-            "reduce the step size epsilon"
-        )
+    _require_nonsingular(lam)
     return (f * lam**-0.5) @ f.conj().T @ w
 
 
+def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: float):
+    """Symmetric decorrelation of W - epsilon G C* for a stack of subsets.
+
+    ``w`` is (N, K, K); ``rows`` and ``grads`` are (N, m, K) codeword
+    and gradient rows, so G C* is ``delta_w`` of the m codewords.  With
+    H = W* G the update is W (I - epsilon H C*), and I - epsilon H C*
+    differs from I only on span[H, C].  On an orthonormal basis Q of
+    that span (rank r <= 2m) it is A = I_r - epsilon (Q* H)(Q* C)*,
+    so the polar factor is W + (W Q) Z Q* with Z = (A A*)^{-1/2} A - I_r:
+    an r x r eigendecomposition and O(K^2 m) products per subset.
+
+    The unitary correction multiplies W on the right, so rounding in W
+    is carried, not amplified.  (The left form (I + M)^{-1/2} W' relies
+    on W* being the exact inverse of W and lets drift grow until the
+    update turns singular.)
+
+    Returns the new stack and the step norms ||W' - W||_F = ||W Q Z||_F.
+    """
+    c = np.swapaxes(rows, -1, -2)
+    h = np.conj(np.swapaxes(grads.conj() @ w, -1, -2))
+    q, _ = np.linalg.qr(np.concatenate([h, c], axis=-1))
+    q_adj = np.conj(np.swapaxes(q, -1, -2))
+    eye = np.eye(q.shape[-1])
+    a = eye - epsilon * (q_adj @ h) @ np.conj(np.swapaxes(q_adj @ c, -1, -2))
+    lam, f = np.linalg.eigh(a @ np.conj(np.swapaxes(a, -1, -2)))
+    _require_nonsingular(lam)
+    z = (f * lam[..., np.newaxis, :] ** -0.5) @ np.conj(np.swapaxes(f, -1, -2)) @ a - eye
+    step = (w @ q) @ z
+    new = step @ q_adj
+    new += w
+    return new, np.linalg.norm(step, axis=(1, 2))
+
+
+# Full-matrix projection for each name in PROJECTIONS.  Gram-Schmidt
+# steps project through this table; symmetric-decorrelation steps use
+# ``_polar_update`` instead, which equals ``project_symmetric`` of the
+# updated matrix to rounding.
 _PROJECTORS = {
     "symmetric_decorrelation": project_symmetric,
     "gram_schmidt": project_gram_schmidt,
 }
 
 
-def _apply_updates(state: UnitarySet, updates, epsilon: float, projection: str):
-    project = _PROJECTORS[projection]
+def _descend(state: UnitarySet, groups, basis: SpectralBasis, epsilon: float, projection: str):
+    """Move each subset's W against the gradient of its codeword rows.
+
+    ``groups`` yields (subset indices, (n, m, K) rows) pairs.  Returns
+    the new state and the per-subset step norms ||W(l+1) - W(l)||_F.
+    """
     new = np.empty_like(state.matrices)
     norms = np.empty(state.n_subsets)
-    for n, (w, dw) in enumerate(zip(state.matrices, updates)):
-        new[n] = project(w - epsilon * dw)
-        norms[n] = np.linalg.norm(new[n] - w)
+    for members, rows in groups:
+        w = state.matrices[members]
+        if projection == "symmetric_decorrelation":
+            new[members], norms[members] = _polar_update(w, rows, _gradient_rows(rows, w, basis), epsilon)
+        else:
+            project = _PROJECTORS[projection]
+            new[members] = [project(wn - epsilon * delta_w(block, wn, basis)) for block, wn in zip(rows, w)]
+            norms[members] = np.linalg.norm(new[members] - w, axis=(1, 2))
     return UnitarySet(matrices=new, iteration=state.iteration + 1), norms
 
 
@@ -207,12 +274,16 @@ def step_batch(
 ) -> tuple[UnitarySet, np.ndarray]:
     """One full-subset gradient step for every subset.
 
-    Returns the new state and the per-subset step norms
-    ||W(l+1) - W(l)||_F used by the stopping rule.
+    Subsets of equal size move as one stack.  Returns the new state and
+    the per-subset step norms ||W(l+1) - W(l)||_F used by the stopping
+    rule.
     """
-    eps = config.resolved_epsilon(basis.size)
-    updates = [delta_w(block, w, basis) for block, w in zip(codebook.subsets(), state.matrices)]
-    return _apply_updates(state, updates, eps, config.projection)
+    sizes = codebook.subset_sizes
+    groups = []
+    for m in sorted(set(sizes)):
+        members = [n for n, size in enumerate(sizes) if size == m]
+        groups.append((members, np.stack([codebook.subset(n) for n in members])))
+    return _descend(state, groups, basis, config.resolved_epsilon(basis.size), config.projection)
 
 
 def step_stochastic(
@@ -222,15 +293,19 @@ def step_stochastic(
 
     Each subset draws one codeword uniformly from its own stream,
     keyed by (seed, subset, iteration); a rerun or a resumed run
-    therefore reproduces the trajectory exactly.
+    therefore reproduces the trajectory exactly.  All subsets move
+    together: one stacked FFT pair for the gradients and one stacked
+    rank-one polar update.
     """
-    eps = config.resolved_epsilon(basis.size)
-    updates = []
-    for n, (block, w) in enumerate(zip(codebook.subsets(), state.matrices)):
-        rng = np.random.default_rng(_seed_key(config.seed, n, state.iteration))
-        pick = int(rng.integers(block.shape[0]))
-        updates.append(delta_w(block[pick : pick + 1], w, basis))
-    return _apply_updates(state, updates, eps, config.projection)
+    sizes = codebook.subset_sizes
+    starts = np.cumsum((0,) + sizes[:-1])
+    picks = [
+        int(np.random.default_rng(_seed_key(config.seed, n, state.iteration)).integers(size))
+        for n, size in enumerate(sizes)
+    ]
+    rows = codebook.symbols[starts + picks][:, np.newaxis, :]
+    groups = [(np.arange(codebook.n_subsets), rows)]
+    return _descend(state, groups, basis, config.resolved_epsilon(basis.size), config.projection)
 
 
 @dataclass(frozen=True)
@@ -314,24 +389,23 @@ def save_unitaries(
         fh.write(payload.tobytes())
 
 
+_UNITARY_FIELDS = {
+    "k_carriers": SIZE_FIELD,
+    "n_subsets": SIZE_FIELD,
+    "iteration": SIZE_FIELD,
+    "seed": INT_OR_NULL_FIELD,
+    "config_hash": ("a string or null", lambda v: v is None or isinstance(v, str)),
+}
+
+
 def load_unitaries(path: str | Path, tol: float = 1e-8) -> UnitarySet:
     """Read a unitary-set file and re-validate unitarity."""
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        raw = fh.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: not a unitary-set file ({exc})") from exc
-    if header.get("format") != UNITARY_FORMAT:
-        raise ValueError(f"{path}: unexpected format {header.get('format')!r}")
-    if header.get("version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported version {header.get('version')!r}")
-    n, k = int(header["n_subsets"]), int(header["k_carriers"])
+    header, raw = read_artifact(path, UNITARY_FORMAT, FORMAT_VERSION, _UNITARY_FIELDS)
+    n, k = header["n_subsets"], header["k_carriers"]
     expected = n * k * k * 2 * 8
     if len(raw) != expected:
         raise ValueError(f"{path}: payload is {len(raw)} bytes, expected {expected}")
     flat = np.frombuffer(raw, dtype="<f8").reshape(n, k, k, 2)
-    state = UnitarySet(matrices=flat[..., 0] + 1j * flat[..., 1], iteration=int(header["iteration"]))
+    state = UnitarySet(matrices=flat[..., 0] + 1j * flat[..., 1], iteration=header["iteration"])
     state.validate(tol)
     return state

@@ -244,3 +244,54 @@ def test_manifests_have_no_timing_by_default(tmp_path):
     run_cli("gen", "--config", cfg_path, "--out", timed, "--record-timing")
     manifest = json.loads((timed / "gen.manifest.json").read_text())
     assert manifest["created_utc"] is not None and manifest["elapsed_s"] > 0
+
+
+def rewrite_header(path, edit):
+    header, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n" + payload)
+
+
+def without_count(fields):
+    return {key: value for key, value in fields.items() if key != "count"}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (without_count, "header field 'count'"),
+        (lambda fields: [fields], "header is not a JSON object"),
+        (lambda fields: {**fields, "subset_sizes": None}, "header field 'subset_sizes'"),
+    ],
+    ids=["missing-count", "list-header", "null-subset-sizes"],
+)
+def test_bad_codebook_header_exits_2(tmp_path, capsys, edit, message):
+    cfg_path = small_config(tmp_path)
+    out = tmp_path / "run"
+    run_cli("gen", "--config", cfg_path)
+    rewrite_header(out / "codebook.bin", edit)
+    capsys.readouterr()
+    assert run_cli("bounds", "--config", cfg_path, out / "codebook.bin") == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_optimize_warns_when_r_rises(tmp_path, capsys):
+    # The default epsilon = K^(-3/2) is too large at K=8: R ends above
+    # its start.  The run still succeeds; only stderr says so.
+    cfg_path = small_config(tmp_path, epsilon=None)
+    out = tmp_path / "run"
+    run_cli("gen", "--config", cfg_path)
+    capsys.readouterr()
+    assert run_cli("optimize", "--config", cfg_path, out / "codebook.bin") == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith("optimize: iteration 40, R ")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("warning: R rose from ")
+    rows = (out / "optimize_trace.csv").read_text().splitlines()
+    assert float(rows[-1].split(",")[1]) > float(rows[1].split(",")[1])
+
+    descending = tmp_path / "descending"
+    assert run_cli("optimize", "--config", small_config(tmp_path), "--out", descending,
+                   out / "codebook.bin") == EXIT_OK
+    assert capsys.readouterr().err == ""

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -280,3 +282,107 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(checkpoint_every=0)
     assert OptimizerConfig().resolved_epsilon(16) == pytest.approx(16**-1.5)
+
+
+def gram_schmidt_rows(w):
+    """Row-wise modified Gram-Schmidt: the oracle for project_gram_schmidt."""
+    out = np.array(w, dtype=np.complex128)
+    for row in range(out.shape[0]):
+        for prev in range(row):
+            out[row] -= np.vdot(out[prev], out[row]) * out[prev]
+        norm = np.linalg.norm(out[row])
+        if norm <= 1e-12:
+            raise RankDeficientUpdate(f"row {row} collapses")
+        out[row] /= norm
+    return out
+
+
+def test_gram_schmidt_matches_row_oracle():
+    rng = np.random.default_rng(20)
+    for k in (2, 8, 32):
+        near = random_unitary(k, rng) + 1e-3 * random_matrix(k, rng)
+        for w in (near, random_matrix(k, rng)):
+            assert np.abs(project_gram_schmidt(w) - gram_schmidt_rows(w)).max() <= 1e-12
+    third_repeats = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=complex)
+    with pytest.raises(RankDeficientUpdate, match="row 2"):
+        gram_schmidt_rows(third_repeats)
+    with pytest.raises(RankDeficientUpdate, match="row 2"):
+        project_gram_schmidt(third_repeats)
+
+
+def small_step(book, basis, fraction=0.1):
+    """Step at which no single-codeword update at the identity moves W
+    by more than ``fraction`` of ||W||_F (the criterion-7 rule)."""
+    eye = np.eye(basis.size, dtype=np.complex128)
+    largest = max(np.linalg.norm(delta_w(c, eye, basis)) for c in book.symbols)
+    return fraction * np.sqrt(basis.size) / largest
+
+
+@pytest.mark.parametrize("k", [8, 16, 64])
+def test_factored_polar_step_matches_symmetric_projection(k):
+    # Each step must equal project_symmetric(W - eps * delta_w) of the
+    # codewords it used: the whole subset (batch) or the one drawn from
+    # the (seed, subset, iteration) stream (stochastic).
+    const = QamConstellation.square(16)
+    basis = build_basis(k)
+    rng = np.random.default_rng(k)
+    for sizes in [(1, 1, 1), (3, 3, 3), (k // 2 + 1,) * 3, (1, 3, k // 2 + 1)]:
+        symbols = const.points[rng.integers(0, 16, (sum(sizes), k))]
+        book = Codebook(symbols=symbols, subset_sizes=sizes,
+                        p_av=float(np.mean(np.abs(symbols) ** 2) * k))
+        eps = small_step(book, basis)
+        for mode, step in (("batch", step_batch), ("stochastic", step_stochastic)):
+            cfg = OptimizerConfig(epsilon=eps, mode=mode, seed=5)
+            state = UnitarySet.random(book.n_subsets, k, rng)
+            for _ in range(3):
+                new, norms = step(state, book, basis, cfg)
+                for n, (block, w) in enumerate(zip(book.subsets(), state.matrices)):
+                    if mode == "stochastic":
+                        draw = np.random.default_rng([5, n, state.iteration])
+                        pick = int(draw.integers(block.shape[0]))
+                        block = block[pick : pick + 1]
+                    expected = project_symmetric(w - eps * delta_w(block, w, basis))
+                    assert np.abs(new.matrices[n] - expected).max() <= 1e-12, (sizes, mode, n)
+                    assert abs(norms[n] - np.linalg.norm(expected - w)) <= 1e-12
+                state = new
+
+
+def test_factored_polar_step_does_not_drift():
+    # Criterion 7's book and step, 2000 stochastic steps.  The unitary
+    # correction multiplies W on the right, so W stays unitary to
+    # rounding; a left-multiplied (W' W'*)^{-1/2} W' built on the
+    # assumption W* = W^{-1} lets the error grow until a step is singular.
+    const = QamConstellation.square(16)
+    book = generate_codebook(const, 16, 200, 4, seed=99)
+    basis = build_basis(16)
+    cfg = OptimizerConfig(epsilon=small_step(book, basis), max_iters=2000, stop_tol=0.0,
+                          seed=1, checkpoint_every=2000)
+    state, trace = run(book, basis, cfg)
+    assert state.iteration == 2000
+    assert state.unitarity_error() <= 1e-12
+    assert trace[-1].r_value < trace[0].r_value
+
+
+def test_rank_deficiency_raises_in_stochastic_mode():
+    # Singleton subsets: the draw is codeword n, and at the identity
+    # det(I - eps * DeltaW) = 1 - eps * quartic_sum(c).
+    from paprbound.spectral import quartic_sum
+
+    const = QamConstellation.square(16)
+    book = generate_codebook(const, 2, 4, 4, seed=0)
+    basis = build_basis(2)
+    cfg = OptimizerConfig(epsilon=1.0 / quartic_sum(book.symbols[2], basis))
+    state = UnitarySet.identity(4, 2)
+    with pytest.raises(RankDeficientUpdate, match="reduce the step size epsilon"):
+        step_stochastic(state, book, basis, cfg)
+
+
+def test_unitary_header_is_validated(tmp_path):
+    path = tmp_path / "unitaries.bin"
+    save_unitaries(UnitarySet.identity(2, 4), path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    fields = json.loads(header)
+    for bad in ({**fields, "n_subsets": None}, [fields], {**fields, "iteration": "7"}):
+        path.write_bytes(json.dumps(bad).encode() + b"\n" + payload)
+        with pytest.raises(ValueError, match="unitaries.bin"):
+            load_unitaries(path)
