@@ -10,11 +10,11 @@ QAM error rates as independent oracles for the Monte Carlo path.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erfc
 
 from .core import Codebook, QamConstellation
 from .optimizer import UnitarySet
@@ -73,10 +73,15 @@ class RappModel:
 def rapp_apply(samples: np.ndarray, model: RappModel) -> np.ndarray:
     """Push samples through the amplitude nonlinearity, phases unchanged."""
     x = np.asarray(samples, dtype=np.complex128)
-    ratio = np.abs(x) / model.clip_level
     p = model.smoothness
-    inner = ratio ** (2 * p) if model.variant == "standard" else ratio**p
-    return x * (1.0 + inner) ** (-1.0 / (2 * p))
+    # (rho/r)^(2p) and (rho/r)^p, taken from rho^2 = re^2 + im^2
+    gain = np.square(x.real)
+    gain += np.square(x.imag)
+    gain /= model.clip_level**2
+    gain **= p if model.variant == "standard" else p / 2
+    gain += 1.0
+    gain **= -1.0 / (2 * p)
+    return x * gain
 
 
 @dataclass(frozen=True)
@@ -112,12 +117,6 @@ def noise_sigma(
     return float(np.sqrt(oversampling * k_carriers * n0))
 
 
-def _awgn(shape, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    return (sigma / np.sqrt(2.0)) * (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    )
-
-
 def _transmit_rows(
     rows: np.ndarray,
     w: np.ndarray,
@@ -136,8 +135,12 @@ def _transmit_rows(
     if link.amplifier is not None:
         s = rapp_apply(s, link.amplifier)
     if sigma > 0:
-        s = s + _awgn(s.shape, sigma, rng)
-    return np.fft.fft(s, axis=-1)[..., :k] / (j * k)
+        # Real parts, then imaginary parts: the stream of two separate draws.
+        noise = rng.standard_normal((2,) + s.shape)
+        noise *= sigma / np.sqrt(2.0)
+        s.real += noise[0]
+        s.imag += noise[1]
+    return np.fft.fft(s, axis=-1, norm="forward")[..., :k]
 
 
 def transmit(
@@ -234,6 +237,7 @@ def ber_sweep(
     popcount = np.array([bin(x).count("1") for x in range(constellation.order)])
     boundaries = np.cumsum((0,) + codebook.subset_sizes)
     subset_of = np.searchsorted(boundaries, np.arange(codebook.size), side="right") - 1
+    receivers = [w.conj() for w in unitaries.matrices]
 
     bers, bits, errs, lows, highs = [], [], [], [], []
     for point, ebn0 in enumerate(link.ebn0_db):
@@ -249,17 +253,22 @@ def ber_sweep(
                 [int(link.seed) % (1 << 63), point, block]
             )
             rows = rng.integers(0, codebook.size, size=block_codewords)
-            for n in range(codebook.n_subsets):
-                chosen = rows[subset_of[rows] == n]
-                if chosen.size == 0:
-                    continue
-                y = _transmit_rows(
-                    codebook.symbols[chosen], unitaries.matrices[n], link, sigma, rng
-                )
-                c_hat = y @ unitaries.matrices[n].conj()
-                rx = constellation.demap(c_hat)
-                n_errors += int(popcount[tx_indices[chosen] ^ rx].sum())
-                n_bits += chosen.size * codebook.k_carriers * constellation.bits_per_symbol
+            # Group the block by subset, keeping draw order within each.
+            labels = subset_of[rows]
+            grouped = rows[np.argsort(labels, kind="stable")]
+            ends = np.cumsum(np.bincount(labels, minlength=codebook.n_subsets))
+            c_hat = np.empty((rows.size, codebook.k_carriers), dtype=np.complex128)
+            start = 0
+            for n, end in enumerate(ends):
+                if end > start:
+                    y = _transmit_rows(
+                        codebook.symbols[grouped[start:end]], unitaries.matrices[n], link, sigma, rng
+                    )
+                    np.matmul(y, receivers[n], out=c_hat[start:end])
+                start = end
+            rx = constellation.demap(c_hat)
+            n_errors += int(popcount[tx_indices[grouped] ^ rx].sum())
+            n_bits += rows.size * codebook.k_carriers * constellation.bits_per_symbol
             block += 1
         low, high = _wilson_interval(n_errors, n_bits)
         bers.append(n_errors / n_bits if n_bits else np.nan)
@@ -277,12 +286,20 @@ def ber_sweep(
     )
 
 
+_erfc_elementwise = np.vectorize(math.erfc, otypes=[float])
+
+
+def _erfc(x):
+    """Complementary error function, elementwise; a scalar for a scalar."""
+    return _erfc_elementwise(x)[()]
+
+
 def qam_awgn_ser(order: int, esn0_db):
     """Exact symbol error rate of square M-QAM in AWGN (unit mean
     symbol energy, E_s/N_0 in dB)."""
     esn0 = 10.0 ** (np.asarray(esn0_db, dtype=float) / 10.0)
     m = np.sqrt(order)
-    p_axis = (1.0 - 1.0 / m) * erfc(np.sqrt(1.5 * esn0 / (order - 1)))
+    p_axis = (1.0 - 1.0 / m) * _erfc(np.sqrt(1.5 * esn0 / (order - 1)))
     return 1.0 - (1.0 - p_axis) ** 2
 
 
@@ -304,6 +321,6 @@ def qam_awgn_ber(order: int, ebn0_db):
         for i in range(upper):
             flip = (-1.0) ** (i * 2 ** (k - 1) // side)
             weight = 2 ** (k - 1) - int(np.floor(i * 2 ** (k - 1) / side + 0.5))
-            pk += flip * weight * erfc((2 * i + 1) * np.sqrt(1.5 * bits * ebn0 / (order - 1)))
+            pk += flip * weight * _erfc((2 * i + 1) * np.sqrt(1.5 * bits * ebn0 / (order - 1)))
         total += pk / side
     return total / axis_bits

@@ -11,6 +11,9 @@ import numpy as np
 from .core import Codebook
 
 PMEPR_OVERSAMPLING_DEFAULT = 16
+# Oversampled samples per chunk in ``peak_envelope_power``: one chunk's
+# buffers stay in cache, and memory no longer grows with the batch.
+_CHUNK_SAMPLES = 1 << 16
 
 
 def db_to_linear(x):
@@ -30,24 +33,44 @@ def default_gamma_grid_db(start: float = 4.0, stop: float = 13.0, step: float = 
 def baseband_samples(c: np.ndarray, oversampling: int = 1) -> np.ndarray:
     """Samples s(i / (J*K)) of the length-K baseband signal, i = 0 .. J*K - 1.
 
-    Computed as a zero-padded inverse FFT scaled so that J = 1 returns
-    sum_k c[k] * exp(2j*pi*k*i/K).  Accepts a batch of codewords on the
-    leading axes.
+    Computed as a zero-padded, unscaled inverse FFT, so that J = 1
+    returns sum_k c[k] * exp(2j*pi*k*i/K).  Accepts a batch of codewords
+    on the leading axes.
+    """
+    if oversampling < 1:
+        raise ValueError("oversampling must be >= 1")
+    x = np.asarray(c, dtype=np.complex128)
+    k = x.shape[-1]
+    padded = np.zeros(x.shape[:-1] + (k * oversampling,), dtype=np.complex128)
+    padded[..., :k] = x
+    return np.fft.ifft(padded, axis=-1, norm="forward")
+
+
+def peak_envelope_power(c: np.ndarray, oversampling: int = PMEPR_OVERSAMPLING_DEFAULT):
+    """max_i |s(t_i)|^2 over the J-oversampled grid (per codeword).
+
+    Works through the codewords in chunks of about ``_CHUNK_SAMPLES``
+    oversampled samples with one reused zero-padded buffer, so memory
+    stays bounded whatever the batch size.
     """
     if oversampling < 1:
         raise ValueError("oversampling must be >= 1")
     x = np.asarray(c, dtype=np.complex128)
     k = x.shape[-1]
     n = k * oversampling
-    padded = np.zeros(x.shape[:-1] + (n,), dtype=np.complex128)
-    padded[..., :k] = x
-    return np.fft.ifft(padded, axis=-1) * n
-
-
-def peak_envelope_power(c: np.ndarray, oversampling: int = PMEPR_OVERSAMPLING_DEFAULT):
-    """max_i |s(t_i)|^2 over the J-oversampled grid (per codeword)."""
-    samples = baseband_samples(c, oversampling)
-    return (np.abs(samples) ** 2).max(axis=-1)
+    rows = x.reshape(-1, k)
+    peaks = np.empty(rows.shape[0])
+    step = max(1, _CHUNK_SAMPLES // n)
+    padded = np.zeros((min(step, rows.shape[0]), n), dtype=np.complex128)
+    for start in range(0, rows.shape[0], step):
+        chunk = rows[start : start + step]
+        m = chunk.shape[0]
+        padded[:m, :k] = chunk
+        s = np.fft.ifft(padded[:m], axis=-1, norm="forward")
+        power = np.square(s.real)
+        power += np.square(s.imag)
+        power.max(axis=-1, out=peaks[start : start + m])
+    return peaks.reshape(x.shape[:-1])[()]
 
 
 def pmepr(c: np.ndarray, p_av: float, oversampling: int = PMEPR_OVERSAMPLING_DEFAULT):

@@ -15,12 +15,65 @@ from paprbound.channel import (
     receive,
     transmit,
 )
-from paprbound.core import QamConstellation, generate_codebook
+from paprbound.core import Codebook, QamConstellation, generate_codebook
 from paprbound.optimizer import UnitarySet
+from paprbound.waveform import baseband_samples
 
 
 def q_func(x):
     return 0.5 * erfc(x / np.sqrt(2.0))
+
+
+def reference_rapp(samples, model):
+    """The amplitude form: |x| / r raised to 2p (standard) or p."""
+    x = np.asarray(samples, dtype=np.complex128)
+    ratio = np.abs(x) / model.clip_level
+    p = model.smoothness
+    inner = ratio ** (2 * p) if model.variant == "standard" else ratio**p
+    return x * (1.0 + inner) ** (-1.0 / (2 * p))
+
+
+def reference_transmit_rows(rows, w, link, sigma, rng, amplify=rapp_apply):
+    """Two separate normal draws combined into a complex noise array."""
+    j = link.oversampling
+    k = rows.shape[-1]
+    s = baseband_samples(rows @ w.T, j)
+    if link.amplifier is not None:
+        s = amplify(s, link.amplifier)
+    if sigma > 0:
+        s = s + (sigma / np.sqrt(2.0)) * (
+            rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape)
+        )
+    return np.fft.fft(s, axis=-1)[..., :k] / (j * k)
+
+
+def reference_ber_counts(codebook, constellation, unitaries, link, target_errors,
+                         max_symbols, block_codewords):
+    """(bits, errors) per grid point from one boolean mask and one demap
+    per subset and block, with the reference channel."""
+    tx = constellation.demap(codebook.symbols)
+    popcount = np.array([bin(x).count("1") for x in range(constellation.order)])
+    subset_of = np.repeat(np.arange(codebook.n_subsets), codebook.subset_sizes)
+    counts = []
+    for point, ebn0 in enumerate(link.ebn0_db):
+        sigma = noise_sigma(ebn0, codebook.p_av, codebook.k_carriers,
+                            constellation.bits_per_symbol, link.oversampling)
+        n_bits = n_errors = block = 0
+        while n_errors < target_errors and n_bits < max_symbols * constellation.bits_per_symbol:
+            rng = np.random.default_rng([link.seed, point, block])
+            rows = rng.integers(0, codebook.size, size=block_codewords)
+            for n in range(codebook.n_subsets):
+                chosen = rows[subset_of[rows] == n]
+                if chosen.size == 0:
+                    continue
+                y = reference_transmit_rows(codebook.symbols[chosen], unitaries.matrices[n],
+                                            link, sigma, rng, amplify=reference_rapp)
+                rx = constellation.demap(y @ unitaries.matrices[n].conj())
+                n_errors += int(popcount[tx[chosen] ^ rx].sum())
+                n_bits += chosen.size * codebook.k_carriers * constellation.bits_per_symbol
+            block += 1
+        counts.append((n_bits, n_errors))
+    return counts
 
 
 def test_rapp_model_validation():
@@ -62,6 +115,52 @@ def test_rapp_p_inner_variant():
     assert at_clip == pytest.approx(2.0 * 2**-0.25)
     far = np.abs(rapp_apply(np.array([1e8 + 0j]), model))[0]
     assert far == pytest.approx(np.sqrt(2.0 * 1e8), rel=1e-3)
+
+
+@pytest.mark.parametrize("variant", ["standard", "p_inner"])
+@pytest.mark.parametrize("smoothness", [0.5, 2.0, 3.7])
+@pytest.mark.parametrize("clip_level", [0.3, 3.0])
+def test_rapp_matches_amplitude_form(variant, smoothness, clip_level):
+    rng = np.random.default_rng(17)
+    rho = np.concatenate([[1e-9, 1e9], np.logspace(-9, 9, 181)])
+    x = rho * np.exp(2j * np.pi * rng.random(rho.size))
+    model = RappModel(smoothness=smoothness, clip_level=clip_level, variant=variant)
+    expected = reference_rapp(x, model)
+    assert np.all(np.abs(rapp_apply(x, model) - expected) <= 1e-12 * np.abs(expected))
+
+
+@pytest.mark.parametrize(
+    "k, j, amplifier, sigma",
+    [
+        (16, 4, None, 0.3),
+        (16, 4, RappModel(smoothness=2.0, clip_level=2.5), 0.3),
+        (32, 2, RappModel(smoothness=1.5, clip_level=3.0, variant="p_inner"), 1.7),
+        (8, 1, RappModel(smoothness=2.0, clip_level=2.5), 0.0),
+    ],
+)
+def test_transmit_rows_byte_identical_to_two_draw_noise(k, j, amplifier, sigma):
+    const = QamConstellation.square(16)
+    book = generate_codebook(const, k, 40, 2, seed=k + j)
+    w = UnitarySet.random(2, k, np.random.default_rng(5)).matrices[1]
+    link = LinkConfig(ebn0_db=(10.0,), oversampling=j, amplifier=amplifier)
+    fast = _transmit_rows(book.symbols, w, link, sigma, np.random.default_rng([3, j]))
+    oracle = reference_transmit_rows(book.symbols, w, link, sigma, np.random.default_rng([3, j]))
+    assert fast.tobytes() == np.ascontiguousarray(oracle).tobytes()
+
+
+@pytest.mark.parametrize("block_codewords", [5, 64])
+def test_ber_sweep_counts_match_per_subset_oracle(block_codewords):
+    # Unequal subsets; 5-codeword blocks leave some subsets empty.
+    const = QamConstellation.square(16)
+    whole = generate_codebook(const, 16, 250, 1, seed=14)
+    book = Codebook(symbols=whole.symbols, subset_sizes=(100, 60, 90), p_av=whole.p_av)
+    us = UnitarySet.random(3, 16, np.random.default_rng(15))
+    link = LinkConfig(ebn0_db=(6.0, 12.0), oversampling=4, seed=16,
+                      amplifier=RappModel.from_backoff(book.p_av, 3.0))
+    budget = (60, 20_000, block_codewords)
+    curve = ber_sweep(book, const, us, link, *budget)
+    expected = reference_ber_counts(book, const, us, link, *budget)
+    assert list(zip(curve.n_bits.tolist(), curve.n_errors.tolist())) == expected
 
 
 def test_noiseless_roundtrip_exact():

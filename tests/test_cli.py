@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import paprbound
 from paprbound.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -295,3 +300,16 @@ def test_optimize_warns_when_r_rises(tmp_path, capsys):
     assert run_cli("optimize", "--config", small_config(tmp_path), "--out", descending,
                    out / "codebook.bin") == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+def test_cli_import_does_not_load_scipy():
+    # A fresh interpreter, on the package this suite imported.
+    package_root = str(Path(paprbound.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, paprbound.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

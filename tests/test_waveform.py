@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from paprbound.core import QamConstellation, generate_codebook
 from paprbound.optimizer import UnitarySet
 from paprbound.waveform import (
+    _CHUNK_SAMPLES,
     CcdfCurve,
     baseband_samples,
     codebook_pmeprs,
@@ -11,6 +14,7 @@ from paprbound.waveform import (
     default_gamma_grid_db,
     empirical_ccdf,
     linear_to_db,
+    peak_envelope_power,
     pmepr,
 )
 
@@ -20,6 +24,20 @@ def direct_synthesis(c, oversampling):
     t = np.arange(k * oversampling) / (k * oversampling)
     carriers = np.exp(2j * np.pi * np.outer(t, np.arange(k)))
     return carriers @ c
+
+
+def reference_baseband_samples(c, oversampling):
+    """The unchunked form: zero-pad the whole batch, ifft, scale by J*K."""
+    x = np.asarray(c, dtype=np.complex128)
+    k = x.shape[-1]
+    n = k * oversampling
+    padded = np.zeros(x.shape[:-1] + (n,), dtype=np.complex128)
+    padded[..., :k] = x
+    return np.fft.ifft(padded, axis=-1) * n
+
+
+def reference_peak_envelope_power(c, oversampling):
+    return (np.abs(reference_baseband_samples(c, oversampling)) ** 2).max(-1)
 
 
 def test_baseband_hand_cases():
@@ -127,3 +145,51 @@ def test_default_gamma_grid():
     grid = default_gamma_grid_db()
     assert grid[0] == 4.0 and grid[-1] == 13.0
     assert np.allclose(np.diff(grid), 0.25)
+
+
+def random_rows(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("k", [12, 100, 128])
+@pytest.mark.parametrize("j", [1, 4, 16])
+def test_chunked_peak_power_matches_unchunked_oracle(k, j):
+    chunk = _CHUNK_SAMPLES // (k * j)
+    shapes = [(k,), (2, chunk // 2 + 1, k)]
+    shapes += [(rows, k) for rows in (1, chunk - 1, chunk, chunk + 1) if rows > 0]
+    for shape in shapes:
+        c = random_rows(shape, seed=len(shape) * k + j)
+        fast = peak_envelope_power(c, j)
+        oracle = reference_peak_envelope_power(c, j)
+        assert np.shape(fast) == oracle.shape
+        assert np.all(np.abs(fast - oracle) <= 1e-12 * oracle), shape
+
+
+@pytest.mark.parametrize("k, j", [(16, 1), (128, 16), (12, 3), (100, 4)])
+def test_forward_normalized_baseband_matches_scaled_ifft(k, j):
+    c = random_rows((5, k), seed=k + j)
+    fast = baseband_samples(c, j)
+    oracle = reference_baseband_samples(c, j)
+    if (k * j) & (k * j - 1) == 0:  # power of two: the 1/n scale is exact
+        np.testing.assert_array_equal(fast, oracle)
+    np.testing.assert_allclose(fast, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
+
+
+def test_peak_power_rejects_zero_oversampling():
+    with pytest.raises(ValueError):
+        peak_envelope_power(np.ones(8), 0)
+    with pytest.raises(ValueError):
+        pmepr(np.ones((3, 8)), 1.0, 0)
+
+
+def test_peak_power_memory_is_bounded_per_chunk():
+    # The unchunked form peaks near 390 MB on this input.
+    c = random_rows((4000, 128))
+    tracemalloc.start()
+    try:
+        peak_envelope_power(c, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
