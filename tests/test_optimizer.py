@@ -21,7 +21,6 @@ from paprbound.optimizer import (
     step_stochastic,
 )
 from paprbound.spectral import build_basis
-from paprbound.waveform import codebook_pmeprs
 
 
 RNG = np.random.default_rng(0)
@@ -232,26 +231,20 @@ def test_rank_deficiency_raises():
 
 
 def test_desk_scale_reduction_with_matched_step():
-    # Regression baseline: the descent recipe at a step size matched to
-    # K=16 lowers both the statistic and the empirical tail.
+    # Regression baseline: at a step size matched to K=16 the statistic
+    # falls at every checkpoint.  The tail and N=8 clauses on this book
+    # and these seeds are criterion 7's.
     const = QamConstellation.square(16)
     book = generate_codebook(const, 16, 200, 4, seed=99)
     basis = build_basis(16)
     cfg = OptimizerConfig(epsilon=1e-3, max_iters=2000, stop_tol=0.0, seed=1,
                           checkpoint_every=500)
-    state, trace = run(book, basis, cfg)
+    _, trace = run(book, basis, cfg)
     assert trace[-1].r_value < trace[0].r_value
     r_checkpoints = [p.r_value for p in trace]
     assert all(  # nonincreasing across checkpoints, 1% stochastic slack
         later <= earlier * 1.01 for earlier, later in zip(r_checkpoints, r_checkpoints[1:])
     )
-    before = codebook_pmeprs(book, oversampling=16)
-    gamma99 = np.quantile(before, 0.99)
-    after = codebook_pmeprs(book, state, oversampling=16)
-    assert (after > gamma99).mean() < (before > gamma99).mean()
-    book8 = generate_codebook(const, 16, 200, 8, seed=99)
-    state8, trace8 = run(book8, basis, cfg)
-    assert trace8[-1].r_value <= trace[-1].r_value
 
 
 def test_unitary_set_persistence(tmp_path):

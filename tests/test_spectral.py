@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from paprbound.spectral import aperiodic_corr, b_matrix, build_basis, quartic_sum
+from paprbound.spectral import (
+    SpectralBasis,
+    aperiodic_corr,
+    b_matrix,
+    build_basis,
+    quartic_sum,
+)
 from paprbound.waveform import baseband_samples
 
 
@@ -72,11 +80,19 @@ def test_basis_unitarity_and_operator_sums(k):
             assert (eigs > 1e-10).sum() == 1  # rank one
 
 
+def dense_dft(k):
+    """Closed-form V[m, n] = exp(-2 pi i m n / K) / sqrt(K)."""
+    n = np.arange(k)
+    return np.exp(-2j * np.pi * np.outer(n, n) / k) / np.sqrt(k)
+
+
 def test_basis_reconstruction_dense():
-    for k in (2, 8):
+    # The dense rebuild V* D_s V == B_s for every shift: the oracle for
+    # the O(K^2 log K) construction check.
+    for k in (2, 3, 8, 16, 64):
         basis = build_basis(k)
+        tol = 1e-12 if k == 2 else 1e-10
         for shift in range(k):
-            tol = 1e-12 if k == 2 else 1e-10
             plus = basis.v.conj().T @ np.diag(basis.d_phase(shift)) @ basis.v
             minus = (
                 basis.v_hat.conj().T @ np.diag(basis.d_phase(shift, hat=True)) @ basis.v_hat
@@ -85,13 +101,85 @@ def test_basis_reconstruction_dense():
             assert np.linalg.norm(minus - b_matrix(k, shift, -1)) < tol
 
 
+@pytest.mark.parametrize("k", [2, 3, 8, 64, 128])
+def test_dense_matrices_are_the_fft_paths(k):
+    basis = build_basis(k)
+    v = dense_dft(k)
+    np.testing.assert_allclose(basis.v, v, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(basis.v_hat, v * basis.half_phase, rtol=0, atol=1e-12)
+    x = random_codewords(k, 3, k)
+    np.testing.assert_allclose(basis.to_alpha(x), x @ basis.v.T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(basis.to_beta(x), x @ basis.v_hat.T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(basis.from_beta(x), x @ basis.v_hat.conj(), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3, 8, 16, 64, 128, 256])
+def test_check_rejects_flipped_half_phase(k):
+    basis = build_basis(k, validate=False)
+    basis.half_phase = np.conj(basis.half_phase)
+    with pytest.raises(ArithmeticError, match="negacyclic"):
+        basis._check_reconstruction()
+
+
+@pytest.mark.parametrize("faulty_hat", [False, True])
+@pytest.mark.parametrize("k", [2, 3, 16, 64, 128])
+def test_check_rejects_wrong_phase_at_last_shift(monkeypatch, k, faulty_hat):
+    exact = SpectralBasis.d_phase
+
+    def d_phase(self, shift, hat=False):
+        d = exact(self, shift, hat)
+        if shift == self.size - 1 and hat == faulty_hat:
+            d = d * np.exp(1e-6j)
+        return d
+
+    monkeypatch.setattr(SpectralBasis, "d_phase", d_phase)
+    with pytest.raises(ArithmeticError):
+        build_basis(k)
+
+
+def test_check_rejects_invertible_non_unitary_path(monkeypatch):
+    # Scaling V by 2 and V* by 1/2 keeps the round trip and every shift
+    # reconstruction exact; only the adjoint check can see it.
+    to_alpha, from_alpha = SpectralBasis.to_alpha, SpectralBasis.from_alpha
+    monkeypatch.setattr(SpectralBasis, "to_alpha", lambda self, x: 2.0 * to_alpha(self, x))
+    monkeypatch.setattr(SpectralBasis, "from_alpha", lambda self, y: 0.5 * from_alpha(self, y))
+    with pytest.raises(ArithmeticError, match="cyclic adjoint"):
+        build_basis(16)
+
+
+@pytest.mark.parametrize("k", [2, 8, 64])
+def test_check_rejects_boost_between_opposite_bins(monkeypatch, k):
+    # Bins 0 and K/2 have opposite shift eigenvalues d and -d, so a real
+    # hyperbolic rotation N between them keeps N D_s N = D_s: V -> N V
+    # with V* -> V* N passes the adjoint and every shift check, and only
+    # the round trip (V* N^2 V != I) can see it.
+    def boost(y):
+        out = np.array(y, dtype=np.complex128)
+        a, b = y[..., 0], y[..., k // 2]
+        out[..., 0] = np.cosh(0.5) * a + np.sinh(0.5) * b
+        out[..., k // 2] = np.sinh(0.5) * a + np.cosh(0.5) * b
+        return out
+
+    to_alpha, from_alpha = SpectralBasis.to_alpha, SpectralBasis.from_alpha
+    monkeypatch.setattr(SpectralBasis, "to_alpha", lambda self, x: boost(to_alpha(self, x)))
+    monkeypatch.setattr(SpectralBasis, "from_alpha", lambda self, y: from_alpha(self, boost(y)))
+    with pytest.raises(ArithmeticError, match="cyclic round trip"):
+        build_basis(k)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=2, max_value=256))
+def test_check_accepts_every_size(k):
+    assert build_basis(k).size == k
+
+
 def test_shift_zero_phase_is_identity():
     basis = build_basis(9)
     np.testing.assert_allclose(basis.d_phase(0), np.ones(9), atol=1e-15)
 
 
 def test_large_basis_probe_validation():
-    build_basis(128)  # validates via the action path (K > dense cap)
+    build_basis(128)  # the construction check runs at every K; the dense cap is 64
     with pytest.raises(ValueError):
         build_basis(128).dense_operators()
 
