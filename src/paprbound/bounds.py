@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import Codebook, QamConstellation
 from .spectral import SpectralBasis, quartic_sum
-from .waveform import linear_to_db
+from .waveform import baseband_samples, linear_to_db
 
 PSD_TOLERANCE = 1e-10
 
@@ -129,7 +129,12 @@ def gaussian_ccdf_bound(
     given covariance.
 
     3 K (2K-1) / (2 P_av^2 gamma^2) * sum_k Tr(C_k cov)^2 +
-    Tr(C_hat_k cov)^2, with P_av = Tr(cov).
+    Tr(C_hat_k cov)^2, with P_av = Tr(cov).  The 2K traces are the
+    expected envelope power E|s_n|^2 / K on the 2K-point grid: the
+    2K-point DFT of the diagonal sums D_d = sum_{i-j=d} cov[i, j],
+    d = -(K-1) ... K-1.  Since D_{-d} = conj(D_d), that DFT is
+    2 Re(sum_{d>=0} D_d e^{2 pi i d n / 2K}) - D_0, which
+    ``baseband_samples`` evaluates from the K sums with d >= 0.
     """
     sigma = np.asarray(cov, dtype=np.complex128)
     k = basis.size
@@ -138,13 +143,15 @@ def gaussian_ccdf_bound(
     eigs = np.linalg.eigvalsh(sigma)
     if eigs.min() < -PSD_TOLERANCE:
         raise ValueError(f"covariance not PSD: min eigenvalue {eigs.min():.3e}")
-    p_av = float(np.trace(sigma).real)
-    t_a = ((basis.v @ sigma) * basis.v.conj()).sum(axis=-1).real
-    t_b = ((basis.v_hat @ sigma) * basis.v_hat.conj()).sum(axis=-1).real
+    # Row i of the flat view below starts i places later than row i of
+    # ``padded``, so column K-1+d collects sigma[i, j] with i - j = d.
+    padded = np.zeros((k, 2 * k), dtype=np.complex128)
+    padded[:, :k] = sigma[:, ::-1]
+    diag_sums = padded.ravel()[: k * (2 * k - 1)].reshape(k, 2 * k - 1).sum(axis=0)[k - 1 :]
+    p_av = float(diag_sums[0].real)
+    traces = (2.0 * baseband_samples(diag_sums, 2).real - p_av) / k
     grid = np.asarray(gamma_grid, dtype=float)
-    return (
-        3.0 * k * (2 * k - 1) / (2.0 * p_av**2 * grid**2) * ((t_a**2).sum() + (t_b**2).sum())
-    )
+    return 3.0 * k * (2 * k - 1) / (2.0 * p_av**2 * grid**2) * (traces**2).sum()
 
 
 def real_embedding(z: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -44,6 +45,7 @@ from .optimizer import (
 )
 from .spectral import aperiodic_corr, build_basis
 from .waveform import (
+    baseband_samples,
     db_to_linear,
     default_gamma_grid_db,
     empirical_ccdf,
@@ -107,14 +109,19 @@ def _check(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _pop_scalar(data: dict, key: str, kinds, default, message: str, allow_none=False):
+def _pop_scalar(data: dict, key: str, kinds, default, message: str, allow_none=False,
+                field: str | None = None):
+    """Pop and type-check one field; ``field`` names it in messages
+    (default ``key``).  JSON's Infinity and NaN parse as floats and are
+    rejected here."""
     value = data.pop(key, default)
     if value is None and allow_none:
         return None
-    _check(isinstance(value, kinds) and not isinstance(value, bool) or kinds is bool,
-           f"config field '{key}': {message} (got {value!r})")
+    problem = f"config field '{field or key}': {message} (got {value!r})"
+    _check(isinstance(value, kinds) and not isinstance(value, bool) or kinds is bool, problem)
     if kinds is bool:
-        _check(isinstance(value, bool), f"config field '{key}': {message} (got {value!r})")
+        _check(isinstance(value, bool), problem)
+    _check(not isinstance(value, float) or math.isfinite(value), problem)
     return value
 
 
@@ -128,7 +135,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     k = _pop_scalar(data, "k_carriers", int, 128, "must be an integer >= 2")
     _check(k >= 2, "config field 'k_carriers': must be >= 2")
     order = _pop_scalar(data, "qam_order", int, 16, "must be an integer")
-    scale = _pop_scalar(data, "qam_scale", (int, float), None, "must be a number", allow_none=True)
+    scale = _pop_scalar(data, "qam_scale", (int, float), None, "must be a finite number",
+                        allow_none=True)
     _check(scale is None or scale > 0, "config field 'qam_scale': must be positive")
     count = _pop_scalar(data, "codebook_size", int, 2000, "must be a positive integer")
     n_sub = _pop_scalar(data, "n_subsets", int, 5, "must be a positive integer")
@@ -137,11 +145,12 @@ def parse_config(data: dict) -> ExperimentConfig:
     j_ccdf = _pop_scalar(data, "j_ccdf", int, 16, "must be an integer >= 1")
     j_ber = _pop_scalar(data, "j_ber", int, 1, "must be an integer >= 1")
     _check(j_ccdf >= 1 and j_ber >= 1, "oversampling factors must be >= 1")
-    epsilon = _pop_scalar(data, "epsilon", (int, float), None, "must be a number", allow_none=True)
+    epsilon = _pop_scalar(data, "epsilon", (int, float), None, "must be a finite number",
+                          allow_none=True)
     _check(epsilon is None or epsilon > 0, "config field 'epsilon': must be positive")
     max_iters = _pop_scalar(data, "max_iters", int, 20000, "must be a nonnegative integer")
     _check(max_iters >= 0, "config field 'max_iters': must be >= 0")
-    stop_tol = _pop_scalar(data, "stop_tol", (int, float), 1e-6, "must be a number >= 0")
+    stop_tol = _pop_scalar(data, "stop_tol", (int, float), 1e-6, "must be a finite number >= 0")
     _check(stop_tol >= 0, "config field 'stop_tol': must be >= 0")
     projection = _pop_scalar(data, "projection", str, "symmetric_decorrelation", "must be a string")
     mode = _pop_scalar(data, "mode", str, "stochastic", "must be a string")
@@ -151,9 +160,12 @@ def parse_config(data: dict) -> ExperimentConfig:
     grid_raw = data.pop("gamma_grid_db", {})
     _check(isinstance(grid_raw, dict), "config field 'gamma_grid_db': must be an object")
     grid_raw = dict(grid_raw)
-    start = _pop_scalar(grid_raw, "start", (int, float), 4.0, "must be a number")
-    stop = _pop_scalar(grid_raw, "stop", (int, float), 13.0, "must be a number")
-    step = _pop_scalar(grid_raw, "step", (int, float), 0.25, "must be a number > 0")
+    start = _pop_scalar(grid_raw, "start", (int, float), 4.0, "must be a finite number",
+                        field="gamma_grid_db.start")
+    stop = _pop_scalar(grid_raw, "stop", (int, float), 13.0, "must be a finite number",
+                       field="gamma_grid_db.stop")
+    step = _pop_scalar(grid_raw, "step", (int, float), 0.25, "must be a finite number > 0",
+                       field="gamma_grid_db.step")
     _check(not grid_raw, f"unknown keys in gamma_grid_db: {sorted(grid_raw)}")
     _check(step > 0 and stop >= start, "gamma grid requires step > 0 and stop >= start")
     gamma = GammaGridSpec(start_db=float(start), stop_db=float(stop), step_db=float(step))
@@ -162,8 +174,9 @@ def parse_config(data: dict) -> ExperimentConfig:
     _check(
         isinstance(ebn0_raw, (list, tuple))
         and len(ebn0_raw) > 0
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in ebn0_raw),
-        "config field 'ebn0_grid_db': must be a non-empty list of numbers",
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+                for x in ebn0_raw),
+        "config field 'ebn0_grid_db': must be a non-empty list of finite numbers",
     )
     ebn0 = tuple(float(x) for x in ebn0_raw)
 
@@ -171,8 +184,10 @@ def parse_config(data: dict) -> ExperimentConfig:
     _check(isinstance(rapp_raw, dict), "config field 'rapp': must be an object")
     rapp_raw = dict(rapp_raw)
     enabled = _pop_scalar(rapp_raw, "enabled", bool, True, "must be true or false")
-    p = _pop_scalar(rapp_raw, "p", (int, float), 2.0, "must be a number > 0")
-    backoff = _pop_scalar(rapp_raw, "backoff_db", (int, float), 2.0, "must be a number")
+    p = _pop_scalar(rapp_raw, "p", (int, float), 2.0, "must be a finite number > 0",
+                    field="rapp.p")
+    backoff = _pop_scalar(rapp_raw, "backoff_db", (int, float), 2.0, "must be a finite number",
+                          field="rapp.backoff_db")
     variant = _pop_scalar(rapp_raw, "variant", str, "standard", "must be a string")
     _check(not rapp_raw, f"unknown keys in rapp: {sorted(rapp_raw)}")
     _check(p > 0, "rapp.p must be positive")
@@ -445,7 +460,6 @@ def cmd_verify(args) -> int:
     report("config schema round-trip", parse_config(config_to_dict(cfg)) == cfg)
 
     for k in (2, 3, 8, 16):
-        basis = build_basis(k)
         rng = np.random.default_rng(k)
         c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         rho = aperiodic_corr(c)
@@ -457,13 +471,12 @@ def cmd_verify(args) -> int:
             f"decomposition identity K={k}",
             abs(lhs - 0.5 * (per.sum() + odd.sum())) <= 1e-9 * max(1.0, abs(lhs)),
         )
-        alpha = basis.to_alpha(c)
-        beta = basis.to_beta(c)
-        parseval = max(
-            abs((np.abs(alpha) ** 2).sum() - np.vdot(c, c).real),
-            abs((np.abs(beta) ** 2).sum() - np.vdot(c, c).real),
-        )
-        report(f"Parseval K={k}", parseval <= 1e-10 * max(1.0, np.vdot(c, c).real))
+        # Even and odd samples of the 2K-point envelope: K times the
+        # cyclic and the negacyclic spectral power.
+        power = np.abs(baseband_samples(c, 2)) ** 2
+        energy = k * np.vdot(c, c).real
+        parseval = max(abs(power[0::2].sum() - energy), abs(power[1::2].sum() - energy))
+        report(f"Parseval K={k}", parseval <= 1e-10 * max(1.0, energy))
 
     try:
         build_basis(cfg.k_carriers)

