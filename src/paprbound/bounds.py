@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Codebook, QamConstellation
+from .core import Codebook, QamConstellation, transformed_subsets
 from .spectral import SpectralBasis, quartic_sum
 from .waveform import baseband_samples, linear_to_db
 
@@ -37,15 +37,7 @@ def r_statistic(codebook: Codebook, basis: SpectralBasis, unitaries=None) -> flo
     k = basis.size
     if codebook.k_carriers != k:
         raise ValueError(f"codebook K={codebook.k_carriers} does not match basis K={k}")
-    matrices = None
-    if unitaries is not None:
-        matrices = unitaries.matrices if hasattr(unitaries, "matrices") else np.asarray(unitaries)
-        if len(matrices) != codebook.n_subsets:
-            raise ValueError(f"{len(matrices)} transforms for {codebook.n_subsets} subsets")
-    total = 0.0
-    for n, block in enumerate(codebook.subsets()):
-        w = None if matrices is None else matrices[n]
-        total += quartic_sum(block, basis, w).sum()
+    total = sum(quartic_sum(block, basis).sum() for block in transformed_subsets(codebook, unitaries))
     return k * (2 * k - 1) / (2.0 * codebook.size) * total
 
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
-import math
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+import typing
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,10 +29,12 @@ import numpy as np
 
 from . import __version__
 from .bounds import bound_report
-from .channel import LinkConfig, RappModel, ber_sweep
+from .channel import RAPP_VARIANTS, LinkConfig, RappModel, ber_sweep
 from .core import (
     QamConstellation,
     generate_codebook,
+    is_int,
+    is_number,
     load_codebook,
     save_codebook,
 )
@@ -58,17 +61,31 @@ EXIT_NUMERICAL = 3
 
 CONFIG_VERSION = 1
 MANIFEST_FORMAT = "paprbound/manifest"
+# Most points a gamma grid may span; the default grid has 37.
+GAMMA_GRID_MAX_POINTS = 100_000
 
 
 # ---------------------------------------------------------------------------
 # configuration schema
 
 
+def _check(cond: bool, message: str) -> None:
+    if not cond:
+        raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class GammaGridSpec:
-    start_db: float = 4.0
-    stop_db: float = 13.0
-    step_db: float = 0.25
+    start: float = 4.0
+    stop: float = 13.0
+    step: float = 0.25
+
+    def __post_init__(self):
+        _check(self.step > 0 and self.stop >= self.start,
+               "config field 'gamma_grid_db': needs step > 0 and stop >= start")
+        span = (self.stop - self.start) / self.step  # points - 1; may be inf
+        _check(span < GAMMA_GRID_MAX_POINTS,
+               f"config field 'gamma_grid_db': {span + 1:.3g} points, over {GAMMA_GRID_MAX_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -78,9 +95,16 @@ class RappSettings:
     backoff_db: float = 2.0
     variant: str = "standard"
 
+    def __post_init__(self):
+        _check(self.p > 0, "config field 'rapp.p': must be positive")
+        _check(self.variant in RAPP_VARIANTS, f"config field 'rapp.variant': must be one of {RAPP_VARIANTS}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The config schema: ``parse_config`` reads the field names, types
+    and defaults from these declarations."""
+
     version: int = CONFIG_VERSION
     k_carriers: int = 128
     qam_order: int = 16
@@ -103,133 +127,79 @@ class ExperimentConfig:
     seed: int = 1234
     out_dir: str = "runs/default"
 
+    def __post_init__(self):
+        _check(self.version == CONFIG_VERSION, f"unsupported config version {self.version}")
+        for name, low in (("k_carriers", 2), ("codebook_size", 1), ("n_subsets", 1),
+                          ("j_ccdf", 1), ("j_ber", 1), ("ber_target_errors", 1),
+                          ("ber_max_symbols", 1)):
+            _check(getattr(self, name) >= low, f"config field '{name}': must be >= {low}")
+        _check(self.codebook_size % self.n_subsets == 0,
+               f"codebook_size {self.codebook_size} not divisible by n_subsets {self.n_subsets}")
+        _check(self.qam_scale is None or self.qam_scale > 0, "config field 'qam_scale': must be positive")
+        # OptimizerConfig allows epsilon = 0 (a run that never moves); a config may not.
+        _check(self.epsilon is None or self.epsilon > 0, "config field 'epsilon': must be positive")
+        self.constellation()
+        self.optimizer()
 
-def _check(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(message)
+    def constellation(self) -> QamConstellation:
+        return QamConstellation.square(self.qam_order, self.qam_scale)
+
+    def optimizer(self) -> OptimizerConfig:
+        """The optimizer settings, taken from the fields of the same name."""
+        return OptimizerConfig(**{f.name: getattr(self, f.name) for f in fields(OptimizerConfig)})
 
 
-def _pop_scalar(data: dict, key: str, kinds, default, message: str, allow_none=False,
-                field: str | None = None):
-    """Pop and type-check one field; ``field`` names it in messages
-    (default ``key``).  JSON's Infinity and NaN parse as floats and are
-    rejected here."""
-    value = data.pop(key, default)
-    if value is None and allow_none:
-        return None
-    problem = f"config field '{field or key}': {message} (got {value!r})"
-    _check(isinstance(value, kinds) and not isinstance(value, bool) or kinds is bool, problem)
-    if kinds is bool:
-        _check(isinstance(value, bool), problem)
-    _check(not isinstance(value, float) or math.isfinite(value), problem)
-    return value
+# Per field annotation: what a JSON value must be, the test, and the
+# conversion to the stored value.  ``float | None`` stores the value as
+# given, so {"epsilon": 1} and {"epsilon": 1.0} hash differently.
+_FIELD_RULES = {
+    int: ("an integer", is_int, None),
+    float: ("a finite number", is_number, float),
+    float | None: ("a finite number or null", lambda v: v is None or is_number(v), None),
+    bool: ("true or false", lambda v: isinstance(v, bool), None),
+    str: ("a string", lambda v: isinstance(v, str), None),
+    tuple[float, ...]: (
+        "a non-empty list of finite numbers",
+        lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(is_number, v)),
+        lambda v: tuple(map(float, v)),
+    ),
+}
+
+
+# Field name -> resolved annotation, once per class (the schema classes
+# annotate nothing but their fields).
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def _build(cls, data, name: str = ""):
+    """Construct ``cls`` from a JSON object, checking each value against
+    its field's annotation; ``name`` is the dotted path of the object."""
+    _check(isinstance(data, dict), f"config field '{name}': must be an object (got {data!r})"
+           if name else "config must be a JSON object")
+    types = _field_types(cls)
+    unknown = sorted(set(data) - set(types))
+    _check(not unknown, f"unknown keys in {name}: {unknown}" if name
+           else f"unknown config keys: {unknown}")
+    values = {}
+    for key, value in data.items():
+        field = f"{name}.{key}" if name else key
+        kind = types[key]
+        if is_dataclass(kind):
+            values[key] = _build(kind, value, field)
+            continue
+        what, valid, convert = _FIELD_RULES[kind]
+        _check(valid(value), f"config field '{field}': must be {what} (got {value!r})")
+        values[key] = convert(value) if convert else value
+    return cls(**values)
 
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a config dict against the schema; unknown keys are errors."""
-    _check(isinstance(data, dict), "config must be a JSON object")
-    data = dict(data)
-    version = _pop_scalar(data, "version", int, CONFIG_VERSION, "must be an integer")
-    _check(version == CONFIG_VERSION, f"unsupported config version {version}")
-
-    k = _pop_scalar(data, "k_carriers", int, 128, "must be an integer >= 2")
-    _check(k >= 2, "config field 'k_carriers': must be >= 2")
-    order = _pop_scalar(data, "qam_order", int, 16, "must be an integer")
-    scale = _pop_scalar(data, "qam_scale", (int, float), None, "must be a finite number",
-                        allow_none=True)
-    _check(scale is None or scale > 0, "config field 'qam_scale': must be positive")
-    count = _pop_scalar(data, "codebook_size", int, 2000, "must be a positive integer")
-    n_sub = _pop_scalar(data, "n_subsets", int, 5, "must be a positive integer")
-    _check(count > 0 and n_sub > 0, "codebook_size and n_subsets must be positive")
-    _check(count % n_sub == 0, f"codebook_size {count} not divisible by n_subsets {n_sub}")
-    j_ccdf = _pop_scalar(data, "j_ccdf", int, 16, "must be an integer >= 1")
-    j_ber = _pop_scalar(data, "j_ber", int, 1, "must be an integer >= 1")
-    _check(j_ccdf >= 1 and j_ber >= 1, "oversampling factors must be >= 1")
-    epsilon = _pop_scalar(data, "epsilon", (int, float), None, "must be a finite number",
-                          allow_none=True)
-    _check(epsilon is None or epsilon > 0, "config field 'epsilon': must be positive")
-    max_iters = _pop_scalar(data, "max_iters", int, 20000, "must be a nonnegative integer")
-    _check(max_iters >= 0, "config field 'max_iters': must be >= 0")
-    stop_tol = _pop_scalar(data, "stop_tol", (int, float), 1e-6, "must be a finite number >= 0")
-    _check(stop_tol >= 0, "config field 'stop_tol': must be >= 0")
-    projection = _pop_scalar(data, "projection", str, "symmetric_decorrelation", "must be a string")
-    mode = _pop_scalar(data, "mode", str, "stochastic", "must be a string")
-    checkpoint = _pop_scalar(data, "checkpoint_every", int, 500, "must be an integer >= 1")
-    _check(checkpoint >= 1, "config field 'checkpoint_every': must be >= 1")
-
-    grid_raw = data.pop("gamma_grid_db", {})
-    _check(isinstance(grid_raw, dict), "config field 'gamma_grid_db': must be an object")
-    grid_raw = dict(grid_raw)
-    start = _pop_scalar(grid_raw, "start", (int, float), 4.0, "must be a finite number",
-                        field="gamma_grid_db.start")
-    stop = _pop_scalar(grid_raw, "stop", (int, float), 13.0, "must be a finite number",
-                       field="gamma_grid_db.stop")
-    step = _pop_scalar(grid_raw, "step", (int, float), 0.25, "must be a finite number > 0",
-                       field="gamma_grid_db.step")
-    _check(not grid_raw, f"unknown keys in gamma_grid_db: {sorted(grid_raw)}")
-    _check(step > 0 and stop >= start, "gamma grid requires step > 0 and stop >= start")
-    gamma = GammaGridSpec(start_db=float(start), stop_db=float(stop), step_db=float(step))
-
-    ebn0_raw = data.pop("ebn0_grid_db", [4.0, 8.0, 12.0])
-    _check(
-        isinstance(ebn0_raw, (list, tuple))
-        and len(ebn0_raw) > 0
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-                for x in ebn0_raw),
-        "config field 'ebn0_grid_db': must be a non-empty list of finite numbers",
-    )
-    ebn0 = tuple(float(x) for x in ebn0_raw)
-
-    rapp_raw = data.pop("rapp", {})
-    _check(isinstance(rapp_raw, dict), "config field 'rapp': must be an object")
-    rapp_raw = dict(rapp_raw)
-    enabled = _pop_scalar(rapp_raw, "enabled", bool, True, "must be true or false")
-    p = _pop_scalar(rapp_raw, "p", (int, float), 2.0, "must be a finite number > 0",
-                    field="rapp.p")
-    backoff = _pop_scalar(rapp_raw, "backoff_db", (int, float), 2.0, "must be a finite number",
-                          field="rapp.backoff_db")
-    variant = _pop_scalar(rapp_raw, "variant", str, "standard", "must be a string")
-    _check(not rapp_raw, f"unknown keys in rapp: {sorted(rapp_raw)}")
-    _check(p > 0, "rapp.p must be positive")
-    rapp = RappSettings(enabled=enabled, p=float(p), backoff_db=float(backoff), variant=variant)
-
-    target_errors = _pop_scalar(data, "ber_target_errors", int, 200, "must be an integer >= 1")
-    max_symbols = _pop_scalar(data, "ber_max_symbols", int, 2_000_000, "must be an integer >= 1")
-    _check(target_errors >= 1 and max_symbols >= 1, "BER budgets must be >= 1")
-    seed = _pop_scalar(data, "seed", int, 1234, "must be an integer")
-    out_dir = _pop_scalar(data, "out_dir", str, "runs/default", "must be a string")
-    _check(not data, f"unknown config keys: {sorted(data)}")
-
-    cfg = ExperimentConfig(
-        version=version, k_carriers=k, qam_order=order, qam_scale=scale,
-        codebook_size=count, n_subsets=n_sub, j_ccdf=j_ccdf, j_ber=j_ber,
-        epsilon=epsilon, max_iters=max_iters, stop_tol=float(stop_tol),
-        projection=projection, mode=mode, checkpoint_every=checkpoint,
-        gamma_grid_db=gamma, ebn0_grid_db=ebn0, rapp=rapp,
-        ber_target_errors=target_errors, ber_max_symbols=max_symbols,
-        seed=seed, out_dir=out_dir,
-    )
-    # Constructor-level validation of enum-ish fields and QAM order.
-    QamConstellation.square(cfg.qam_order, cfg.qam_scale)
-    OptimizerConfig(
-        epsilon=cfg.epsilon, max_iters=cfg.max_iters, stop_tol=cfg.stop_tol,
-        projection=cfg.projection, mode=cfg.mode, seed=cfg.seed,
-        checkpoint_every=cfg.checkpoint_every,
-    )
-    RappModel(smoothness=cfg.rapp.p, clip_level=1.0, variant=cfg.rapp.variant)
-    return cfg
+    return _build(ExperimentConfig, data)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = asdict(cfg)
-    out["gamma_grid_db"] = {
-        "start": cfg.gamma_grid_db.start_db,
-        "stop": cfg.gamma_grid_db.stop_db,
-        "step": cfg.gamma_grid_db.step_db,
-    }
-    out["ebn0_grid_db"] = list(cfg.ebn0_grid_db)
-    out["rapp"] = asdict(cfg.rapp)
-    return out
+    return asdict(cfg)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -248,7 +218,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 def gamma_grid_linear(cfg: ExperimentConfig) -> np.ndarray:
     grid = cfg.gamma_grid_db
-    return db_to_linear(default_gamma_grid_db(grid.start_db, grid.stop_db, grid.step_db))
+    return db_to_linear(default_gamma_grid_db(grid.start, grid.stop, grid.step))
 
 
 # ---------------------------------------------------------------------------
@@ -312,22 +282,20 @@ def verify_manifest(path: Path) -> list[tuple[str, bool]]:
 # subcommands
 
 
-def _prepare(args) -> tuple[ExperimentConfig, Path]:
+def _prepare(args) -> tuple[ExperimentConfig, Path, float]:
+    """The config, the output directory, and the start time of the work."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, out_dir
+    return cfg, out_dir, time.perf_counter()
 
 
-def _constellation(cfg: ExperimentConfig) -> QamConstellation:
-    return QamConstellation.square(cfg.qam_order, cfg.qam_scale)
-
-
-def _load_unitaries_or_identity(path, codebook) -> UnitarySet:
+def _load_unitaries(path, codebook) -> UnitarySet | None:
+    """The unitary set in ``path``, checked against the codebook; None without a path."""
     if path is None:
-        return UnitarySet.identity(codebook.n_subsets, codebook.k_carriers)
+        return None
     state = load_unitaries(path)
     if state.n_subsets != codebook.n_subsets or state.k_carriers != codebook.k_carriers:
         raise ValueError("unitary set does not match the codebook dimensions")
@@ -335,10 +303,9 @@ def _load_unitaries_or_identity(path, codebook) -> UnitarySet:
 
 
 def cmd_gen(args) -> int:
-    cfg, out_dir = _prepare(args)
-    started = time.perf_counter()
+    cfg, out_dir, started = _prepare(args)
     codebook = generate_codebook(
-        _constellation(cfg), cfg.k_carriers, cfg.codebook_size, cfg.n_subsets, cfg.seed
+        cfg.constellation(), cfg.k_carriers, cfg.codebook_size, cfg.n_subsets, cfg.seed
     )
     target = out_dir / "codebook.bin"
     save_codebook(codebook, target)
@@ -350,12 +317,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    cfg, out_dir = _prepare(args)
-    started = time.perf_counter()
+    cfg, out_dir, started = _prepare(args)
     codebook = load_codebook(args.codebook)
-    unitaries = None
-    if args.unitaries is not None:
-        unitaries = _load_unitaries_or_identity(args.unitaries, codebook)
+    unitaries = _load_unitaries(args.unitaries, codebook)
     basis = build_basis(codebook.k_carriers)
     report = bound_report(codebook, basis, gamma_grid_linear(cfg), unitaries)
     target = out_dir / "bounds.csv"
@@ -369,18 +333,11 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    cfg, out_dir = _prepare(args)
-    started = time.perf_counter()
+    cfg, out_dir, started = _prepare(args)
     codebook = load_codebook(args.codebook)
     basis = build_basis(codebook.k_carriers)
-    opt_cfg = OptimizerConfig(
-        epsilon=cfg.epsilon, max_iters=cfg.max_iters, stop_tol=cfg.stop_tol,
-        projection=cfg.projection, mode=cfg.mode, seed=cfg.seed,
-        checkpoint_every=cfg.checkpoint_every,
-    )
-    initial = None
-    if args.resume is not None:
-        initial = load_unitaries(args.resume)
+    opt_cfg = cfg.optimizer()
+    initial = load_unitaries(args.resume) if args.resume is not None else None
     state, trace = run(codebook, basis, opt_cfg, initial=initial)
     target = out_dir / "unitaries.bin"
     save_unitaries(state, target, seed=cfg.seed, config_hash=config_hash(cfg))
@@ -404,12 +361,9 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_ccdf(args) -> int:
-    cfg, out_dir = _prepare(args)
-    started = time.perf_counter()
+    cfg, out_dir, started = _prepare(args)
     codebook = load_codebook(args.codebook)
-    unitaries = None
-    if args.unitaries is not None:
-        unitaries = _load_unitaries_or_identity(args.unitaries, codebook)
+    unitaries = _load_unitaries(args.unitaries, codebook)
     oversampling = args.oversampling if args.oversampling is not None else cfg.j_ccdf
     curve = empirical_ccdf(codebook, gamma_grid_linear(cfg), unitaries, oversampling)
     target = out_dir / "ccdf.csv"
@@ -421,13 +375,14 @@ def cmd_ccdf(args) -> int:
 
 
 def cmd_ber(args) -> int:
-    cfg, out_dir = _prepare(args)
-    started = time.perf_counter()
+    cfg, out_dir, started = _prepare(args)
     codebook = load_codebook(args.codebook)
     if codebook.qam_order is None:
         raise ValueError("codebook carries no constellation metadata; BER needs a QAM codebook")
     constellation = QamConstellation.square(codebook.qam_order, codebook.qam_scale)
-    unitaries = _load_unitaries_or_identity(args.unitaries, codebook)
+    unitaries = _load_unitaries(args.unitaries, codebook) or UnitarySet.identity(
+        codebook.n_subsets, codebook.k_carriers
+    )
     amplifier = None
     if cfg.rapp.enabled:
         amplifier = RappModel.from_backoff(
@@ -449,7 +404,7 @@ def cmd_ber(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg, out_dir = _prepare(args)
+    cfg, out_dir, _ = _prepare(args)
     failures = 0
 
     def report(name: str, ok: bool):
@@ -498,7 +453,7 @@ def cmd_verify(args) -> int:
         )
         report("envelope norm sandwich", ok)
         if args.unitaries is not None:
-            state = _load_unitaries_or_identity(args.unitaries, codebook)
+            state = _load_unitaries(args.unitaries, codebook)
             report("unitarity of loaded set", state.unitarity_error() <= 1e-8)
             w = state.matrices[0]
             c = codebook.symbols[0]

@@ -9,6 +9,8 @@ average power over the whole book.
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -157,8 +159,9 @@ class Codebook:
         if any(s <= 0 for s in sizes) or sum(sizes) != sym.shape[0]:
             raise ValueError("subset sizes must be positive and sum to the codebook size")
         object.__setattr__(self, "subset_sizes", sizes)
-        p_av = float(np.mean(np.abs(sym) ** 2) * sym.shape[1])
-        if abs(p_av - self.p_av) > 1e-12 * max(1.0, p_av):
+        with np.errstate(over="ignore"):  # a huge symbol gives p_av = inf: a mismatch
+            p_av = float(np.mean(np.abs(sym) ** 2) * sym.shape[1])
+        if not abs(p_av - self.p_av) <= 1e-12 * max(1.0, self.p_av):
             raise ValueError("stored p_av does not match the codewords")
         if p_av <= 0:
             raise ValueError("average power must be positive")
@@ -235,58 +238,65 @@ def subset_gram(codebook: Codebook, n: int) -> np.ndarray:
     return block.T @ block.conj() / block.shape[0]
 
 
-def save_codebook(codebook: Codebook, path: str | Path) -> None:
-    """Write a codebook file: one JSON header line, then row-major
-    (re, im) float64 pairs."""
-    header = {
-        "format": CODEBOOK_FORMAT,
-        "version": FORMAT_VERSION,
-        "k_carriers": codebook.k_carriers,
-        "count": codebook.size,
-        "n_subsets": codebook.n_subsets,
-        "subset_sizes": list(codebook.subset_sizes),
-        "p_av": codebook.p_av,
-        "seed": codebook.seed,
-        "qam_order": codebook.qam_order,
-        "qam_scale": codebook.qam_scale,
-    }
-    payload = np.empty((codebook.size, codebook.k_carriers, 2), dtype="<f8")
-    payload[..., 0] = codebook.symbols.real
-    payload[..., 1] = codebook.symbols.imag
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(payload.tobytes())
+def transformed_subsets(codebook: Codebook, unitaries=None) -> Iterator[np.ndarray]:
+    """Each subset n as sent, ``block @ W_n.T`` (rows W_n c), computed
+    as the caller reaches it, so one transformed subset is held at a
+    time.  ``unitaries`` (a UnitarySet, an (N, K, K) array, a list of N
+    K x K matrices, or None for the subsets as drawn) is checked first."""
+    if unitaries is None:
+        return iter(codebook.subsets())
+    matrices = np.asarray(getattr(unitaries, "matrices", unitaries))
+    n, k = codebook.n_subsets, codebook.k_carriers
+    if matrices.shape != (n, k, k):
+        raise ValueError(f"transforms of shape {matrices.shape} for {n} subsets of K={k}")
+    return (block @ w.T for block, w in zip(codebook.subsets(), matrices))
 
 
-def _is_int(value) -> bool:
+def is_int(value) -> bool:
+    """A JSON integer: an int, not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def is_number(value) -> bool:
+    """An int or a finite float.  JSON's Infinity and NaN parse as floats."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 # Header field checks: (what the value must be, predicate).
-SIZE_FIELD = ("a nonnegative integer", lambda v: _is_int(v) and v >= 0)
-INT_OR_NULL_FIELD = ("an integer or null", lambda v: v is None or _is_int(v))
+SIZE_FIELD = ("a nonnegative integer", lambda v: is_int(v) and v >= 0)
+INT_OR_NULL_FIELD = ("an integer or null", lambda v: v is None or is_int(v))
 _CODEBOOK_FIELDS = {
     "k_carriers": SIZE_FIELD,
     "count": SIZE_FIELD,
-    "subset_sizes": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
-    "p_av": ("a number", _is_number),
+    "subset_sizes": ("a list of integers", lambda v: isinstance(v, list) and all(map(is_int, v))),
+    "p_av": ("a finite number", is_number),
     "seed": INT_OR_NULL_FIELD,
     "qam_order": INT_OR_NULL_FIELD,
-    "qam_scale": ("a number or null", lambda v: v is None or _is_number(v)),
+    "qam_scale": ("a finite number or null", lambda v: v is None or is_number(v)),
 }
 
 
-def read_artifact(path: str | Path, file_format: str, version: int, fields: dict) -> tuple[dict, bytes]:
-    """Read a binary artifact: one JSON header line, then the payload.
+def write_artifact(path: str | Path, file_format: str, version: int, header: dict,
+                   values: np.ndarray) -> None:
+    """Write a binary artifact: one JSON header line (the format tag,
+    the version and ``header``, keys sorted), then ``values`` as
+    row-major little-endian float64 (re, im) pairs."""
+    fields = {"format": file_format, "version": version, **header}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(fields, sort_keys=True).encode("utf-8"))
+        fh.write(b"\n")
+        fh.write(np.asarray(values, dtype="<c16").tobytes())
+
+
+def read_artifact(path: str | Path, file_format: str, version: int, fields: dict,
+                  shape: tuple[str, ...]) -> tuple[dict, np.ndarray]:
+    """Read a binary artifact written by ``write_artifact``.
 
     Checks the format tag and version, and every header field in
     ``fields`` (name -> (description, predicate); a missing field is
-    checked as null).  Any mismatch raises ValueError naming the file.
+    checked as null).  ``shape`` names the header fields that give the
+    payload's dimensions.  Any mismatch raises ValueError naming the
+    file.  Returns the header and the decoded complex array.
     """
     kind = file_format.split("/")[-1]
     with open(path, "rb") as fh:
@@ -306,22 +316,33 @@ def read_artifact(path: str | Path, file_format: str, version: int, fields: dict
         if not valid(header.get(key)):
             got = repr(header[key]) if key in header else "missing"
             raise ValueError(f"{path}: header field '{key}' must be {what} (got {got})")
-    return header, raw
+    dims = [header[key] for key in shape]
+    expected = math.prod(dims) * 16  # Python ints: a huge header cannot wrap
+    if len(raw) != expected:
+        raise ValueError(f"{path}: payload is {len(raw)} bytes, expected {expected}")
+    pairs = np.frombuffer(raw, dtype="<f8").reshape(*dims, 2)
+    return header, pairs[..., 0] + 1j * pairs[..., 1]
+
+
+def save_codebook(codebook: Codebook, path: str | Path) -> None:
+    """Write a codebook file: the (count, K) symbols under a header
+    with the partition, average power and generation metadata."""
+    header = {
+        "k_carriers": codebook.k_carriers,
+        "count": codebook.size,
+        "n_subsets": codebook.n_subsets,
+        "subset_sizes": list(codebook.subset_sizes),
+        "p_av": codebook.p_av,
+        "seed": codebook.seed,
+        "qam_order": codebook.qam_order,
+        "qam_scale": codebook.qam_scale,
+    }
+    write_artifact(path, CODEBOOK_FORMAT, FORMAT_VERSION, header, codebook.symbols)
 
 
 def load_codebook(path: str | Path) -> Codebook:
-    header, raw = read_artifact(path, CODEBOOK_FORMAT, FORMAT_VERSION, _CODEBOOK_FIELDS)
-    count, k = header["count"], header["k_carriers"]
-    expected = count * k * 2 * 8
-    if len(raw) != expected:
-        raise ValueError(f"{path}: payload is {len(raw)} bytes, expected {expected}")
-    flat = np.frombuffer(raw, dtype="<f8").reshape(count, k, 2)
-    symbols = flat[..., 0] + 1j * flat[..., 1]
-    return Codebook(
-        symbols=symbols,
-        subset_sizes=tuple(header["subset_sizes"]),
-        p_av=float(header["p_av"]),
-        seed=header.get("seed"),
-        qam_order=header.get("qam_order"),
-        qam_scale=header.get("qam_scale"),
+    header, symbols = read_artifact(
+        path, CODEBOOK_FORMAT, FORMAT_VERSION, _CODEBOOK_FIELDS, ("count", "k_carriers")
     )
+    meta = {key: header.get(key) for key in ("seed", "qam_order", "qam_scale")}
+    return Codebook(symbols, tuple(header["subset_sizes"]), float(header["p_av"]), **meta)

@@ -24,7 +24,6 @@ needed.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import r_statistic
-from .core import INT_OR_NULL_FIELD, SIZE_FIELD, Codebook, read_artifact
+from .core import INT_OR_NULL_FIELD, SIZE_FIELD, Codebook, read_artifact, write_artifact
 from .spectral import SpectralBasis
 from .waveform import baseband_samples
 
@@ -91,9 +90,9 @@ class UnitarySet:
 
     def unitarity_error(self) -> float:
         eye = np.eye(self.k_carriers)
-        return max(
-            float(np.linalg.norm(w @ w.conj().T - eye)) for w in self.matrices
-        )
+        # A huge entry gives inf or NaN, which np.max keeps (Python's max can drop a NaN).
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.max([np.linalg.norm(w @ w.conj().T - eye) for w in self.matrices]))
 
     def validate(self, tol: float = 1e-8) -> None:
         err = self.unitarity_error()
@@ -341,55 +340,37 @@ def run(
         raise ValueError("initial unitary set does not match the codebook/basis")
     step = step_batch if config.mode == "batch" else step_stochastic
     started = time.perf_counter()
-    trace = [
-        TracePoint(state.iteration, r_statistic(codebook, basis, state), 0.0, 0.0)
-    ]
+    trace = []
+
+    def checkpoint(max_step_norm: float) -> None:
+        r_value = r_statistic(codebook, basis, state)
+        trace.append(TracePoint(state.iteration, r_value, max_step_norm, time.perf_counter() - started))
+
+    checkpoint(0.0)
     for _ in range(config.max_iters):
         state, norms = step(state, codebook, basis, config)
         if state.iteration % config.checkpoint_every == 0:
-            trace.append(
-                TracePoint(
-                    state.iteration,
-                    r_statistic(codebook, basis, state),
-                    float(norms.max()),
-                    time.perf_counter() - started,
-                )
-            )
+            checkpoint(float(norms.max()))
         if norms.max() <= config.stop_tol:
             break
     if trace[-1].iteration != state.iteration:
-        trace.append(
-            TracePoint(
-                state.iteration,
-                r_statistic(codebook, basis, state),
-                float(norms.max()),
-                time.perf_counter() - started,
-            )
-        )
+        checkpoint(float(norms.max()))
     return state, trace
 
 
 def save_unitaries(
     state: UnitarySet, path: str | Path, seed: int | None = None, config_hash: str | None = None
 ) -> None:
-    """Write a unitary-set file: JSON header line, then N row-major
-    complex matrices as (re, im) float64 pairs."""
+    """Write a unitary-set file: the (N, K, K) matrices under a header
+    with the iteration, seed and config hash."""
     header = {
-        "format": UNITARY_FORMAT,
-        "version": FORMAT_VERSION,
         "k_carriers": state.k_carriers,
         "n_subsets": state.n_subsets,
         "iteration": state.iteration,
         "seed": seed,
         "config_hash": config_hash,
     }
-    payload = np.empty(state.matrices.shape + (2,), dtype="<f8")
-    payload[..., 0] = state.matrices.real
-    payload[..., 1] = state.matrices.imag
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(payload.tobytes())
+    write_artifact(path, UNITARY_FORMAT, FORMAT_VERSION, header, state.matrices)
 
 
 _UNITARY_FIELDS = {
@@ -403,12 +384,10 @@ _UNITARY_FIELDS = {
 
 def load_unitaries(path: str | Path, tol: float = 1e-8) -> UnitarySet:
     """Read a unitary-set file and re-validate unitarity."""
-    header, raw = read_artifact(path, UNITARY_FORMAT, FORMAT_VERSION, _UNITARY_FIELDS)
-    n, k = header["n_subsets"], header["k_carriers"]
-    expected = n * k * k * 2 * 8
-    if len(raw) != expected:
-        raise ValueError(f"{path}: payload is {len(raw)} bytes, expected {expected}")
-    flat = np.frombuffer(raw, dtype="<f8").reshape(n, k, k, 2)
-    state = UnitarySet(matrices=flat[..., 0] + 1j * flat[..., 1], iteration=header["iteration"])
+    header, matrices = read_artifact(
+        path, UNITARY_FORMAT, FORMAT_VERSION, _UNITARY_FIELDS,
+        ("n_subsets", "k_carriers", "k_carriers"),
+    )
+    state = UnitarySet(matrices=matrices, iteration=header["iteration"])
     state.validate(tol)
     return state

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Codebook
+from .core import Codebook, transformed_subsets
 
 PMEPR_OVERSAMPLING_DEFAULT = 16
 # Oversampled samples per chunk in ``peak_envelope_power``: one chunk's
@@ -129,18 +129,8 @@ def codebook_pmeprs(
     oversampling: int = PMEPR_OVERSAMPLING_DEFAULT,
 ) -> np.ndarray:
     """PMEPR of every (optionally transformed) codeword, in codebook order."""
-    if unitaries is None:
-        return pmepr(codebook.symbols, codebook.p_av, oversampling)
-    matrices = unitaries.matrices if hasattr(unitaries, "matrices") else np.asarray(unitaries)
-    if len(matrices) != codebook.n_subsets:
-        raise ValueError(
-            f"{len(matrices)} transforms for {codebook.n_subsets} subsets"
-        )
-    parts = [
-        pmepr(block @ matrices[n].T, codebook.p_av, oversampling)
-        for n, block in enumerate(codebook.subsets())
-    ]
-    return np.concatenate(parts)
+    blocks = transformed_subsets(codebook, unitaries)
+    return np.concatenate([pmepr(block, codebook.p_av, oversampling) for block in blocks])
 
 
 def empirical_ccdf(

@@ -18,7 +18,7 @@ from paprbound.bounds import (
 )
 from paprbound.core import Codebook, QamConstellation, generate_codebook
 from paprbound.optimizer import UnitarySet, random_unitary
-from paprbound.spectral import build_basis
+from paprbound.spectral import build_basis, quartic_sum
 from paprbound.waveform import (
     baseband_samples,
     db_to_linear,
@@ -60,6 +60,16 @@ def test_r_statistic_identity_and_phase_invariance():
     assert abs(r_w - r_rot) < 1e-10 * r_w
     with pytest.raises(ValueError):
         r_statistic(book, basis, UnitarySet.identity(3, 8))
+    with pytest.raises(ValueError):
+        r_statistic(book, basis, list(ws.matrices[:3]))
+    # Every accepted form of the transforms gives the same bits ...
+    assert r_statistic(book, basis, ws.matrices) == r_w
+    assert r_statistic(book, basis, list(ws.matrices)) == r_w
+    # ... and so does the per-subset formula, quartic_sum with W_n.
+    total = 0.0
+    for n, block in enumerate(book.subsets()):
+        total += quartic_sum(block, basis, ws.matrices[n]).sum()
+    assert 8 * 15 / (2.0 * book.size) * total == r_w
 
 
 def test_markov_bound_shape():

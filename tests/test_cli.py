@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import paprbound
 from paprbound.cli import (
@@ -86,6 +91,66 @@ def test_config_rejects_unknown_and_bad_fields(tmp_path):
         ):
             with pytest.raises(ValueError, match=field):
                 parse_config(data)
+    # Wrong JSON types: an int field takes no bool or float, a bool field
+    # no 1, a seed no null, a list no empty list, a section no list.
+    for data, field in (
+        ({"epsilon": 0}, "'epsilon'"),  # OptimizerConfig accepts 0; a config may not
+        ({"k_carriers": True}, "'k_carriers'"),
+        ({"k_carriers": 64.0}, "'k_carriers'"),
+        ({"rapp": {"enabled": 1}}, "enabled'"),
+        ({"seed": None}, "'seed'"),
+        ({"ebn0_grid_db": []}, "'ebn0_grid_db'"),
+        ({"rapp": []}, "'rapp'"),
+    ):
+        with pytest.raises(ValueError, match=field):
+            parse_config(data)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_config() -> dict:
+    """The config.json block of the README's CLI section."""
+    text = README.read_text()
+    start = text.index("cat > config.json <<'EOF'\n") + len("cat > config.json <<'EOF'\n")
+    return json.loads(text[start : text.index("\nEOF\n", start)])
+
+
+def test_readme_config_matches_the_schema():
+    data = readme_config()
+    cfg = parse_config(data)
+    out = json.loads(json.dumps(config_to_dict(cfg)))  # as hashed and written
+    for key, value in data.items():
+        if isinstance(value, dict):  # nested: the keys the README sets
+            assert {name: out[key][name] for name in value} == value
+        else:
+            assert out[key] == value
+    assert parse_config(out) == cfg
+
+
+# Full config_hash values: a change to the schema, its defaults or its
+# int/float rules shows up here.
+GOLDEN_HASHES = [
+    ({}, "97a5f4e2b79cf67601f49486429671545f5ea24add0f8456f289c8f9698d7773"),
+    (None, "0827befdaa6b0aa98ce6390153e44311c6e8020fd54d7a594d823dddbdb7be7a"),
+    ({"epsilon": 1, "qam_scale": 1},
+     "c77f55891b1ed0767584dc672aee26b7a4a0465e5c15fbcf092728101c853ce5"),
+    ({"epsilon": 1.0, "qam_scale": 1.0},
+     "c90945c26188bfc034a77fc79008bd475d70fba0119733e9cd4dae999f0b846b"),
+    ({"gamma_grid_db": {"start": 4, "stop": 13, "step": 1}, "ebn0_grid_db": [4, 8],
+      "rapp": {"p": 3, "backoff_db": 1}, "stop_tol": 0},
+     "f7e9d8030351354b1d8082160576fb36563f9b828469388d06545fcd0fa8f36f"),
+]
+
+
+@pytest.mark.parametrize(
+    "data, digest", GOLDEN_HASHES, ids=["defaults", "readme", "int-epsilon", "float-epsilon",
+                                         "int-grids"]
+)
+def test_config_hash_is_pinned(data, digest):
+    cfg = parse_config(readme_config() if data is None else data)
+    assert config_hash(cfg) == digest
+    assert config_hash(parse_config(config_to_dict(cfg))) == digest
 
 
 def run_cli(*argv):
@@ -193,6 +258,7 @@ def test_ber_command_and_reruns(tmp_path):
 def test_non_finite_config_never_runs(tmp_path, capsys):
     # Infinity must stop at the config: in the optimizer it yields an
     # all-NaN unitaries.bin, in the gamma grid a float-to-int overflow.
+    # So must a finite gamma grid whose point count overflows or is huge.
     cfg_path = small_config(tmp_path)
     out = tmp_path / "run"
     assert run_cli("gen", "--config", cfg_path) == EXIT_OK
@@ -201,14 +267,17 @@ def test_non_finite_config_never_runs(tmp_path, capsys):
         ({"epsilon": float("inf")}, "epsilon"),
         ({"gamma_grid_db": {"start": 4.0, "stop": float("inf"), "step": 0.5}},
          "gamma_grid_db.stop"),
+        ({"gamma_grid_db": {"start": -1e308, "stop": 1e308, "step": 1e-300}}, "gamma_grid_db"),
+        ({"gamma_grid_db": {"start": 0, "stop": 1e6, "step": 1e-6}}, "gamma_grid_db"),  # 10^12
     ):
         bad = small_config(tmp_path, **overrides)
-        assert "Infinity" in bad.read_text()
-        for command in ("optimize", "bounds"):
+        if field != "gamma_grid_db":
+            assert "Infinity" in bad.read_text()
+        for command in ("optimize", "bounds", "ccdf"):
             assert run_cli(command, "--config", bad, out / "codebook.bin") == EXIT_VALIDATION
             err = capsys.readouterr().err
-            assert err.count("\n") == 1 and field in err
-    assert not (out / "unitaries.bin").exists()
+            assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+    assert sorted(path.name for path in out.iterdir()) == ["codebook.bin", "gen.manifest.json"]
 
 
 def test_exit_codes(tmp_path):
@@ -302,8 +371,12 @@ def without_count(fields):
         (without_count, "header field 'count'"),
         (lambda fields: [fields], "header is not a JSON object"),
         (lambda fields: {**fields, "subset_sizes": None}, "header field 'subset_sizes'"),
+        # json reads NaN; a NaN p_av would pass the p_av check and make every PMEPR NaN
+        (lambda fields: {**fields, "p_av": float("nan")}, "header field 'p_av'"),
+        # the exact size, in Python integers: a wrapping product would say 0
+        (lambda fields: {**fields, "count": 2**61}, f"expected {2**61 * 8 * 16}\n"),
     ],
-    ids=["missing-count", "list-header", "null-subset-sizes"],
+    ids=["missing-count", "list-header", "null-subset-sizes", "nan-p-av", "huge-count"],
 )
 def test_bad_codebook_header_exits_2(tmp_path, capsys, edit, message):
     cfg_path = small_config(tmp_path)
@@ -349,3 +422,70 @@ def test_cli_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A K=4 codebook of 8 codewords in 2 subsets and its unitary set."""
+    root = tmp_path_factory.mktemp("tiny")
+    cfg_path = small_config(root, k_carriers=4, codebook_size=8, n_subsets=2, max_iters=5)
+    out = root / "run"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli("gen", "--config", cfg_path) == EXIT_OK
+        assert run_cli("optimize", "--config", cfg_path, out / "codebook.bin") == EXIT_OK
+    return cfg_path, out
+
+
+def ccdf_with(cfg_path, out, target, path):
+    """Exit code and stderr of ``ccdf`` on the tiny run with ``path`` in
+    place of its ``target`` file (the unitary set is passed only when it
+    is the target).  Warnings are errors: a real run would print them
+    to stderr."""
+    argv = ["ccdf", "--config", cfg_path, "--out", out / "ccdf"]
+    argv += [path] if target == "codebook.bin" else [out / "codebook.bin", "--unitaries", path]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(*argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("target", ["codebook.bin", "unitaries.bin"])
+@given(data=st.data())
+def test_mutated_artifacts_fail_closed(tiny_run, target, data):
+    # A truncated or bit-flipped file either still loads (a flip in a
+    # low mantissa bit or a seed digit) or exits 2 with one line.
+    cfg_path, out = tiny_run
+    raw = (out / target).read_bytes()
+    if data.draw(st.booleans(), label="truncate"):
+        mutant = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        mutant = bytes(flipped)
+    path = out / f"mutant-{target}"
+    path.write_bytes(mutant)
+    code, err = ccdf_with(cfg_path, out, target, path)
+    assert code in (EXIT_OK, EXIT_VALIDATION)
+    if code == EXIT_VALIDATION:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("target, message", [("codebook.bin", "p_av"),
+                                             ("unitaries.bin", "unitarity")])
+def test_huge_payload_entry_fails_closed(tiny_run, target, message):
+    # An exponent-bit flip can turn an entry into ~1e308, whose square
+    # overflows.  The codebook's p_av then reads inf, and the last
+    # matrix's unitarity error NaN.  Neither may pass its check (as a
+    # comparison with inf or NaN can), nor raise a RuntimeWarning.
+    cfg_path, out = tiny_run
+    header, payload = (out / target).read_bytes().split(b"\n", 1)
+    values = np.frombuffer(payload, dtype="<f8").copy()
+    values[-1] = 1e300  # the last codeword, or the last matrix
+    path = out / f"huge-{target}"
+    path.write_bytes(header + b"\n" + values.tobytes())
+    code, err = ccdf_with(cfg_path, out, target, path)
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err

@@ -123,6 +123,17 @@ def test_unitary_count_mismatch():
     book = generate_codebook(const, 8, 64, 4, seed=6)
     with pytest.raises(ValueError):
         codebook_pmeprs(book, UnitarySet.identity(3, 8))
+    ws = UnitarySet.random(4, 8, np.random.default_rng(2))
+    with pytest.raises(ValueError):
+        codebook_pmeprs(book, ws.matrices[:3])
+    # A UnitarySet, the (N, K, K) array and a list of matrices give the
+    # same bits as the per-subset formula pmepr(block @ W_n.T).
+    oracle = np.concatenate(
+        [pmepr(block @ w.T, book.p_av, 8) for block, w in zip(book.subsets(), ws.matrices)]
+    )
+    for unitaries in (ws, ws.matrices, list(ws.matrices)):
+        np.testing.assert_array_equal(codebook_pmeprs(book, unitaries, 8), oracle)
+    np.testing.assert_array_equal(codebook_pmeprs(book, None, 8), pmepr(book.symbols, book.p_av, 8))
 
 
 def test_ccdf_curve_validation_and_csv(tmp_path):
