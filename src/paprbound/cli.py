@@ -31,6 +31,7 @@ from . import __version__
 from .bounds import bound_report
 from .channel import RAPP_VARIANTS, LinkConfig, RappModel, ber_sweep
 from .core import (
+    QAM_ORDER_RULE,
     QamConstellation,
     generate_codebook,
     is_int,
@@ -138,7 +139,10 @@ class ExperimentConfig:
         _check(self.qam_scale is None or self.qam_scale > 0, "config field 'qam_scale': must be positive")
         # OptimizerConfig allows epsilon = 0 (a run that never moves); a config may not.
         _check(self.epsilon is None or self.epsilon > 0, "config field 'epsilon': must be positive")
-        self.constellation()
+        try:
+            self.constellation()
+        except ValueError:  # qam_scale is checked above, so the order is at fault
+            raise ValueError(f"config field 'qam_order': {QAM_ORDER_RULE}, got {self.qam_order}") from None
         self.optimizer()
 
     def constellation(self) -> QamConstellation:

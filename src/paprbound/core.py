@@ -18,6 +18,7 @@ import numpy as np
 
 CODEBOOK_FORMAT = "paprbound/codebook"
 FORMAT_VERSION = 1
+QAM_ORDER_RULE = "must be a perfect square with even side > 1"
 
 
 def _gray(i: np.ndarray | int):
@@ -60,9 +61,9 @@ class QamConstellation:
 
     @classmethod
     def square(cls, order: int, scale: float | None = None) -> "QamConstellation":
-        side = int(round(np.sqrt(order)))
+        side = math.isqrt(max(order, 0))
         if side * side != order or side < 2 or side % 2 != 0:
-            raise ValueError(f"order must be a perfect square with even side > 1, got {order}")
+            raise ValueError(f"order {QAM_ORDER_RULE}, got {order}")
         if scale is None:
             scale = float(np.sqrt(3.0 / (2.0 * (order - 1))))
         if scale <= 0:

@@ -10,7 +10,11 @@ symmetric decorrelation (W (W W*)^{-1/2} ... the polar unitary
 factor).  The batch step sums the gradient over a whole subset; the
 stochastic step uses one uniformly drawn codeword per subset and
 iteration, with the draw stream keyed by (seed, subset, iteration) so
-trajectories are reproducible and resumable.
+trajectories are reproducible and resumable.  Each draw is
+``np.random.default_rng([seed, subset, iteration]).integers(size)`` bit
+for bit; ``_draw_block`` replays that seeding arithmetic for 256
+iterations of every subset at once instead of building one generator
+per draw.
 
 The symmetric-decorrelation step never forms a K x K eigenproblem.  An
 update from m codewords is W (I - eps H C*) with H = W* G, which
@@ -19,11 +23,13 @@ factor needs one 2m x 2m eigendecomposition and O(K^2 m) products: a
 stochastic step is O(K^2) per subset, and all subsets move as one stack.
 The correction multiplies W on the right, which carries rounding error
 in W forward instead of amplifying it; no periodic re-projection is
-needed.
+needed.  A step writes the updated stack straight into the array it
+returns; the only (N, K, K) allocation is that array.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,7 +54,146 @@ class RankDeficientUpdate(RuntimeError):
 
 
 def _seed_key(*parts) -> list[int]:
+    """Entropy of the stochastic draw stream: (seed, subset, iteration)
+    reduced mod 2^63."""
     return [int(p) % (1 << 63) for p in parts]
+
+
+# Constants of numpy's SeedSequence hash (pool of four uint32 words) and
+# of its PCG64 generator (128-bit LCG multiplier, split in uint64 halves).
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_DRAW_BLOCK = 256  # iterations per memoized block of stochastic draws
+
+
+def _seed_sequence_state(words: np.ndarray, length: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` per lane.
+
+    ``words`` is (6, lanes) uint32: each lane's entropy as numpy splits
+    it (every integer in little-endian 32-bit words, zero-padded), and
+    ``length`` the number of words in use.
+    """
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _HASH_MULT_A & 0xFFFFFFFF
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> np.uint32(16))
+
+    pool = [hashmix(words[i]) for i in range(4)]  # words past ``length`` are 0, as numpy pads
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, words.shape[0]):
+        live = length > src
+        if live.any():
+            for dst in range(4):
+                pool[dst] = np.where(live, mix(pool[dst], hashmix(words[src])), pool[dst])
+
+    hash_const = _HASH_INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _HASH_MULT_B & 0xFFFFFFFF
+        value = value * np.uint32(hash_const)
+        out.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    return [out[2 * j] | (out[2 * j + 1] << _SHIFT32) for j in range(4)]
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 LCG step, state * multiplier + increment mod 2^128."""
+    a0, a1 = lo & _LOW32, lo >> _SHIFT32
+    b0, b1 = _PCG_MULT_LO & _LOW32, _PCG_MULT_LO >> _SHIFT32
+    mid = a1 * b0 + (a0 * b0 >> _SHIFT32)
+    carry_mid = a0 * b1 + (mid & _LOW32)
+    lo_mult_hi = a1 * b1 + (mid >> _SHIFT32) + (carry_mid >> _SHIFT32)  # high word of lo * MULT_LO
+    prod_lo = lo * _PCG_MULT_LO
+    new_lo = prod_lo + inc_lo
+    new_hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + lo_mult_hi + inc_hi + (new_lo < prod_lo)
+    return new_hi, new_lo
+
+
+def _xsl_rr(hi, lo):
+    """PCG64's output: the 64-bit XOR of the halves, rotated right by
+    the top six bits of the state."""
+    x = hi ^ lo
+    rot = hi >> np.uint64(58)
+    return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+
+
+@functools.lru_cache(maxsize=16)
+def _draw_block(seed: int, sizes: tuple[int, ...], block: int) -> np.ndarray:
+    """Stochastic picks of iterations ``_DRAW_BLOCK * block`` onward.
+
+    Returns a read-only (_DRAW_BLOCK, N) int64 array whose row j, column n
+    is ``np.random.default_rng(_seed_key(seed, n, it)).integers(sizes[n])``
+    with it = _DRAW_BLOCK * block + j.  It replays numpy's arithmetic for
+    all lanes at once: the SeedSequence hash, PCG64 seeding and output
+    in 128-bit arithmetic held as two uint64 halves, and the 32-bit
+    Lemire bound of ``Generator.integers``, whose rejected lanes go on
+    along their own stream.
+    """
+    if not all(1 <= size <= 1 << 32 for size in sizes):
+        raise ValueError("subset sizes must lie in [1, 2**32] to draw from them")
+    n_sub = len(sizes)
+    base = np.uint64(_DRAW_BLOCK * block % (1 << 63))
+    its = (base + np.arange(_DRAW_BLOCK, dtype=np.uint64)) & np.uint64((1 << 63) - 1)
+    parts = (
+        np.full(_DRAW_BLOCK * n_sub, _seed_key(seed)[0], dtype=np.uint64),
+        np.tile(np.arange(n_sub, dtype=np.uint64), _DRAW_BLOCK),
+        np.repeat(its, n_sub),
+    )
+    # numpy turns each integer into one 32-bit word, or two from 2^32 on.
+    lanes = np.arange(_DRAW_BLOCK * n_sub)
+    words = np.zeros((6, lanes.size), dtype=np.uint32)
+    length = np.zeros(lanes.size, dtype=np.int64)
+    for part in parts:
+        wide = (part >> _SHIFT32) != 0
+        words[length, lanes] = part & _LOW32
+        words[length[wide] + 1, lanes[wide]] = part[wide] >> _SHIFT32
+        length += 1 + wide
+    init_hi, init_lo, seq_hi, seq_lo = _seed_sequence_state(words, length)
+
+    # PCG64 seeding: inc = 2 seq + 1, state = (inc + init) * MULT + inc.
+    inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
+    inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
+    lo = inc_lo + init_lo
+    hi = inc_hi + init_hi + (lo < inc_lo)
+    hi, lo = _pcg_step(*_pcg_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+    out = _xsl_rr(hi, lo)
+
+    # Lemire: pick = (x * size) >> 32 for a 32-bit draw x, redrawn while
+    # the low word of the product is below 2^32 mod size.  A 64-bit
+    # output gives its low word first, then its high word.
+    size = np.tile(np.array(sizes, dtype=np.uint64), _DRAW_BLOCK)
+    threshold = np.uint64(1 << 32) % size
+    product = (out & _LOW32) * size
+    redraw = np.flatnonzero((product & _LOW32) < threshold)
+    word = 1
+    while redraw.size:
+        if word % 2:
+            x = out[redraw] >> _SHIFT32
+        else:
+            hi[redraw], lo[redraw] = _pcg_step(hi[redraw], lo[redraw], inc_hi[redraw], inc_lo[redraw])
+            out[redraw] = _xsl_rr(hi[redraw], lo[redraw])
+            x = out[redraw] & _LOW32
+        product[redraw] = x * size[redraw]
+        redraw = redraw[(product[redraw] & _LOW32) < threshold[redraw]]
+        word += 1
+    picks = (product >> _SHIFT32).astype(np.int64).reshape(_DRAW_BLOCK, n_sub)
+    picks.flags.writeable = False
+    return picks
 
 
 def random_unitary(k: int, rng: np.random.Generator) -> np.ndarray:
@@ -209,7 +354,7 @@ def project_symmetric(w: np.ndarray) -> np.ndarray:
     return (f * lam[..., np.newaxis, :] ** -0.5) @ np.conj(np.swapaxes(f, -1, -2)) @ w
 
 
-def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: float):
+def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: float, out: np.ndarray):
     """Symmetric decorrelation of W - epsilon G C* for a stack of subsets.
 
     ``w`` is (N, K, K); ``rows`` and ``grads`` are (N, m, K) codeword
@@ -225,7 +370,8 @@ def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: f
     on W* being the exact inverse of W and lets drift grow until the
     update turns singular.)
 
-    Returns the new stack and the step norms ||W' - W||_F = ||W Q Z||_F.
+    Writes the new stack into ``out`` (same shape as ``w``, not
+    overlapping it) and returns the step norms ||W' - W||_F = ||W Q Z||_F.
     """
     c = np.swapaxes(rows, -1, -2)
     h = np.conj(np.swapaxes(grads.conj() @ w, -1, -2))
@@ -237,9 +383,9 @@ def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: f
     _require_nonsingular(lam)
     z = (f * lam[..., np.newaxis, :] ** -0.5) @ np.conj(np.swapaxes(f, -1, -2)) @ a - eye
     step = (w @ q) @ z
-    new = step @ q_adj
-    new += w
-    return new, np.linalg.norm(step, axis=(1, 2))
+    np.matmul(step, q_adj, out=out)
+    out += w
+    return np.linalg.norm(step, axis=(1, 2))
 
 
 # Full-matrix projection for each name in PROJECTIONS.  Gram-Schmidt
@@ -255,19 +401,33 @@ _PROJECTORS = {
 def _descend(state: UnitarySet, groups, basis: SpectralBasis, epsilon: float, projection: str):
     """Move each subset's W against the gradient of its codeword rows.
 
-    ``groups`` yields (subset indices, (n, m, K) rows) pairs.  Returns
-    the new state and the per-subset step norms ||W(l+1) - W(l)||_F.
+    ``groups`` yields (ascending subset indices, (n, m, K) rows) pairs.
+    Returns the new state and the per-subset step norms
+    ||W(l+1) - W(l)||_F.  A group that spans every subset reads the old
+    stack and writes the new one in place; any other group works on
+    copies.
     """
     new = np.empty_like(state.matrices)
     norms = np.empty(state.n_subsets)
     for members, rows in groups:
-        w = state.matrices[members]
+        whole = len(members) == state.n_subsets
+        w = state.matrices if whole else state.matrices[members]
+        out = new if whole else np.empty_like(w)
         if projection == "symmetric_decorrelation":
-            new[members], norms[members] = _polar_update(w, rows, _gradient_rows(rows, w, basis), epsilon)
+            if rows.shape[1] == 1:
+                grads = _gradient_rows(rows, w, basis)
+            else:  # one subset at a time: the stacked FFT pair is slower for m > 1
+                grads = np.empty_like(rows)
+                for i, (block, wn) in enumerate(zip(rows, w)):
+                    grads[i] = _gradient_rows(block, wn, basis)
+            norms[members] = _polar_update(w, rows, grads, epsilon, out)
         else:
             project = _PROJECTORS[projection]
-            new[members] = [project(wn - epsilon * delta_w(block, wn, basis)) for block, wn in zip(rows, w)]
-            norms[members] = np.linalg.norm(new[members] - w, axis=(1, 2))
+            for i, (block, wn) in enumerate(zip(rows, w)):
+                out[i] = project(wn - epsilon * delta_w(block, wn, basis))
+            norms[members] = np.linalg.norm(out - w, axis=(1, 2))
+        if not whole:
+            new[members] = out
     return UnitarySet(matrices=new, iteration=state.iteration + 1), norms
 
 
@@ -295,16 +455,15 @@ def step_stochastic(
 
     Each subset draws one codeword uniformly from its own stream,
     keyed by (seed, subset, iteration); a rerun or a resumed run
-    therefore reproduces the trajectory exactly.  All subsets move
+    therefore reproduces the trajectory exactly.  The draws come from
+    ``_draw_block``, 256 iterations at a time.  All subsets move
     together: one stacked 2K-point FFT pair for the gradients and one
     stacked rank-one polar update.
     """
     sizes = codebook.subset_sizes
     starts = np.cumsum((0,) + sizes[:-1])
-    picks = [
-        int(np.random.default_rng(_seed_key(config.seed, n, state.iteration)).integers(size))
-        for n, size in enumerate(sizes)
-    ]
+    block, row = divmod(state.iteration, _DRAW_BLOCK)
+    picks = _draw_block(config.seed, sizes, block)[row]
     rows = codebook.symbols[starts + picks][:, np.newaxis, :]
     groups = [(np.arange(codebook.n_subsets), rows)]
     return _descend(state, groups, basis, config.resolved_epsilon(basis.size), config.projection)

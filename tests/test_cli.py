@@ -63,7 +63,7 @@ def test_config_round_trip_and_hash(tmp_path):
     assert config_hash(cfg) == config_hash(parse_config(config_to_dict(cfg)))
 
 
-def test_config_rejects_unknown_and_bad_fields(tmp_path):
+def test_config_rejects_unknown_and_bad_fields(tmp_path, capsys):
     with pytest.raises(ValueError, match="unknown config keys"):
         parse_config({"mystery_knob": 3})
     with pytest.raises(ValueError, match="gamma_grid_db"):
@@ -76,6 +76,12 @@ def test_config_rejects_unknown_and_bad_fields(tmp_path):
         parse_config({"codebook_size": 10, "n_subsets": 3})
     with pytest.raises(ValueError):
         parse_config({"projection": "nonsense"})
+    # The constellation rule names the config field; a library call keeps its own message.
+    qam_error = "config field 'qam_order': must be a perfect square with even side > 1, got 8"
+    with pytest.raises(ValueError, match=f"^{qam_error}$"):
+        parse_config({"qam_order": 8})
+    assert main(["gen", "--config", str(small_config(tmp_path, qam_order=8))]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {qam_error}\n"
     # JSON's Infinity and NaN parse as floats; every numeric field refuses them.
     for bad in (float("inf"), float("-inf"), float("nan")):
         for data, field in (

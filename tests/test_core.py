@@ -26,8 +26,8 @@ def test_points_closed_under_negation():
 
 
 def test_rejects_non_square_orders():
-    for order in (2, 8, 9, 32):
-        with pytest.raises(ValueError):
+    for order in (2, 8, 9, 32, 0, -4):
+        with pytest.raises(ValueError, match=f"^order must be a perfect square with even side > 1, got {order}$"):
             QamConstellation.square(order)
 
 

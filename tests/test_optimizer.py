@@ -1,8 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given
+from hypothesis import strategies as st
 from kpoint_oracle import KPointPair
 
 from paprbound.bounds import r_statistic
@@ -11,7 +14,10 @@ from paprbound.optimizer import (
     OptimizerConfig,
     RankDeficientUpdate,
     UnitarySet,
+    _draw_block,
+    _gradient_rows,
     _polar_update,
+    _seed_key,
     delta_w,
     load_unitaries,
     project_gram_schmidt,
@@ -35,6 +41,13 @@ def random_matrix(k, rng=RNG):
 def subset_r(subset, w, basis):
     book = Codebook.from_symbols(np.atleast_2d(subset), 1)
     return r_statistic(book, basis, [w])
+
+
+def oracle_picks(seed, sizes, iteration):
+    """The stochastic draws of one iteration, one keyed generator per
+    subset: the reference that ``_draw_block`` replays."""
+    return [int(np.random.default_rng(_seed_key(seed, n, iteration)).integers(size))
+            for n, size in enumerate(sizes)]
 
 
 def test_delta_w_empty_subset():
@@ -285,7 +298,7 @@ def test_nan_update_is_refused():
     w = np.eye(4, dtype=complex)[np.newaxis]
     rows = np.ones((1, 1, 4), dtype=complex)
     with pytest.raises(RankDeficientUpdate):
-        _polar_update(w, rows, np.full((1, 1, 4), np.nan + 0j), 1e-3)
+        _polar_update(w, rows, np.full((1, 1, 4), np.nan + 0j), 1e-3, np.empty_like(w))
 
 
 def test_config_validation():
@@ -383,10 +396,8 @@ def oracle_trajectory(book, basis, cfg):
     r_values = [r_value()]
     for it in range(cfg.max_iters):
         # One drawn codeword per subset; all subsets step as one stack.
-        c = np.stack([
-            block[int(np.random.default_rng([cfg.seed, n, it]).integers(block.shape[0]))]
-            for n, block in enumerate(subsets)
-        ])
+        picks = oracle_picks(cfg.seed, book.subset_sizes, it)
+        c = np.stack([block[pick] for block, pick in zip(subsets, picks)])
         grads = pair.gradient_rows(np.einsum("nij,nj->ni", w, c))
         w = project_symmetric(w - cfg.epsilon * grads[:, :, np.newaxis] * c.conj()[:, np.newaxis, :])
         if (it + 1) % cfg.checkpoint_every == 0:
@@ -441,3 +452,126 @@ def test_unitary_header_is_validated(tmp_path):
         path.write_bytes(json.dumps(bad).encode() + b"\n" + payload)
         with pytest.raises(ValueError, match="unitaries.bin"):
             load_unitaries(path)
+
+
+BLOCK_2_32 = 2**32 // 256  # the block whose first iteration is 2^32
+
+
+@given(
+    seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**63 - 1]), st.integers(0, 2**80)),
+    sizes=st.lists(
+        st.one_of(st.sampled_from([1, 2, 200, 2**31, 2**32 - 1]), st.integers(1, 2**32)),
+        min_size=1, max_size=3,
+    ).map(tuple),
+    block=st.one_of(st.sampled_from([0, BLOCK_2_32 - 1, BLOCK_2_32]), st.integers(0, 2**56)),
+)
+# About half the first draws of size 2^31 + 1 (and a quarter of
+# 3 * 2^30) fail Lemire's bound, some several times in a row.
+@example(seed=2**63 - 1, sizes=(2**31 + 1, 3 * 2**30, 2**32 - 1), block=BLOCK_2_32 - 1)
+@example(seed=2**64 + 3, sizes=(1, 2, 200, 2**31, 2**32 - 1), block=2**55 - 1)  # iterations wrap at 2^63
+def test_draw_block_replays_keyed_default_rng(seed, sizes, block):
+    # Every row of the block, and the first row of the next: the
+    # iterations cross a block boundary.
+    got = np.vstack([_draw_block(seed, sizes, block), _draw_block(seed, sizes, block + 1)[:1]])
+    expected = [oracle_picks(seed, sizes, 256 * block + row) for row in range(257)]
+    np.testing.assert_array_equal(got, expected)
+    assert not _draw_block(seed, sizes, block).flags.writeable
+
+
+def test_draw_block_refuses_sizes_it_cannot_replay():
+    for sizes in ((0,), (5, 2**32 + 1)):
+        with pytest.raises(ValueError, match="subset sizes"):
+            _draw_block(0, sizes, 0)
+
+
+STEP_CASES = [
+    ("stochastic", "symmetric_decorrelation", (6, 6, 6)),
+    ("batch", "symmetric_decorrelation", (6, 6, 6)),
+    ("batch", "symmetric_decorrelation", (3, 6, 1, 6)),  # groups that are not the whole stack
+    ("batch", "gram_schmidt", (3, 6, 1, 6)),
+]
+
+
+@pytest.mark.parametrize("mode, projection, sizes", STEP_CASES)
+def test_steps_leave_their_input_alone(mode, projection, sizes):
+    const = QamConstellation.square(16)
+    rng = np.random.default_rng(30)
+    symbols = const.points[rng.integers(0, 16, (sum(sizes), 8))]
+    book = Codebook(symbols=symbols, subset_sizes=sizes, p_av=float(np.mean(np.abs(symbols) ** 2) * 8))
+    basis = build_basis(8)
+    state = UnitarySet.random(book.n_subsets, 8, rng)
+    before = state.matrices.tobytes()
+    state.matrices.flags.writeable = False  # any write into the input raises
+    step = step_batch if mode == "batch" else step_stochastic
+    cfg = OptimizerConfig(epsilon=1e-3, mode=mode, projection=projection)
+    new, _ = step(state, book, basis, cfg)
+    assert state.matrices.tobytes() == before and state.iteration == 0
+    assert new.iteration == 1 and not np.shares_memory(new.matrices, state.matrices)
+    assert new.matrices.flags.writeable
+
+
+@pytest.mark.parametrize("sizes", [(6, 6, 6), (3, 6, 1, 6)])
+def test_batch_step_matches_stacked_gradients(sizes):
+    # Batch symmetric steps take their gradients one subset at a time;
+    # the stacked (n, m, K) evaluation gives the same bits.
+    const = QamConstellation.square(16)
+    rng = np.random.default_rng(31)
+    k = 16
+    symbols = const.points[rng.integers(0, 16, (sum(sizes), k))]
+    book = Codebook(symbols=symbols, subset_sizes=sizes, p_av=float(np.mean(np.abs(symbols) ** 2) * k))
+    basis = build_basis(k)
+    state = UnitarySet.random(book.n_subsets, k, rng)
+    eps = small_step(book, basis)
+    expected = np.empty_like(state.matrices)
+    norms = np.empty(book.n_subsets)
+    for m in sorted(set(sizes)):
+        members = [n for n, size in enumerate(sizes) if size == m]
+        rows = np.stack([book.subset(n) for n in members])
+        w = state.matrices[members]
+        out = np.empty_like(w)
+        norms[members] = _polar_update(w, rows, _gradient_rows(rows, w, basis), eps, out)
+        expected[members] = out
+    new, got_norms = step_batch(state, book, basis, OptimizerConfig(epsilon=eps, mode="batch"))
+    assert new.matrices.tobytes() == expected.tobytes()
+    assert got_norms.tobytes() == norms.tobytes()
+
+
+def test_run_matches_keyed_draw_loop_and_resumes():
+    # 2000 stochastic steps through ``run`` against a loop that draws
+    # with one generator per (seed, subset, iteration) and updates the
+    # stack through ``_polar_update`` into a fresh array: the same W,
+    # R values and step norms, bit for bit, also when the run is cut at
+    # iteration 300 and resumed.
+    const = QamConstellation.square(16)
+    book = generate_codebook(const, 16, 200, 4, seed=99)
+    basis = build_basis(16)
+    cfg = OptimizerConfig(epsilon=small_step(book, basis), max_iters=2000, stop_tol=0.0,
+                          seed=2**32 + 7, checkpoint_every=500)
+    starts = np.cumsum((0,) + book.subset_sizes[:-1])
+    w = UnitarySet.identity(4, 16).matrices
+    r_values = {0: r_statistic(book, basis, w)}
+    step_norms = {}
+    for it in range(cfg.max_iters):
+        rows = book.symbols[starts + oracle_picks(cfg.seed, book.subset_sizes, it)][:, np.newaxis, :]
+        new = np.empty_like(w)
+        norms = _polar_update(w, rows, _gradient_rows(rows, w, basis), cfg.epsilon, new)
+        w = new
+        if it + 1 in (300, 500, 1000, 1500, 2000):
+            r_values[it + 1] = r_statistic(book, basis, w)
+            step_norms[it + 1] = float(norms.max())
+            if it + 1 == 300:
+                w_300 = w
+
+    state, trace = run(book, basis, cfg)
+    assert state.matrices.tobytes() == w.tobytes()
+    assert [(p.iteration, p.r_value) for p in trace] == [(i, r_values[i]) for i in (0, 500, 1000, 1500, 2000)]
+    assert [p.max_step_norm for p in trace[1:]] == [step_norms[i] for i in (500, 1000, 1500, 2000)]
+
+    half, _ = run(book, basis, replace(cfg, max_iters=300))
+    assert half.matrices.tobytes() == w_300.tobytes()
+    resumed, resumed_trace = run(book, basis, replace(cfg, max_iters=1700), half)
+    assert resumed.iteration == 2000 and resumed.matrices.tobytes() == w.tobytes()
+    assert resumed_trace[0].r_value == r_values[300]
+    assert [(p.iteration, p.r_value, p.max_step_norm) for p in resumed_trace[1:]] == [
+        (p.iteration, p.r_value, p.max_step_norm) for p in trace[1:]
+    ]
