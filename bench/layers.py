@@ -3,11 +3,11 @@
 Run from the root of a paprbound source checkout:
 
     python3 bench/layers.py --out BENCH_<n>.json
-    python3 bench/layers.py --k 16 --repeats 3 --out /tmp/smoke.json
 
-For each K it builds one fixed-seed 16-QAM codebook (1000 codewords in
-N = 5 subsets, so m = 200 per subset) and a Haar unitary set, then times
-these layers, each ``--repeats`` times after one untimed warm-up call:
+For each K in K_VALUES it builds one 16-QAM codebook (1000 codewords in
+N = 5 subsets, so m = 200 per subset) and a Haar unitary set from SEED,
+then times these layers, each REPEATS times after one untimed warm-up
+call:
 
 * ``build_basis``: the 2K-point envelope grid and its check;
 * ``step_stochastic``: one stochastic step with symmetric decorrelation.
@@ -56,6 +56,9 @@ from paprbound.optimizer import OptimizerConfig, UnitarySet, step_batch, step_st
 from paprbound.spectral import build_basis  # noqa: E402
 from paprbound.waveform import codebook_pmeprs  # noqa: E402
 
+K_VALUES = (16, 64, 128, 256)
+REPEATS = 15
+SEED = 0  # codebook, Haar set, draw and noise seed
 CODEWORDS = 1000
 N_SUBSETS = 5
 QAM_ORDER = 16
@@ -75,16 +78,16 @@ def timed(fn, repeats: int) -> list[float]:
     return samples
 
 
-def layer_samples(k: int, repeats: int, seed: int) -> dict[str, list[float]]:
+def layer_samples(k: int, repeats: int) -> dict[str, list[float]]:
     const = QamConstellation.square(QAM_ORDER)
-    book = generate_codebook(const, k, CODEWORDS, N_SUBSETS, seed=seed)
+    book = generate_codebook(const, k, CODEWORDS, N_SUBSETS, seed=SEED)
     basis = build_basis(k)
-    haar = UnitarySet.random(N_SUBSETS, k, np.random.default_rng([seed, 1]))
+    haar = UnitarySet.random(N_SUBSETS, k, np.random.default_rng([SEED, 1]))
     epsilon = k**-1.5 / 100  # small enough that no step is refused
-    stochastic = OptimizerConfig(epsilon=epsilon, seed=seed)
+    stochastic = OptimizerConfig(epsilon=epsilon, seed=SEED)
     batch = {p: OptimizerConfig(epsilon=epsilon, mode="batch", projection=p)
              for p in ("symmetric_decorrelation", "gram_schmidt")}
-    link = LinkConfig(ebn0_db=(8.0,), amplifier=RappModel.from_backoff(book.p_av, 2.0, 2.0), seed=seed)
+    link = LinkConfig(ebn0_db=(8.0,), amplifier=RappModel.from_backoff(book.p_av, 2.0, 2.0), seed=SEED)
     next_block = itertools.count(1)
 
     def chain():
@@ -123,33 +126,32 @@ def machine() -> dict:
     return {"platform": platform.platform(), "machine": platform.machine(), "cpu": cpu}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--k", type=int, nargs="+", default=[16, 64, 128, 256], help="carrier counts")
-    parser.add_argument("--repeats", type=int, default=15, help="timed calls per layer")
-    parser.add_argument("--seed", type=int, default=0, help="codebook, Haar set and draw seed")
-    parser.add_argument("--out", required=True, help="JSON file to write")
-    args = parser.parse_args(argv)
-    if args.repeats < 1 or any(k < 2 for k in args.k):
-        parser.error("--repeats must be >= 1 and every K >= 2")
-
+def report(k_values=K_VALUES, repeats: int = REPEATS) -> dict:
+    """Time every layer at each K, print one line per layer and return
+    the JSON document."""
     layers = {}
-    for k in args.k:
-        layers[str(k)] = {name: summary(s) for name, s in layer_samples(k, args.repeats, args.seed).items()}
+    for k in k_values:
+        layers[str(k)] = {name: summary(s) for name, s in layer_samples(k, repeats).items()}
         for name, row in layers[str(k)].items():
             print(f"K={k:<4d} {name:<24s} {row['median_ms']:10.3f} ms  "
                   f"IQR [{row['q1_ms']:.3f}, {row['q3_ms']:.3f}]")
-    result = {
+    return {
         "machine": machine(),
         "nproc": os.cpu_count(),
         "threads": THREADS,
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "paprbound": paprbound.__version__},
         "setup": {"codewords": CODEWORDS, "n_subsets": N_SUBSETS, "qam_order": QAM_ORDER,
-                  "repeats": args.repeats, "seed": args.seed, "stochastic_chain": CHAIN},
+                  "repeats": repeats, "seed": SEED, "stochastic_chain": CHAIN},
         "layers": layers,
     }
-    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    args = parser.parse_args(argv)
+    Path(args.out).write_text(json.dumps(report(), indent=2) + "\n")
     return 0
 
 

@@ -36,6 +36,7 @@ from .core import (
     generate_codebook,
     is_int,
     is_number,
+    is_qam_order,
     load_codebook,
     save_codebook,
 )
@@ -139,10 +140,8 @@ class ExperimentConfig:
         _check(self.qam_scale is None or self.qam_scale > 0, "config field 'qam_scale': must be positive")
         # OptimizerConfig allows epsilon = 0 (a run that never moves); a config may not.
         _check(self.epsilon is None or self.epsilon > 0, "config field 'epsilon': must be positive")
-        try:
-            self.constellation()
-        except ValueError:  # qam_scale is checked above, so the order is at fault
-            raise ValueError(f"config field 'qam_order': {QAM_ORDER_RULE}, got {self.qam_order}") from None
+        _check(is_qam_order(self.qam_order), f"config field 'qam_order': {QAM_ORDER_RULE}, got {self.qam_order}")
+        self.constellation()
         self.optimizer()
 
     def constellation(self) -> QamConstellation:

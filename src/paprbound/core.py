@@ -21,6 +21,13 @@ FORMAT_VERSION = 1
 QAM_ORDER_RULE = "must be a perfect square with even side > 1"
 
 
+def is_qam_order(order: int) -> bool:
+    """Whether ``order`` is a square QAM size: a perfect square with an
+    even side > 1 (``QAM_ORDER_RULE``)."""
+    side = math.isqrt(max(order, 0))
+    return side * side == order and side >= 2 and side % 2 == 0
+
+
 def _gray(i: np.ndarray | int):
     return i ^ (i >> 1)
 
@@ -61,9 +68,9 @@ class QamConstellation:
 
     @classmethod
     def square(cls, order: int, scale: float | None = None) -> "QamConstellation":
-        side = math.isqrt(max(order, 0))
-        if side * side != order or side < 2 or side % 2 != 0:
+        if not is_qam_order(order):
             raise ValueError(f"order {QAM_ORDER_RULE}, got {order}")
+        side = math.isqrt(order)
         if scale is None:
             scale = float(np.sqrt(3.0 / (2.0 * (order - 1))))
         if scale <= 0:

@@ -11,10 +11,12 @@ factor).  The batch step sums the gradient over a whole subset; the
 stochastic step uses one uniformly drawn codeword per subset and
 iteration, with the draw stream keyed by (seed, subset, iteration) so
 trajectories are reproducible and resumable.  Each draw is
-``np.random.default_rng([seed, subset, iteration]).integers(size)`` bit
-for bit; ``_draw_block`` replays that seeding arithmetic for 256
-iterations of every subset at once instead of building one generator
-per draw.
+``np.random.default_rng([seed, subset, iteration]).integers(size)`` as
+numpy 2.4 computes it; ``_draw_block`` replays that seeding arithmetic
+for 256 iterations of every subset at once instead of building one
+generator per draw.  The stream is therefore the package's own: numpy
+does not promise stable Generator streams across releases, and the
+oracle test against the installed numpy is what detects a divergence.
 
 The symmetric-decorrelation step never forms a K x K eigenproblem.  An
 update from m codewords is W (I - eps H C*) with H = W* G, which
@@ -142,7 +144,9 @@ def _draw_block(seed: int, sizes: tuple[int, ...], block: int) -> np.ndarray:
     all lanes at once: the SeedSequence hash, PCG64 seeding and output
     in 128-bit arithmetic held as two uint64 halves, and the 32-bit
     Lemire bound of ``Generator.integers``, whose rejected lanes go on
-    along their own stream.
+    along their own stream.  This is numpy's stream as of numpy 2.4;
+    from here on it is fixed by this function, whatever numpy is
+    installed.
     """
     if not all(1 <= size <= 1 << 32 for size in sizes):
         raise ValueError("subset sizes must lie in [1, 2**32] to draw from them")
@@ -388,6 +392,14 @@ def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: f
     return np.linalg.norm(step, axis=(1, 2))
 
 
+# Codeword rows per stacked ``_gradient_rows`` call in symmetric steps;
+# whole subsets are stacked up to this many rows.  A stack saves the
+# per-call overhead of few rows but loses once its 2K-point envelopes
+# outgrow the cache.  Gradient of N = 5 subsets of m rows, one thread,
+# stacked vs one call per subset: 2.0-2.8x faster at m = 1, about even
+# at m = 16 (K = 64) and m = 64 (K = 128), 0.55-0.6x at m = 200.
+_GRADIENT_ROWS = 64
+
 # Full-matrix projection for each name in PROJECTIONS.  Gram-Schmidt
 # steps project through this table; symmetric-decorrelation steps use
 # ``_polar_update`` instead, which equals ``project_symmetric`` of the
@@ -414,12 +426,10 @@ def _descend(state: UnitarySet, groups, basis: SpectralBasis, epsilon: float, pr
         w = state.matrices if whole else state.matrices[members]
         out = new if whole else np.empty_like(w)
         if projection == "symmetric_decorrelation":
-            if rows.shape[1] == 1:
-                grads = _gradient_rows(rows, w, basis)
-            else:  # one subset at a time: the stacked FFT pair is slower for m > 1
-                grads = np.empty_like(rows)
-                for i, (block, wn) in enumerate(zip(rows, w)):
-                    grads[i] = _gradient_rows(block, wn, basis)
+            grads = np.empty_like(rows)
+            per_call = max(1, _GRADIENT_ROWS // rows.shape[1])
+            for i in range(0, len(rows), per_call):
+                grads[i:i + per_call] = _gradient_rows(rows[i:i + per_call], w[i:i + per_call], basis)
             norms[members] = _polar_update(w, rows, grads, epsilon, out)
         else:
             project = _PROJECTORS[projection]

@@ -12,17 +12,23 @@ LAYERS = {
     "r_statistic", "codebook_pmeprs_j16", "ber_sweep_block",
 }
 
+# A fresh interpreter, so that the bench pins BLAS to one thread before
+# numpy is imported; the report goes to stderr after the bench's lines.
+SMOKE = (
+    "import json, sys; sys.path.insert(0, sys.argv[1]); import layers; "
+    "print(json.dumps(layers.report((16,), 2)), file=sys.stderr)"
+)
 
-def test_layer_bench_smoke(tmp_path):
-    out = tmp_path / "bench.json"
+
+def test_layer_bench_smoke():
     done = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "layers.py"), "--k", "16", "--repeats", "2", "--out", str(out)],
-        capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", SMOKE, str(ROOT / "bench")], capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    result = json.loads(out.read_text())
+    result = json.loads(done.stderr)
     assert result["threads"] == 1 and result["nproc"] >= 1
     assert {"python", "numpy", "paprbound"} <= set(result["versions"])
+    assert result["setup"]["seed"] == 0
     assert set(result["layers"]) == {"16"}
     rows = result["layers"]["16"]
     assert set(rows) == LAYERS

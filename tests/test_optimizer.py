@@ -510,10 +510,12 @@ def test_steps_leave_their_input_alone(mode, projection, sizes):
     assert new.matrices.flags.writeable
 
 
-@pytest.mark.parametrize("sizes", [(6, 6, 6), (3, 6, 1, 6)])
+@pytest.mark.parametrize("sizes", [(6, 6, 6), (3, 6, 1, 6), (20, 20, 20, 20), (70, 70)])
 def test_batch_step_matches_stacked_gradients(sizes):
-    # Batch symmetric steps take their gradients one subset at a time;
-    # the stacked (n, m, K) evaluation gives the same bits.
+    # Batch symmetric steps take their gradients in chunks of whole
+    # subsets, at most _GRADIENT_ROWS rows each (one chunk, chunks of 3
+    # and a rest of 1, one subset per chunk above); the stacked (n, m, K)
+    # evaluation gives the same bits.
     const = QamConstellation.square(16)
     rng = np.random.default_rng(31)
     k = 16
