@@ -446,15 +446,20 @@ def step_batch(
 ) -> tuple[UnitarySet, np.ndarray]:
     """One full-subset gradient step for every subset.
 
-    Subsets of equal size move as one stack.  Returns the new state and
-    the per-subset step norms ||W(l+1) - W(l)||_F used by the stopping
-    rule.
+    Subsets of equal size move as one stack; when every subset has the
+    same size the stack is a view of the codebook, not a copy.  Returns
+    the new state and the per-subset step norms ||W(l+1) - W(l)||_F used
+    by the stopping rule.
     """
     sizes = codebook.subset_sizes
     groups = []
     for m in sorted(set(sizes)):
         members = [n for n, size in enumerate(sizes) if size == m]
-        groups.append((members, np.stack([codebook.subset(n) for n in members])))
+        if len(members) == len(sizes):
+            rows = codebook.symbols.reshape(len(sizes), m, -1)
+        else:
+            rows = np.stack([codebook.subset(n) for n in members])
+        groups.append((members, rows))
     return _descend(state, groups, basis, config.resolved_epsilon(basis.size), config.projection)
 
 

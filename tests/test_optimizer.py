@@ -500,12 +500,13 @@ def test_steps_leave_their_input_alone(mode, projection, sizes):
     book = Codebook(symbols=symbols, subset_sizes=sizes, p_av=float(np.mean(np.abs(symbols) ** 2) * 8))
     basis = build_basis(8)
     state = UnitarySet.random(book.n_subsets, 8, rng)
-    before = state.matrices.tobytes()
+    before = state.matrices.tobytes(), book.symbols.tobytes()
     state.matrices.flags.writeable = False  # any write into the input raises
+    book.symbols.flags.writeable = False  # equal-size batch steps read it as a view
     step = step_batch if mode == "batch" else step_stochastic
     cfg = OptimizerConfig(epsilon=1e-3, mode=mode, projection=projection)
     new, _ = step(state, book, basis, cfg)
-    assert state.matrices.tobytes() == before and state.iteration == 0
+    assert (state.matrices.tobytes(), book.symbols.tobytes()) == before and state.iteration == 0
     assert new.iteration == 1 and not np.shares_memory(new.matrices, state.matrices)
     assert new.matrices.flags.writeable
 
