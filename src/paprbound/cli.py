@@ -367,13 +367,12 @@ def cmd_ccdf(args) -> int:
     cfg, out_dir, started = _prepare(args)
     codebook = load_codebook(args.codebook)
     unitaries = _load_unitaries(args.unitaries, codebook)
-    oversampling = args.oversampling if args.oversampling is not None else cfg.j_ccdf
-    curve = empirical_ccdf(codebook, gamma_grid_linear(cfg), unitaries, oversampling)
+    curve = empirical_ccdf(codebook, gamma_grid_linear(cfg), unitaries, cfg.j_ccdf)
     target = out_dir / "ccdf.csv"
     curve.write_csv(target)
     write_manifest(out_dir, "ccdf", config_hash(cfg), [target], args.record_timing,
                    time.perf_counter() - started)
-    print(f"ccdf: {curve.sample_count} codewords at J={oversampling}; wrote {target}")
+    print(f"ccdf: {curve.sample_count} codewords at J={cfg.j_ccdf}; wrote {target}")
     return EXIT_OK
 
 
@@ -508,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("codebook", help="codebook file from 'gen'")
     p.add_argument("--unitaries", default=None, help="unitary-set file from 'optimize'")
-    p.add_argument("--oversampling", type=int, default=None, help="override config j_ccdf")
     p.set_defaults(func=cmd_ccdf)
 
     p = sub.add_parser("ber", help="Monte Carlo bit error rates over the link")

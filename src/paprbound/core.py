@@ -18,14 +18,16 @@ import numpy as np
 
 CODEBOOK_FORMAT = "paprbound/codebook"
 FORMAT_VERSION = 1
-QAM_ORDER_RULE = "must be a perfect square with even side > 1"
+# Square QAM with a power-of-two side, as the per-axis Gray mapping needs,
+# up to 16 bits per symbol: the constellation and the link build
+# order-sized tables.
+QAM_ORDERS = frozenset(4**n for n in range(1, 9))
+QAM_ORDER_RULE = f"must be a power of 4 from 4 to {max(QAM_ORDERS)}"
 
 
 def is_qam_order(order: int) -> bool:
-    """Whether ``order`` is a square QAM size: a perfect square with an
-    even side > 1 (``QAM_ORDER_RULE``)."""
-    side = math.isqrt(max(order, 0))
-    return side * side == order and side >= 2 and side % 2 == 0
+    """Whether ``order`` is a supported square QAM size (``QAM_ORDER_RULE``)."""
+    return order in QAM_ORDERS
 
 
 def _gray(i: np.ndarray | int):
@@ -52,7 +54,7 @@ class QamConstellation:
     Attributes
     ----------
     order : int
-        Constellation size M; a perfect square with an even side > 1.
+        Constellation size M; a power of 4 from 4 to 65536.
     scale : float
         Half the minimum distance between points.  The default
         ``sqrt(3 / (2*(M - 1)))`` normalizes the mean symbol power to 1.

@@ -18,15 +18,16 @@ generator per draw.  The stream is therefore the package's own: numpy
 does not promise stable Generator streams across releases, and the
 oracle test against the installed numpy is what detects a divergence.
 
-The symmetric-decorrelation step never forms a K x K eigenproblem.  An
+Both projections share one path: a step hands each stacked chunk of
+subsets' gradient rows and W to its projection's update in
+``_PROJECTORS`` (for Gram-Schmidt, one stacked QR).  The
+symmetric-decorrelation update never forms a K x K eigenproblem: an
 update from m codewords is W (I - eps H C*) with H = W* G, which
 differs from W only on the span of [H, C] (rank <= 2m), so the polar
-factor needs one 2m x 2m eigendecomposition and O(K^2 m) products: a
-stochastic step is O(K^2) per subset, and all subsets move as one stack.
-The correction multiplies W on the right, which carries rounding error
-in W forward instead of amplifying it; no periodic re-projection is
-needed.  A step writes the updated stack straight into the array it
-returns; the only (N, K, K) allocation is that array.
+factor needs one 2m x 2m eigendecomposition and O(K^2 m) products,
+O(K^2) per subset in a stochastic step.  The correction multiplies W
+on the right, which carries rounding error in W forward instead of
+amplifying it; no periodic re-projection is needed.
 """
 
 from __future__ import annotations
@@ -323,18 +324,18 @@ def project_gram_schmidt(w: np.ndarray) -> np.ndarray:
     Row k keeps only its component orthogonal to rows 1..k-1, then is
     normalized: the unitary factor of the LQ factorization W = L U with
     a positive diagonal of L, computed as the QR factorization of W*.
-    Fails loudly on rank deficiency, naming the row whose residual
-    collapses.
+    Accepts a stack of matrices on the leading axes.  Fails loudly on
+    rank deficiency, naming the first row whose residual collapses.
     """
-    q, r = np.linalg.qr(np.asarray(w, dtype=np.complex128).conj().T)
-    diag = np.diagonal(r)
+    q, r = np.linalg.qr(np.conj(np.swapaxes(np.asarray(w, dtype=np.complex128), -1, -2)))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
     collapsed = np.flatnonzero(np.abs(diag) <= 1e-12)
     if collapsed.size:
-        row = int(collapsed[0])
+        row = int(collapsed[0]) % diag.shape[-1]
         raise RankDeficientUpdate(
             f"row {row} is in the span of rows 0..{row - 1}; matrix is rank deficient"
         )
-    return (q * (diag / np.abs(diag))).conj().T
+    return np.conj(np.swapaxes(q * (diag / np.abs(diag))[..., np.newaxis, :], -1, -2))
 
 
 def _require_nonsingular(lam: np.ndarray) -> None:
@@ -392,22 +393,26 @@ def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: f
     return np.linalg.norm(step, axis=(1, 2))
 
 
-# Codeword rows per stacked ``_gradient_rows`` call in symmetric steps;
-# whole subsets are stacked up to this many rows.  A stack saves the
-# per-call overhead of few rows but loses once its 2K-point envelopes
-# outgrow the cache.  Gradient of N = 5 subsets of m rows, one thread,
-# stacked vs one call per subset: 2.0-2.8x faster at m = 1, about even
-# at m = 16 (K = 64) and m = 64 (K = 128), 0.55-0.6x at m = 200.
-_GRADIENT_ROWS = 64
+def _gram_schmidt_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: float, out: np.ndarray):
+    """``_polar_update`` with row-wise Gram-Schmidt: project_gram_schmidt(W - epsilon G C*)."""
+    out[...] = project_gram_schmidt(w - epsilon * (np.swapaxes(grads, -1, -2) @ rows.conj()))
+    return np.linalg.norm(out - w, axis=(1, 2))
 
-# Full-matrix projection for each name in PROJECTIONS.  Gram-Schmidt
-# steps project through this table; symmetric-decorrelation steps use
-# ``_polar_update`` instead, which equals ``project_symmetric`` of the
-# updated matrix to rounding.
+
+# The stacked update of each projection: (w, rows, grads, epsilon, out) -> step norms.
 _PROJECTORS = {
-    "symmetric_decorrelation": project_symmetric,
-    "gram_schmidt": project_gram_schmidt,
+    "symmetric_decorrelation": _polar_update,
+    "gram_schmidt": _gram_schmidt_update,
 }
+
+
+# Codeword rows per chunk of a step: whole subsets are stacked up to
+# this many rows, and each chunk's gradient and update run back to back
+# while its rows are in cache.  Stacked vs one subset at a time (N = 5,
+# one thread): gradients 2.0-2.8x faster at m = 1, even at m = 16-64,
+# 0.55-0.6x at m = 200; a batch Gram-Schmidt step at K = 128, m = 200
+# with one five-subset update took 34 ms against 28 ms.
+_GRADIENT_ROWS = 64
 
 
 def _descend(state: UnitarySet, groups, basis: SpectralBasis, epsilon: float, projection: str):
@@ -425,17 +430,11 @@ def _descend(state: UnitarySet, groups, basis: SpectralBasis, epsilon: float, pr
         whole = len(members) == state.n_subsets
         w = state.matrices if whole else state.matrices[members]
         out = new if whole else np.empty_like(w)
-        if projection == "symmetric_decorrelation":
-            grads = np.empty_like(rows)
-            per_call = max(1, _GRADIENT_ROWS // rows.shape[1])
-            for i in range(0, len(rows), per_call):
-                grads[i:i + per_call] = _gradient_rows(rows[i:i + per_call], w[i:i + per_call], basis)
-            norms[members] = _polar_update(w, rows, grads, epsilon, out)
-        else:
-            project = _PROJECTORS[projection]
-            for i, (block, wn) in enumerate(zip(rows, w)):
-                out[i] = project(wn - epsilon * delta_w(block, wn, basis))
-            norms[members] = np.linalg.norm(out - w, axis=(1, 2))
+        per_call = max(1, _GRADIENT_ROWS // rows.shape[1])
+        for i in range(0, len(rows), per_call):
+            chunk = slice(i, i + per_call)
+            grads = _gradient_rows(rows[chunk], w[chunk], basis)
+            norms[members[chunk]] = _PROJECTORS[projection](w[chunk], rows[chunk], grads, epsilon, out[chunk])
         if not whole:
             new[members] = out
     return UnitarySet(matrices=new, iteration=state.iteration + 1), norms

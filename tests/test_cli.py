@@ -77,11 +77,12 @@ def test_config_rejects_unknown_and_bad_fields(tmp_path, capsys):
     with pytest.raises(ValueError):
         parse_config({"projection": "nonsense"})
     # The constellation rule names the config field; a library call keeps its own message.
-    qam_error = "config field 'qam_order': must be a perfect square with even side > 1, got 8"
-    with pytest.raises(ValueError, match=f"^{qam_error}$"):
-        parse_config({"qam_order": 8})
-    assert main(["gen", "--config", str(small_config(tmp_path, qam_order=8))]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == f"error: {qam_error}\n"
+    for order in (8, 36, 100, 2**40):
+        qam_error = f"config field 'qam_order': must be a power of 4 from 4 to 65536, got {order}"
+        with pytest.raises(ValueError, match=f"^{qam_error}$"):
+            parse_config({"qam_order": order})
+        assert main(["gen", "--config", str(small_config(tmp_path, qam_order=order))]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {qam_error}\n"
     # JSON's Infinity and NaN parse as floats; every numeric field refuses them.
     for bad in (float("inf"), float("-inf"), float("nan")):
         for data, field in (
@@ -188,11 +189,11 @@ def test_gen_bounds_ccdf_pipeline(tmp_path):
     markov = np.array([float(line.split(",")[1]) for line in rows[1:]])
     assert np.all(curve.ccdf <= markov + 1e-12)
 
-    # J=1 curve is pointwise below the J=16 curve
-    out1 = tmp_path / "j1"
-    assert run_cli("ccdf", "--config", cfg_path, "--out", out1,
-                   "--oversampling", 1, out / "codebook.bin") == EXIT_OK
-    low = CcdfCurve.read_csv(out1 / "ccdf.csv")
+    # J=1 curve is pointwise below the J=8 curve
+    j1 = tmp_path / "j1"
+    j1.mkdir()
+    assert run_cli("ccdf", "--config", small_config(j1, j_ccdf=1), out / "codebook.bin") == EXIT_OK
+    low = CcdfCurve.read_csv(j1 / "run" / "ccdf.csv")
     assert np.all(low.ccdf <= curve.ccdf + 1e-12)
 
 

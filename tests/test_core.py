@@ -13,7 +13,7 @@ from paprbound.core import (
 
 
 def test_default_scale_normalizes_mean_power():
-    for order in (4, 16, 64, 256):
+    for order in (4, 16, 64, 256, 65536):
         const = QamConstellation.square(order)
         assert abs(const.mean_power() - 1.0) < 1e-12
         assert len(const.points) == order
@@ -26,8 +26,8 @@ def test_points_closed_under_negation():
 
 
 def test_rejects_non_square_orders():
-    for order in (2, 8, 9, 32, 0, -4):
-        with pytest.raises(ValueError, match=f"^order must be a perfect square with even side > 1, got {order}$"):
+    for order in (2, 8, 9, 32, 0, -4, 36, 100, 4**9, 2**40):
+        with pytest.raises(ValueError, match=f"^order must be a power of 4 from 4 to 65536, got {order}$"):
             QamConstellation.square(order)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 
@@ -11,6 +12,8 @@ from kpoint_oracle import KPointPair
 from paprbound.bounds import r_statistic
 from paprbound.core import Codebook, QamConstellation, generate_codebook
 from paprbound.optimizer import (
+    MODES,
+    PROJECTIONS,
     OptimizerConfig,
     RankDeficientUpdate,
     UnitarySet,
@@ -335,11 +338,15 @@ def test_gram_schmidt_matches_row_oracle():
         near = random_unitary(k, rng) + 1e-3 * random_matrix(k, rng)
         for w in (near, random_matrix(k, rng)):
             assert np.abs(project_gram_schmidt(w) - gram_schmidt_rows(w)).max() <= 1e-12
+        # A stack gives the same bits as one call per matrix.
+        stack = np.stack([random_unitary(k, rng) + 1e-3 * random_matrix(k, rng) for _ in range(3)])
+        assert project_gram_schmidt(stack).tobytes() == np.stack([project_gram_schmidt(w) for w in stack]).tobytes()
     third_repeats = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=complex)
     with pytest.raises(RankDeficientUpdate, match="row 2"):
         gram_schmidt_rows(third_repeats)
-    with pytest.raises(RankDeficientUpdate, match="row 2"):
-        project_gram_schmidt(third_repeats)
+    for w in (third_repeats, np.stack([np.eye(3), third_repeats, np.eye(3)])):
+        with pytest.raises(RankDeficientUpdate, match="row 2"):
+            project_gram_schmidt(w)
 
 
 def small_step(book, basis, fraction=0.1):
@@ -352,9 +359,9 @@ def small_step(book, basis, fraction=0.1):
 
 @pytest.mark.parametrize("k", [8, 16, 64])
 def test_factored_polar_step_matches_symmetric_projection(k):
-    # Each step must equal project_symmetric(W - eps * delta_w) of the
-    # codewords it used: the whole subset (batch) or the one drawn from
-    # the (seed, subset, iteration) stream (stochastic).
+    # Each step must equal project(W - eps * delta_w) of the codewords it
+    # used: the whole subset (batch) or the one drawn from the (seed,
+    # subset, iteration) stream (stochastic), for both projections.
     const = QamConstellation.square(16)
     basis = build_basis(k)
     rng = np.random.default_rng(k)
@@ -363,8 +370,11 @@ def test_factored_polar_step_matches_symmetric_projection(k):
         book = Codebook(symbols=symbols, subset_sizes=sizes,
                         p_av=float(np.mean(np.abs(symbols) ** 2) * k))
         eps = small_step(book, basis)
-        for mode, step in (("batch", step_batch), ("stochastic", step_stochastic)):
-            cfg = OptimizerConfig(epsilon=eps, mode=mode, seed=5)
+        for (mode, step), (projection, project) in itertools.product(
+            (("batch", step_batch), ("stochastic", step_stochastic)),
+            (("symmetric_decorrelation", project_symmetric), ("gram_schmidt", project_gram_schmidt)),
+        ):
+            cfg = OptimizerConfig(epsilon=eps, mode=mode, projection=projection, seed=5)
             state = UnitarySet.random(book.n_subsets, k, rng)
             for _ in range(3):
                 new, norms = step(state, book, basis, cfg)
@@ -373,8 +383,8 @@ def test_factored_polar_step_matches_symmetric_projection(k):
                         draw = np.random.default_rng([5, n, state.iteration])
                         pick = int(draw.integers(block.shape[0]))
                         block = block[pick : pick + 1]
-                    expected = project_symmetric(w - eps * delta_w(block, w, basis))
-                    assert np.abs(new.matrices[n] - expected).max() <= 1e-12, (sizes, mode, n)
+                    expected = project(w - eps * delta_w(block, w, basis))
+                    assert np.abs(new.matrices[n] - expected).max() <= 1e-12, (sizes, mode, projection, n)
                     assert abs(norms[n] - np.linalg.norm(expected - w)) <= 1e-12
                 state = new
 
@@ -427,6 +437,29 @@ def test_factored_polar_step_does_not_drift():
     got = np.array([p.r_value for p in trace])
     assert np.abs(got - r_values).max() <= 1e-12 * max(r_values)
     assert np.abs(state.matrices - w).max() <= 1e-12 * np.abs(w).max()
+
+
+@given(
+    mode=st.sampled_from(MODES),
+    projection=st.sampled_from(PROJECTIONS),
+    k=st.sampled_from([4, 8, 16]),
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple),
+    steps=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_steps_stay_unitary(mode, projection, k, sizes, steps, seed):
+    # Any number of steps from a Haar start, in both modes and with both
+    # projections, at the criterion-7 step size: no drift off the unitaries.
+    const = QamConstellation.square(16)
+    rng = np.random.default_rng(seed)
+    symbols = const.points[rng.integers(0, 16, (sum(sizes), k))]
+    book = Codebook(symbols=symbols, subset_sizes=sizes, p_av=float(np.mean(np.abs(symbols) ** 2) * k))
+    basis = build_basis(k)
+    cfg = OptimizerConfig(epsilon=small_step(book, basis), max_iters=steps, stop_tol=0.0,
+                          projection=projection, mode=mode, seed=seed)
+    state, _ = run(book, basis, cfg, UnitarySet.random(book.n_subsets, k, rng))
+    assert state.iteration == steps
+    assert state.unitarity_error() <= 1e-12
 
 
 def test_rank_deficiency_raises_in_stochastic_mode():
@@ -489,6 +522,7 @@ STEP_CASES = [
     ("batch", "symmetric_decorrelation", (6, 6, 6)),
     ("batch", "symmetric_decorrelation", (3, 6, 1, 6)),  # groups that are not the whole stack
     ("batch", "gram_schmidt", (3, 6, 1, 6)),
+    ("stochastic", "gram_schmidt", (6, 6, 6)),
 ]
 
 
@@ -513,10 +547,10 @@ def test_steps_leave_their_input_alone(mode, projection, sizes):
 
 @pytest.mark.parametrize("sizes", [(6, 6, 6), (3, 6, 1, 6), (20, 20, 20, 20), (70, 70)])
 def test_batch_step_matches_stacked_gradients(sizes):
-    # Batch symmetric steps take their gradients in chunks of whole
-    # subsets, at most _GRADIENT_ROWS rows each (one chunk, chunks of 3
-    # and a rest of 1, one subset per chunk above); the stacked (n, m, K)
-    # evaluation gives the same bits.
+    # Batch symmetric steps take their gradients and updates in chunks
+    # of whole subsets, at most _GRADIENT_ROWS rows each (one chunk,
+    # chunks of 3 and a rest of 1, one subset per chunk above); the
+    # stacked (n, m, K) evaluation gives the same bits.
     const = QamConstellation.square(16)
     rng = np.random.default_rng(31)
     k = 16
