@@ -20,7 +20,9 @@ call:
 * ``codebook_pmeprs_j16``: the PMEPR of every transformed codeword at
   J = 16;
 * ``ber_sweep_block``: one 256-codeword block of the BER sweep on the
-  README link (J = 1, Rapp p = 2 at 2 dB backoff, E_b/N_0 = 8 dB).
+  README link (J = 1, Rapp p = 2 at 2 dB backoff, E_b/N_0 = 8 dB);
+* ``ber_sweep_block_identity``: the same block with the identity set,
+  the untransformed baseline of every BER comparison.
 
 It prints the median and the interquartile range of each layer in ms and
 writes them, with the machine, ``nproc``, the BLAS thread count and the
@@ -83,12 +85,17 @@ def layer_samples(k: int, repeats: int) -> dict[str, list[float]]:
     book = generate_codebook(const, k, CODEWORDS, N_SUBSETS, seed=SEED)
     basis = build_basis(k)
     haar = UnitarySet.random(N_SUBSETS, k, np.random.default_rng([SEED, 1]))
+    identity = UnitarySet.identity(N_SUBSETS, k)
     epsilon = k**-1.5 / 100  # small enough that no step is refused
     stochastic = OptimizerConfig(epsilon=epsilon, seed=SEED)
     batch = {p: OptimizerConfig(epsilon=epsilon, mode="batch", projection=p)
              for p in ("symmetric_decorrelation", "gram_schmidt")}
     link = LinkConfig(ebn0_db=(8.0,), amplifier=RappModel.from_backoff(book.p_av, 2.0, 2.0), seed=SEED)
     next_block = itertools.count(1)
+
+    def ber_block(unitaries):
+        return ber_sweep(book, const, unitaries, link, target_errors=1 << 62,
+                         max_symbols=BLOCK_CODEWORDS * k, block_codewords=BLOCK_CODEWORDS)
 
     def chain():
         state = UnitarySet(haar.matrices, iteration=CHAIN * next(next_block))
@@ -102,11 +109,8 @@ def layer_samples(k: int, repeats: int) -> dict[str, list[float]]:
         "step_batch_gram_schmidt": timed(lambda: step_batch(haar, book, basis, batch["gram_schmidt"]), repeats),
         "r_statistic": timed(lambda: r_statistic(book, basis, haar), repeats),
         "codebook_pmeprs_j16": timed(lambda: codebook_pmeprs(book, haar, 16), repeats),
-        "ber_sweep_block": timed(
-            lambda: ber_sweep(book, const, haar, link, target_errors=1 << 62,
-                              max_symbols=BLOCK_CODEWORDS * k, block_codewords=BLOCK_CODEWORDS),
-            repeats,
-        ),
+        "ber_sweep_block": timed(lambda: ber_block(haar), repeats),
+        "ber_sweep_block_identity": timed(lambda: ber_block(identity), repeats),
     }
     return samples
 

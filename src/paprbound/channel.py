@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Codebook, QamConstellation
+from .core import Codebook, QamConstellation, is_identity
 from .optimizer import UnitarySet
 from .waveform import baseband_samples
 
@@ -119,19 +119,19 @@ def noise_sigma(
 
 def _transmit_rows(
     rows: np.ndarray,
-    w: np.ndarray,
+    w: np.ndarray | None,
     link: LinkConfig,
     sigma: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Vectorized channel for a batch of codewords sharing one unitary.
 
-    Returns the demodulated frequency-domain symbols (before W*).
+    ``w=None`` sends the rows untransformed (W = I).  Returns the
+    demodulated frequency-domain symbols (before W*).
     """
     j = link.oversampling
     k = rows.shape[-1]
-    u = rows @ w.T
-    s = baseband_samples(u, j)
+    s = baseband_samples(rows if w is None else rows @ w.T, j)
     if link.amplifier is not None:
         s = rapp_apply(s, link.amplifier)
     if sigma > 0:
@@ -203,8 +203,6 @@ class BerCurve:
 
 
 def _wilson_interval(errors: int, trials: int, z: float = 1.959963984540054):
-    if trials == 0:
-        return 0.0, 1.0
     p = errors / trials
     denom = 1.0 + z**2 / trials
     center = (p + z**2 / (2 * trials)) / denom
@@ -227,7 +225,13 @@ def ber_sweep(
     subset transform) until ``target_errors`` bit errors or the symbol
     budget is reached.  Noise blocks use streams keyed by (seed, grid
     point, block) so the sweep is reproducible and block-parallel safe.
+    A subset whose W_n is exactly I (``core.is_identity``) skips both
+    products, W_n c and W_n* y, with the same counts as with them.
     """
+    for name, value in (("target_errors", target_errors), ("max_symbols", max_symbols),
+                        ("block_codewords", block_codewords)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if unitaries.n_subsets != codebook.n_subsets or unitaries.k_carriers != codebook.k_carriers:
         raise ValueError("unitary set does not match the codebook")
     tx_indices = constellation.demap(codebook.symbols)
@@ -237,7 +241,9 @@ def ber_sweep(
     popcount = np.array([bin(x).count("1") for x in range(constellation.order)])
     boundaries = np.cumsum((0,) + codebook.subset_sizes)
     subset_of = np.searchsorted(boundaries, np.arange(codebook.size), side="right") - 1
-    receivers = [w.conj() for w in unitaries.matrices]
+    # Per subset: the transmit transform and the receiver W_n*, None for W_n = I.
+    senders = [None if is_identity(w) else w for w in unitaries.matrices]
+    receivers = [None if w is None else w.conj() for w in senders]
 
     bers, bits, errs, lows, highs = [], [], [], [], []
     for point, ebn0 in enumerate(link.ebn0_db):
@@ -261,17 +267,18 @@ def ber_sweep(
             start = 0
             for n, end in enumerate(ends):
                 if end > start:
-                    y = _transmit_rows(
-                        codebook.symbols[grouped[start:end]], unitaries.matrices[n], link, sigma, rng
-                    )
-                    np.matmul(y, receivers[n], out=c_hat[start:end])
+                    y = _transmit_rows(codebook.symbols[grouped[start:end]], senders[n], link, sigma, rng)
+                    if receivers[n] is None:
+                        c_hat[start:end] = y
+                    else:
+                        np.matmul(y, receivers[n], out=c_hat[start:end])
                 start = end
             rx = constellation.demap(c_hat)
             n_errors += int(popcount[tx_indices[grouped] ^ rx].sum())
             n_bits += rows.size * codebook.k_carriers * constellation.bits_per_symbol
             block += 1
         low, high = _wilson_interval(n_errors, n_bits)
-        bers.append(n_errors / n_bits if n_bits else np.nan)
+        bers.append(n_errors / n_bits)
         bits.append(n_bits)
         errs.append(n_errors)
         lows.append(low)

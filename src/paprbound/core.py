@@ -248,18 +248,29 @@ def subset_gram(codebook: Codebook, n: int) -> np.ndarray:
     return block.T @ block.conj() / block.shape[0]
 
 
+def is_identity(w: np.ndarray) -> bool:
+    """Whether the K x K matrix ``w`` is exactly the identity.  A product
+    with an exact I returns its finite, nonzero entries bit for bit, so
+    callers skip it; a matrix one ulp away from I is not the identity.
+    The diagonal goes first: it turns down most other matrices after K
+    entries, without building I."""
+    return bool(np.all(w.diagonal() == 1)) and np.array_equal(w, np.eye(w.shape[-1]))
+
+
 def transformed_subsets(codebook: Codebook, unitaries=None) -> Iterator[np.ndarray]:
     """Each subset n as sent, ``block @ W_n.T`` (rows W_n c), computed
     as the caller reaches it, so one transformed subset is held at a
     time.  ``unitaries`` (a UnitarySet, an (N, K, K) array, a list of N
-    K x K matrices, or None for the subsets as drawn) is checked first."""
+    K x K matrices, or None for the subsets as drawn) is checked first.
+    A subset whose W_n is exactly I (``is_identity``) is yielded as
+    drawn, as for None."""
     if unitaries is None:
         return iter(codebook.subsets())
     matrices = np.asarray(getattr(unitaries, "matrices", unitaries))
     n, k = codebook.n_subsets, codebook.k_carriers
     if matrices.shape != (n, k, k):
         raise ValueError(f"transforms of shape {matrices.shape} for {n} subsets of K={k}")
-    return (block @ w.T for block, w in zip(codebook.subsets(), matrices))
+    return (block if is_identity(w) else block @ w.T for block, w in zip(codebook.subsets(), matrices))
 
 
 def is_int(value) -> bool:

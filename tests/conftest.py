@@ -2,9 +2,11 @@
 
 Every property test runs under one hypothesis profile: derandomized, so
 the examples are the same on every run, with no example database, so
-nothing is written under ``.hypothesis/``, no per-example deadline (an
+no failing example is kept between runs, no per-example deadline (an
 example's time depends on the machine's load, not on the code), and a
 fixed example budget that keeps the suite's wall time steady.
+Hypothesis 6.155 still writes ``.hypothesis/constants/`` on every run;
+``.gitignore`` lists that directory.
 """
 
 from hypothesis import settings

@@ -16,7 +16,7 @@ from paprbound.bounds import (
     r_statistic,
     real_embedding,
 )
-from paprbound.core import Codebook, QamConstellation, generate_codebook
+from paprbound.core import Codebook, QamConstellation, generate_codebook, transformed_subsets
 from paprbound.optimizer import UnitarySet, random_unitary
 from paprbound.spectral import build_basis, quartic_sum
 from paprbound.waveform import (
@@ -51,7 +51,11 @@ def test_r_statistic_identity_and_phase_invariance():
     basis = build_basis(8)
     plain = r_statistic(book, basis)
     ident = r_statistic(book, basis, UnitarySet.identity(4, 8))
-    assert abs(plain - ident) < 1e-12 * plain
+    assert ident == plain
+    # An exact identity set yields each subset as drawn, the bytes of block @ I.T.
+    eye = np.eye(8)
+    for block, drawn in zip(transformed_subsets(book, UnitarySet.identity(4, 8)), book.subsets()):
+        assert block.tobytes() == (drawn @ eye.T).tobytes()
     rng = np.random.default_rng(1)
     ws = UnitarySet.random(4, 8, rng)
     rotated = UnitarySet(matrices=np.exp(0.37j) * ws.matrices)

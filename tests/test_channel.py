@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+from paprbound import channel
 from paprbound.channel import (
     BerCurve,
     LinkConfig,
@@ -15,7 +16,7 @@ from paprbound.channel import (
     receive,
     transmit,
 )
-from paprbound.core import Codebook, QamConstellation, generate_codebook
+from paprbound.core import Codebook, QamConstellation, generate_codebook, is_identity
 from paprbound.optimizer import UnitarySet
 from paprbound.waveform import baseband_samples
 
@@ -146,21 +147,60 @@ def test_transmit_rows_byte_identical_to_two_draw_noise(k, j, amplifier, sigma):
     fast = _transmit_rows(book.symbols, w, link, sigma, np.random.default_rng([3, j]))
     oracle = reference_transmit_rows(book.symbols, w, link, sigma, np.random.default_rng([3, j]))
     assert fast.tobytes() == np.ascontiguousarray(oracle).tobytes()
+    # w=None sends the rows as they are: the same bytes as the product with I.
+    plain = _transmit_rows(book.symbols, None, link, sigma, np.random.default_rng([3, j]))
+    oracle = reference_transmit_rows(book.symbols, np.eye(k), link, sigma, np.random.default_rng([3, j]))
+    assert plain.tobytes() == np.ascontiguousarray(oracle).tobytes()
 
 
 @pytest.mark.parametrize("block_codewords", [5, 64])
-def test_ber_sweep_counts_match_per_subset_oracle(block_codewords):
+def test_ber_sweep_counts_match_per_subset_oracle(block_codewords, monkeypatch):
     # Unequal subsets; 5-codeword blocks leave some subsets empty.
     const = QamConstellation.square(16)
     whole = generate_codebook(const, 16, 250, 1, seed=14)
     book = Codebook(symbols=whole.symbols, subset_sizes=(100, 60, 90), p_av=whole.p_av)
-    us = UnitarySet.random(3, 16, np.random.default_rng(15))
+    haar = UnitarySet.random(3, 16, np.random.default_rng(15)).matrices
+    eye = UnitarySet.identity(3, 16).matrices
+    nudged = eye.copy()  # one ulp from I, on and off the diagonal: not the identity
+    nudged[1, 2, 2] = np.nextafter(1.0, 2.0)
+    nudged[2, 0, 1] = np.nextafter(0.0, 1.0)
+    # Per set, whether each subset is sent as W_n = I, without the products.
+    sets = {
+        "haar": (haar, [False] * 3),
+        "identity": (eye, [True] * 3),
+        "mixed": (np.concatenate([eye[:1], haar[1:]]), [True, False, False]),
+        "nudged": (nudged, [True, False, False]),
+    }
     link = LinkConfig(ebn0_db=(6.0, 12.0), oversampling=4, seed=16,
                       amplifier=RappModel.from_backoff(book.p_av, 3.0))
     budget = (60, 20_000, block_codewords)
-    curve = ber_sweep(book, const, us, link, *budget)
-    expected = reference_ber_counts(book, const, us, link, *budget)
-    assert list(zip(curve.n_bits.tolist(), curve.n_errors.tolist())) == expected
+    sent = []  # the w of every _transmit_rows call
+    transmit_rows = channel._transmit_rows
+
+    def spy(rows, w, *rest):
+        sent.append(w)
+        return transmit_rows(rows, w, *rest)
+
+    monkeypatch.setattr(channel, "_transmit_rows", spy)
+    for name, (matrices, skipped) in sets.items():
+        assert [is_identity(w) for w in matrices] == skipped, name
+        us = UnitarySet(matrices)
+        sent.clear()
+        curve = ber_sweep(book, const, us, link, *budget)
+        expected = reference_ber_counts(book, const, us, link, *budget)
+        assert list(zip(curve.n_bits.tolist(), curve.n_errors.tolist())) == expected, name
+        assert any(w is None for w in sent) == any(skipped), name
+        assert all(w is None or not is_identity(w) for w in sent), name
+
+
+@pytest.mark.parametrize("argument", ["target_errors", "max_symbols", "block_codewords"])
+def test_ber_sweep_rejects_empty_budget(argument):
+    # A zero block never adds a bit and a zero budget leaves a BER of 0/0.
+    const = QamConstellation.square(16)
+    book = generate_codebook(const, 8, 16, 2, seed=1)
+    budget = {"target_errors": 10, "max_symbols": 100, "block_codewords": 4, argument: 0}
+    with pytest.raises(ValueError, match=argument):
+        ber_sweep(book, const, UnitarySet.identity(2, 8), LinkConfig(ebn0_db=(10.0,)), **budget)
 
 
 def test_noiseless_roundtrip_exact():
