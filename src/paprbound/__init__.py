@@ -42,10 +42,8 @@ from .optimizer import (
     OptimizerConfig,
     RankDeficientUpdate,
     UnitarySet,
-    delta_w,
     load_unitaries,
     project_gram_schmidt,
-    project_symmetric,
     random_unitary,
     run,
     save_unitaries,

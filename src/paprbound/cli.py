@@ -41,6 +41,7 @@ from .core import (
     save_codebook,
 )
 from .optimizer import (
+    UNITARITY_TOL,
     OptimizerConfig,
     RankDeficientUpdate,
     UnitarySet,
@@ -456,7 +457,7 @@ def cmd_verify(args) -> int:
         report("envelope norm sandwich", ok)
         if args.unitaries is not None:
             state = _load_unitaries(args.unitaries, codebook)
-            report("unitarity of loaded set", state.unitarity_error() <= 1e-8)
+            report("unitarity of loaded set", state.unitarity_error() <= UNITARITY_TOL)
             w = state.matrices[0]
             c = codebook.symbols[0]
             report("receiver roundtrip", np.abs(w.conj().T @ (w @ c) - c).max() <= 1e-10)

@@ -25,9 +25,18 @@ symmetric-decorrelation update never forms a K x K eigenproblem: an
 update from m codewords is W (I - eps H C*) with H = W* G, which
 differs from W only on the span of [H, C] (rank <= 2m), so the polar
 factor needs one 2m x 2m eigendecomposition and O(K^2 m) products,
-O(K^2) per subset in a stochastic step.  The correction multiplies W
-on the right, which carries rounding error in W forward instead of
-amplifying it; no periodic re-projection is needed.
+O(K^2) per subset in a stochastic step.  With one codeword c per subset
+(every stochastic step) the 2 x 2 factor has a closed form in array
+arithmetic, with no QR or LAPACK call (``_rank_one_polar``).  There the
+update is [[alpha, beta], [0, 1]] with alpha = 1 - eps quartic_sum(W c),
+so a step turns a direction around (norm 2) exactly when
+eps quartic_sum(W c) > 1.  The closed form departs from the
+eigendecomposition in the last bits (2.8e-14 in W, 6e-15 in R over the
+default 20 000-step run at K=128).  The correction multiplies W on the
+right, which carries rounding error in W forward instead of amplifying
+it; no periodic re-projection is needed.  ``run`` still checks the
+unitarity error at every checkpoint and fails closed past
+``UNITARITY_TOL``.
 """
 
 from __future__ import annotations
@@ -46,6 +55,10 @@ from .waveform import baseband_samples
 
 UNITARY_FORMAT = "paprbound/unitary-set"
 FORMAT_VERSION = 1
+
+# Largest max_n ||W_n W_n* - I||_F a unitary set may have: what the
+# loader accepts and what ``run`` lets a trajectory reach.
+UNITARITY_TOL = 1e-8
 
 PROJECTIONS = ("symmetric_decorrelation", "gram_schmidt")
 MODES = ("batch", "stochastic")
@@ -244,7 +257,7 @@ class UnitarySet:
         with np.errstate(over="ignore", invalid="ignore"):
             return float(np.max([np.linalg.norm(w @ w.conj().T - eye) for w in self.matrices]))
 
-    def validate(self, tol: float = 1e-8) -> None:
+    def validate(self, tol: float = UNITARITY_TOL) -> None:
         err = self.unitarity_error()
         if not err <= tol:
             raise ValueError(f"unitarity violated: max ||W W* - I||_F = {err:.3e} > {tol}")
@@ -285,37 +298,20 @@ class OptimizerConfig:
         return float(self.epsilon) if self.epsilon is not None else k_carriers ** -1.5
 
 
-def _gradient_rows(rows: np.ndarray, w: np.ndarray, basis: SpectralBasis) -> np.ndarray:
+def _gradient_rows(rows: np.ndarray, w: np.ndarray, basis: SpectralBasis,
+                   wc: np.ndarray | None = None) -> np.ndarray:
     """Per-codeword gradient rows V*(|alpha|^2 alpha) + V_hat*(|beta|^2 beta)
     with alpha = V W c, beta = V_hat W c.
 
     Evaluated as ``fft(|s|^2 s)[:K] / K^2`` on the 2K-point envelope
     s of W c.  ``rows`` holds codewords as rows, shape (..., m, K), and
-    ``w`` the matching transforms, shape (..., K, K); the result has the
-    shape of ``rows``.
+    ``w`` the matching transforms, shape (..., K, K); ``wc`` is
+    ``rows @ W^T`` if the caller has it.  The result has the shape of
+    ``rows``.
     """
     k = basis.size
-    s = baseband_samples(rows @ np.swapaxes(w, -1, -2), 2)
+    s = baseband_samples(rows @ np.swapaxes(w, -1, -2) if wc is None else wc, 2)
     return np.fft.fft(np.abs(s) ** 2 * s, axis=-1)[..., :k] / k**2
-
-
-def delta_w(subset: np.ndarray, w: np.ndarray, basis: SpectralBasis) -> np.ndarray:
-    """Unscaled descent direction for one subset.
-
-    sum over codewords c of sum_k [(c* W* C_k W c) C_k +
-    (c* W* C_hat_k W c) C_hat_k] W c c*, evaluated per codeword as
-    V*(|alpha|^2 alpha) c* + V_hat*(|beta|^2 beta) c* with
-    alpha = V W c, beta = V_hat W c (see ``_gradient_rows``).  The
-    generalized complex gradient of the subset quartic statistic is this
-    matrix times the positive scalar 2 K (2K - 1) / |C|.
-    """
-    block = np.atleast_2d(np.asarray(subset, dtype=np.complex128))
-    k = basis.size
-    if block.shape[0] == 0:
-        return np.zeros((k, k), dtype=np.complex128)
-    if block.shape[1] != k or w.shape != (k, k):
-        raise ValueError("subset and transform must match the basis size")
-    return _gradient_rows(block, w, basis).T @ block.conj()
 
 
 def project_gram_schmidt(w: np.ndarray) -> np.ndarray:
@@ -346,29 +342,20 @@ def _require_nonsingular(lam: np.ndarray) -> None:
         )
 
 
-def project_symmetric(w: np.ndarray) -> np.ndarray:
-    """Symmetric decorrelation (W W*)^{-1/2} W via eigendecomposition.
-
-    Returns the unitary polar factor of W; idempotent on its own
-    output and the identity on unitary input.  Accepts one matrix or a
-    stack of them on the leading axes.
-    """
-    h = w @ np.conj(np.swapaxes(w, -1, -2))
-    lam, f = np.linalg.eigh(h)
-    _require_nonsingular(lam)
-    return (f * lam[..., np.newaxis, :] ** -0.5) @ np.conj(np.swapaxes(f, -1, -2)) @ w
-
-
-def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: float, out: np.ndarray):
+def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: float, out: np.ndarray,
+                  wc: np.ndarray | None = None):
     """Symmetric decorrelation of W - epsilon G C* for a stack of subsets.
 
     ``w`` is (N, K, K); ``rows`` and ``grads`` are (N, m, K) codeword
-    and gradient rows, so G C* is ``delta_w`` of the m codewords.  With
-    H = W* G the update is W (I - epsilon H C*), and I - epsilon H C*
-    differs from I only on span[H, C].  On an orthonormal basis Q of
-    that span (rank r <= 2m) it is A = I_r - epsilon (Q* H)(Q* C)*,
-    so the polar factor is W + (W Q) Z Q* with Z = (A A*)^{-1/2} A - I_r:
-    an r x r eigendecomposition and O(K^2 m) products per subset.
+    and gradient rows, so G C* is the unscaled descent direction of the
+    m codewords, and ``wc`` is ``rows @ W^T`` if the caller has it.
+    With H = W* G the update is W (I - epsilon H C*), and
+    I - epsilon H C* differs from I only on span[H, C].  On an
+    orthonormal basis Q of that span (rank r <= 2m) it is
+    A = I_r - epsilon (Q* H)(Q* C)*, so the polar factor is
+    W + (W Q) Z Q* with Z = (A A*)^{-1/2} A - I_r: an r x r
+    eigendecomposition and O(K^2 m) products per subset.  For m = 1 Z
+    has a closed form (``_rank_one_polar``).
 
     The unitary correction multiplies W on the right, so rounding in W
     is carried, not amplified.  (The left form (I + M)^{-1/2} W' relies
@@ -378,6 +365,9 @@ def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: f
     Writes the new stack into ``out`` (same shape as ``w``, not
     overlapping it) and returns the step norms ||W' - W||_F = ||W Q Z||_F.
     """
+    if rows.shape[-2] == 1:
+        wc = rows @ np.swapaxes(w, -1, -2) if wc is None else wc
+        return _rank_one_polar(w, rows, grads, epsilon, out, wc)
     c = np.swapaxes(rows, -1, -2)
     h = np.conj(np.swapaxes(grads.conj() @ w, -1, -2))
     q, _ = np.linalg.qr(np.concatenate([h, c], axis=-1))
@@ -393,13 +383,68 @@ def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: f
     return np.linalg.norm(step, axis=(1, 2))
 
 
-def _gram_schmidt_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: float, out: np.ndarray):
-    """``_polar_update`` with row-wise Gram-Schmidt: project_gram_schmidt(W - epsilon G C*)."""
+def _rank_one_polar(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: float, out: np.ndarray,
+                    wc: np.ndarray):
+    """``_polar_update`` for one codeword c per subset, in closed form.
+
+    With h = W* g, q1 = h / ||h||, r12 = q1* c, the residual
+    p = c - r12 q1 and r22 = ||p||, the update on the orthonormal basis
+    [q1, p / r22] is A = [[alpha, beta], [0, 1]] with
+    alpha = 1 - epsilon ||h|| conj(r12) = 1 - epsilon c* h, which is
+    1 - epsilon quartic_sum(W c) (real up to rounding), and the real
+    beta = -epsilon ||h|| r22.  Its polar factor is
+    U = [[(1 + |alpha|) phi, beta], [-beta phi, 1 + |alpha|]] / d with
+    phi = alpha / |alpha| and d = sqrt((1 + |alpha|)^2 + beta^2), from
+    the square root of a 2 x 2 matrix (B. W. Levinger, Math. Magazine
+    53(4), 1980), and Z = U - I.  The singular values of A sum to d and
+    multiply to |alpha|, which gives the smallest eigenvalue of A A*,
+    |alpha|^2 / lambda_max, without cancellation.
+
+    The basis is kept unnormalized as [q1, p], with Z's second row and
+    column divided by r22 in closed form.  So a codeword on the line of
+    h (r22 = 0) drops the second column and a zero codeword (h = 0)
+    gives a zero step, both without a division by zero.  W [q1, p]
+    takes one matrix-vector product: W q1 = W h / ||h||, and
+    W p = W c - r12 W q1 reuses ``wc``.  The step norm is ||Z||_F.
+    """
+    # Per subset, shapes (N, 1, K) for rows, (N, K, 1) for columns and
+    # (N, 1, 1) for scalars; inner products are stacked matmuls.
+    h_adj = grads.conj() @ w  # h* = g* W
+    h_norm = np.sqrt((h_adj @ np.conj(np.swapaxes(h_adj, -1, -2))).real)
+    inv_norm = np.divide(1.0, h_norm, out=np.zeros_like(h_norm), where=h_norm > 0)
+    q1_adj = h_adj * inv_norm
+    r12 = q1_adj @ np.swapaxes(rows, -1, -2)
+    p_adj = rows.conj() - r12.conj() * q1_adj
+    r22_sq = (p_adj @ np.conj(np.swapaxes(p_adj, -1, -2))).real
+    eps_h = epsilon * h_norm
+    alpha = 1 - eps_h * r12.conj()
+    mod = np.abs(alpha)
+    beta = eps_h * np.sqrt(r22_sq)  # |beta|
+    d = np.hypot(1 + mod, beta)
+    _require_nonsingular((2 * mod / (d + np.hypot(1 - mod, beta))) ** 2)
+    phi = alpha / mod
+    e = eps_h / d
+    z11 = (1 + mod) * phi / d - 1
+    z22 = -e * e * d / (1 + mod + d)  # ((1 + |alpha|) / d - 1) / r22^2
+    wq1 = w @ np.conj(np.swapaxes(h_adj, -1, -2)) * inv_norm
+    wp = np.swapaxes(wc, -1, -2) - r12 * wq1
+    step = np.concatenate([z11 * wq1 + e * phi * wp, z22 * wp - e * wq1], axis=-1)  # W [q1, p] Z'
+    np.matmul(step, np.concatenate([q1_adj, p_adj], axis=-2), out=out)
+    out += w
+    return np.sqrt(z11.real**2 + z11.imag**2 + r22_sq * (2 * e * e + r22_sq * z22 * z22)).ravel()
+
+
+def _gram_schmidt_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: float, out: np.ndarray,
+                         wc: np.ndarray | None = None):
+    """``_polar_update`` with row-wise Gram-Schmidt: project_gram_schmidt(W - epsilon G C*).
+
+    ``wc`` is part of the shared ``_PROJECTORS`` signature and unused here.
+    """
     out[...] = project_gram_schmidt(w - epsilon * (np.swapaxes(grads, -1, -2) @ rows.conj()))
     return np.linalg.norm(out - w, axis=(1, 2))
 
 
-# The stacked update of each projection: (w, rows, grads, epsilon, out) -> step norms.
+# The stacked update of each projection: (w, rows, grads, epsilon, out, wc) -> step norms.
 _PROJECTORS = {
     "symmetric_decorrelation": _polar_update,
     "gram_schmidt": _gram_schmidt_update,
@@ -433,8 +478,11 @@ def _descend(state: UnitarySet, groups, basis: SpectralBasis, epsilon: float, pr
         per_call = max(1, _GRADIENT_ROWS // rows.shape[1])
         for i in range(0, len(rows), per_call):
             chunk = slice(i, i + per_call)
-            grads = _gradient_rows(rows[chunk], w[chunk], basis)
-            norms[members[chunk]] = _PROJECTORS[projection](w[chunk], rows[chunk], grads, epsilon, out[chunk])
+            # W c, shared by the gradient and a rank-one update.  Larger
+            # chunks form it inside the gradient and free it there.
+            wc = rows[chunk] @ np.swapaxes(w[chunk], -1, -2) if rows.shape[1] == 1 else None
+            grads = _gradient_rows(rows[chunk], w[chunk], basis, wc)
+            norms[members[chunk]] = _PROJECTORS[projection](w[chunk], rows[chunk], grads, epsilon, out[chunk], wc)
         if not whole:
             new[members] = out
     return UnitarySet(matrices=new, iteration=state.iteration + 1), norms
@@ -502,7 +550,9 @@ def run(
 
     Returns the final state and a trace with the quartic statistic R at
     every checkpoint (start, every ``checkpoint_every`` iterations, and
-    the final state).
+    the final state).  Each checkpoint also measures the unitarity error
+    and raises ``RankDeficientUpdate`` past ``UNITARITY_TOL``, so a run
+    never returns a set that ``load_unitaries`` would reject.
     """
     if initial is None:
         state = UnitarySet.identity(codebook.n_subsets, basis.size)
@@ -516,6 +566,13 @@ def run(
     trace = []
 
     def checkpoint(max_step_norm: float) -> None:
+        drift = state.unitarity_error()
+        if not drift <= UNITARITY_TOL:
+            raise RankDeficientUpdate(
+                f"unitarity drift {drift:.3e} > {UNITARITY_TOL:g} at iteration {state.iteration} "
+                f"(epsilon = {config.resolved_epsilon(basis.size):.3g}, K = {basis.size}); "
+                "reduce the step size epsilon"
+            )
         r_value = r_statistic(codebook, basis, state)
         trace.append(TracePoint(state.iteration, r_value, max_step_norm, time.perf_counter() - started))
 
@@ -555,7 +612,7 @@ _UNITARY_FIELDS = {
 }
 
 
-def load_unitaries(path: str | Path, tol: float = 1e-8) -> UnitarySet:
+def load_unitaries(path: str | Path, tol: float = UNITARITY_TOL) -> UnitarySet:
     """Read a unitary-set file and re-validate unitarity."""
     header, matrices = read_artifact(
         path, UNITARY_FORMAT, FORMAT_VERSION, _UNITARY_FIELDS,

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 from kpoint_oracle import KPointPair, b_matrix
+from polar_oracle import delta_w, project_symmetric
 
 import paprbound as pb
 from paprbound.bounds import (
@@ -37,9 +38,7 @@ from paprbound.core import Codebook, QamConstellation, generate_codebook
 from paprbound.optimizer import (
     OptimizerConfig,
     UnitarySet,
-    delta_w,
     project_gram_schmidt,
-    project_symmetric,
     random_unitary,
     run,
 )

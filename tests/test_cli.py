@@ -397,6 +397,40 @@ def test_bad_codebook_header_exits_2(tmp_path, capsys, edit, message):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_unitarity_drift_fails_closed(tmp_path, monkeypatch, capsys):
+    # A step that leaves W 1e-7 off the unitaries at iteration 13: the
+    # checkpoint at iteration 20 refuses the run, and ``optimize`` exits
+    # 3 without writing a set that its own loader would reject.
+    from paprbound import optimizer
+
+    honest = optimizer.step_stochastic
+
+    def drifting(state, *args):
+        new, norms = honest(state, *args)
+        if new.iteration == 13:
+            new.matrices[0, 0, 0] += 1e-7
+        return new, norms
+
+    monkeypatch.setattr(optimizer, "step_stochastic", drifting)
+    cfg_path = small_config(tmp_path)
+    out = tmp_path / "run"
+    run_cli("gen", "--config", cfg_path)
+    book = load_codebook(out / "codebook.bin")
+    cfg = load_config(cfg_path)
+    with pytest.raises(optimizer.RankDeficientUpdate) as raised:
+        optimizer.run(book, paprbound.build_basis(8), cfg.optimizer())
+    assert str(raised.value) == (
+        "unitarity drift 2.000e-07 > 1e-08 at iteration 20 (epsilon = 0.001, K = 8); "
+        "reduce the step size epsilon"
+    )
+
+    capsys.readouterr()
+    assert run_cli("optimize", "--config", cfg_path, out / "codebook.bin") == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: unitarity drift") and err.count("\n") == 1
+    assert not (out / "unitaries.bin").exists()
+
+
 def test_optimize_warns_when_r_rises(tmp_path, capsys):
     # The default epsilon = K^(-3/2) is too large at K=8: R ends above
     # its start.  The run still succeeds; only stderr says so.

@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import example, given
 from hypothesis import strategies as st
 from kpoint_oracle import KPointPair
+from polar_oracle import delta_w, project_symmetric
 
 from paprbound.bounds import r_statistic
 from paprbound.core import Codebook, QamConstellation, generate_codebook
@@ -21,10 +22,8 @@ from paprbound.optimizer import (
     _gradient_rows,
     _polar_update,
     _seed_key,
-    delta_w,
     load_unitaries,
     project_gram_schmidt,
-    project_symmetric,
     random_unitary,
     run,
     save_unitaries,
@@ -296,6 +295,7 @@ def test_nan_payload_is_rejected(tmp_path):
         load_unitaries(path)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nan_update_is_refused():
     # The singularity guard fails closed: a NaN eigenvalue is not "large".
     w = np.eye(4, dtype=complex)[np.newaxis]
@@ -357,15 +357,20 @@ def small_step(book, basis, fraction=0.1):
     return fraction * np.sqrt(basis.size) / largest
 
 
-@pytest.mark.parametrize("k", [8, 16, 64])
+@pytest.mark.parametrize("k", [2, 4, 8, 16, 64, 128])
 def test_factored_polar_step_matches_symmetric_projection(k):
     # Each step must equal project(W - eps * delta_w) of the codewords it
     # used: the whole subset (batch) or the one drawn from the (seed,
     # subset, iteration) stream (stochastic), for both projections.
+    # Up to K = 64 the largest subsets span all of C^K (2m > K).  At
+    # K = 128 the check stops at m = 3: with m = 33 one batch update
+    # through the 2m x 2m eigendecomposition is ~3e-13 from an SVD polar
+    # factor and ~2e-12 from this dense oracle.
     const = QamConstellation.square(16)
     basis = build_basis(k)
     rng = np.random.default_rng(k)
-    for sizes in [(1, 1, 1), (3, 3, 3), (k // 2 + 1,) * 3, (1, 3, k // 2 + 1)]:
+    large = [(k // 2 + 1,) * 3, (1, 3, k // 2 + 1)] if k <= 64 else [(1, 3, 3)]
+    for sizes in [(1, 1, 1), (3, 3, 3)] + large:
         symbols = const.points[rng.integers(0, 16, (sum(sizes), k))]
         book = Codebook(symbols=symbols, subset_sizes=sizes,
                         p_av=float(np.mean(np.abs(symbols) ** 2) * k))
@@ -437,6 +442,69 @@ def test_factored_polar_step_does_not_drift():
     got = np.array([p.r_value for p in trace])
     assert np.abs(got - r_values).max() <= 1e-12 * max(r_values)
     assert np.abs(state.matrices - w).max() <= 1e-12 * np.abs(w).max()
+
+
+def one_codeword_update(w, c, eps, basis):
+    """``_polar_update`` of one matrix by one codeword: (W', step norm)."""
+    rows = c[np.newaxis, np.newaxis, :]
+    new = np.empty((1,) + w.shape, dtype=np.complex128)
+    norms = _polar_update(w[np.newaxis], rows, _gradient_rows(rows, w[np.newaxis], basis), eps, new)
+    return new[0], norms[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rank_one_polar_edge_cases():
+    # The closed-form update from one codeword, where its basis [h, c]
+    # degenerates or the step turns a direction around, against the
+    # dense oracle.  At W = I the unit codeword e0 has h on its own
+    # line (r22 = 0).  alpha = 1 - eps quartic_sum(W c), so the step
+    # flips (norm 2) exactly when eps quartic_sum(W c) > 1.
+    from paprbound.spectral import quartic_sum
+
+    k = 16
+    basis = build_basis(k)
+    rng = np.random.default_rng(30)
+    eye = np.eye(k, dtype=np.complex128)
+    haar = random_unitary(k, rng)
+    c = QamConstellation.square(16).points[rng.integers(0, 16, k)]
+    e0_sum, c_sum = quartic_sum(eye[0], basis), quartic_sum(haar @ c, basis)
+    for w, codeword, eps, flips in [
+        (eye, eye[0], 0.5 / e0_sum, False),
+        (eye, eye[0], 3.0 / e0_sum, True),
+        (haar, c, 0.5 / c_sum, False),
+        (haar, c, 1.5 / c_sum, True),
+        (haar, c, 40.0 / c_sum, True),
+    ]:
+        new, norm = one_codeword_update(w, codeword, eps, basis)
+        expected = project_symmetric(w - eps * delta_w(codeword, w, basis))
+        assert np.abs(new - expected).max() <= 1e-12 * np.abs(expected).max(), (eps, flips)
+        assert abs(norm - np.linalg.norm(expected - w)) <= 1e-12
+        assert (abs(norm - 2.0) <= 1e-12) == flips
+
+    # A zero codeword has a zero gradient: W stays as it is.
+    new, norm = one_codeword_update(haar, np.zeros(k, dtype=np.complex128), 1e-3, basis)
+    assert norm == 0.0 and np.array_equal(new, haar)
+
+    # At eps quartic_sum(W c) = 1 the update is singular, as for the oracle.
+    for update in (lambda: one_codeword_update(haar, c, 1.0 / c_sum, basis),
+                   lambda: project_symmetric(haar - delta_w(c, haar, basis) / c_sum)):
+        with pytest.raises(RankDeficientUpdate, match="reduce the step size epsilon"):
+            update()
+
+
+def test_flipping_steps_do_not_drift():
+    # K=256 at eps = 1e-3, four times the K^(-3/2) default: every step
+    # has norm 2 (the polar factor turns a direction around).  Through a
+    # stacked 2 x 2 eigendecomposition the unitarity error of this run
+    # grew to 5e-10 by step 100 and 1.7e-8 (past the loader's tolerance)
+    # by step 300; the closed form keeps it at rounding level.
+    const = QamConstellation.square(16)
+    book = generate_codebook(const, 256, 2000, 5, seed=0)
+    basis = build_basis(256)
+    cfg = OptimizerConfig(epsilon=1e-3, max_iters=100, stop_tol=0.0, checkpoint_every=100)
+    state, trace = run(book, basis, cfg)
+    assert abs(trace[-1].max_step_norm - 2.0) <= 1e-12
+    assert state.unitarity_error() <= 1e-12
 
 
 @given(
