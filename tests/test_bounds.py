@@ -4,6 +4,7 @@ from kpoint_oracle import KPointPair
 from scipy.optimize import minimize_scalar
 
 from paprbound.bounds import (
+    BoundReport,
     bound_report,
     chernoff_objective,
     codebook_endpoints,
@@ -277,3 +278,24 @@ def test_bound_report_csv(tmp_path):
     # validity flag consistent with the threshold
     threshold = np.sqrt(report.r_value) / book.p_av
     np.testing.assert_array_equal(report.hoeffding_valid, report.gamma > threshold)
+
+
+def test_bound_report_bytes(tmp_path):
+    # The exact text: csv rows ending in \r\n, 17-digit floats, true/false
+    # flags, and an invalid Hoeffding point written as nan whatever the
+    # array holds there; the sidecar is sorted two-space JSON.
+    report = BoundReport(
+        gamma=np.array([1.0, 10.0, 100.0]), markov=np.array([2.5, 0.025, 0.00025]),
+        hoeffding=np.array([0.75, 0.5, 1e-300]), hoeffding_valid=np.array([False, True, True]),
+        r_value=2.5, a=0.5, b=12.0, p_av=1.0, k_carriers=8, n_subsets=4,
+    )
+    report.write_csv(tmp_path / "bounds.csv")
+    assert (tmp_path / "bounds.csv").read_bytes() == (
+        b"gamma_db,markov,hoeffding,hoeffding_valid\r\n"
+        b"0,2.5,nan,false\r\n"
+        b"10,0.025000000000000001,0.5,true\r\n"
+        b"20,0.00025000000000000001,1e-300,true\r\n"
+    )
+    assert (tmp_path / "bounds.json").read_bytes() == (
+        b'{\n  "K": 8,\n  "N": 4,\n  "R": 2.5,\n  "a": 0.5,\n  "b": 12.0,\n  "p_av": 1.0\n}\n'
+    )

@@ -383,6 +383,18 @@ def test_ber_curve_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "ebn0_db,ber,n_bits,n_errors,ci_low,ci_high"
     assert lines[1].startswith("4,0.01")
+    # np.int64 counts are written in decimal, every rate with 17 digits
+    curve = BerCurve(
+        ebn0_db=np.array([4.0, 8.5]), ber=np.array([0.01, 1 / 3]),
+        n_bits=np.array([1000, 3], dtype=np.int64), n_errors=np.array([10, 1], dtype=np.int64),
+        ci_low=np.array([0.005, 0.0]), ci_high=np.array([0.02, 1.0]),
+    )
+    curve.write_csv(path)
+    assert path.read_bytes() == (
+        b"ebn0_db,ber,n_bits,n_errors,ci_low,ci_high\r\n"
+        b"4,0.01,1000,10,0.0050000000000000001,0.02\r\n"
+        b"8.5,0.33333333333333331,3,1,0,1\r\n"
+    )
 
 
 def test_link_config_validation():

@@ -150,6 +150,14 @@ def test_ccdf_curve_validation_and_csv(tmp_path):
         CcdfCurve(gamma=grid, ccdf=ccdf[::-1], sample_count=10)  # increasing
     with pytest.raises(ValueError):
         CcdfCurve(gamma=grid[::-1], ccdf=ccdf, sample_count=10)
+    # A grid that starts at gamma = 0 writes -inf dB there (the suite
+    # turns a RuntimeWarning into an error, so this also checks there is none).
+    curve = CcdfCurve(gamma=np.array([0.0, 1.0, 10.0]), ccdf=np.array([1.0, 0.5, 0.0]),
+                      sample_count=np.int64(4))
+    curve.write_csv(path)
+    assert path.read_bytes() == (
+        b"gamma_db,gamma_linear,ccdf,n_samples\r\n-inf,0,1,4\r\n0,1,0.5,4\r\n10,10,0,4\r\n"
+    )
 
 
 def test_default_gamma_grid():
