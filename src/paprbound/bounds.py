@@ -11,14 +11,12 @@ are white.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import Codebook, QamConstellation, transformed_subsets
+from .core import Codebook, QamConstellation, transformed_subsets, write_json, write_table
 from .spectral import SpectralBasis, quartic_sum
 from .waveform import baseband_samples, linear_to_db
 
@@ -194,32 +192,17 @@ class BoundReport:
     n_subsets: int
 
     def write_csv(self, path: str | Path) -> None:
-        """CSV columns gamma_db, markov, hoeffding, hoeffding_valid plus
-        a JSON sidecar with the scalar statistics."""
+        """CSV columns gamma_db, markov, hoeffding (NaN where invalid),
+        hoeffding_valid plus a JSON sidecar with the scalar statistics."""
         path = Path(path)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["gamma_db", "markov", "hoeffding", "hoeffding_valid"])
-            for g, mk, hf, ok in zip(self.gamma, self.markov, self.hoeffding, self.hoeffding_valid):
-                writer.writerow(
-                    [
-                        f"{linear_to_db(g):.17g}",
-                        f"{mk:.17g}",
-                        f"{hf:.17g}" if ok else "nan",
-                        "true" if ok else "false",
-                    ]
-                )
-        sidecar = {
-            "R": self.r_value,
-            "a": self.a,
-            "b": self.b,
-            "p_av": self.p_av,
-            "K": self.k_carriers,
-            "N": self.n_subsets,
-        }
-        with open(path.with_suffix(".json"), "w") as fh:
-            json.dump(sidecar, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        valid = np.asarray(self.hoeffding_valid, dtype=bool)
+        hoeffding = np.where(valid, self.hoeffding, np.nan)
+        write_table(path, ["gamma_db", "markov", "hoeffding", "hoeffding_valid"],
+                    zip(linear_to_db(self.gamma), self.markov, hoeffding, valid))
+        write_json(path.with_suffix(".json"), {
+            "R": self.r_value, "a": self.a, "b": self.b, "p_av": self.p_av,
+            "K": self.k_carriers, "N": self.n_subsets,
+        })
 
 
 def bound_report(

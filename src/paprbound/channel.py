@@ -9,14 +9,13 @@ QAM error rates as independent oracles for the Monte Carlo path.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import Codebook, QamConstellation, is_identity
+from .core import Codebook, QamConstellation, is_identity, write_table
 from .optimizer import UnitarySet
 from .waveform import baseband_samples
 
@@ -192,14 +191,8 @@ class BerCurve:
     ci_high: np.ndarray
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["ebn0_db", "ber", "n_bits", "n_errors", "ci_low", "ci_high"])
-            for row in zip(self.ebn0_db, self.ber, self.n_bits, self.n_errors, self.ci_low, self.ci_high):
-                writer.writerow(
-                    [f"{row[0]:.17g}", f"{row[1]:.17g}", int(row[2]), int(row[3]),
-                     f"{row[4]:.17g}", f"{row[5]:.17g}"]
-                )
+        write_table(path, ["ebn0_db", "ber", "n_bits", "n_errors", "ci_low", "ci_high"],
+                    zip(self.ebn0_db, self.ber, self.n_bits, self.n_errors, self.ci_low, self.ci_high))
 
 
 def _wilson_interval(errors: int, trials: int, z: float = 1.959963984540054):

@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -39,6 +38,8 @@ from .core import (
     is_qam_order,
     load_codebook,
     save_codebook,
+    write_json,
+    write_table,
 )
 from .optimizer import (
     UNITARITY_TOL,
@@ -237,15 +238,12 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(
-    out_dir: Path,
-    command: str,
-    cfg_hash: str,
-    files: list[Path],
-    record_timing: bool,
-    elapsed_s: float,
-) -> Path:
-    manifest = {
+def write_manifest(out_dir: Path, command: str, cfg_hash: str, files: list[Path],
+                   record_timing: bool, elapsed_s: float) -> Path:
+    """Write ``<command>.manifest.json``: the sha256 and size of each
+    file, and the wall-clock fields, null unless ``record_timing``."""
+    path = out_dir / f"{command}.manifest.json"
+    write_json(path, {
         "format": MANIFEST_FORMAT,
         "version": 1,
         "artifact_version": __version__,
@@ -253,14 +251,8 @@ def write_manifest(
         "config_hash": cfg_hash,
         "created_utc": datetime.now(timezone.utc).isoformat() if record_timing else None,
         "elapsed_s": elapsed_s if record_timing else None,
-        "files": {
-            f.name: {"sha256": _sha256(f), "bytes": f.stat().st_size} for f in files
-        },
-    }
-    path = out_dir / f"{command}.manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        "files": {f.name: {"sha256": _sha256(f), "bytes": f.stat().st_size} for f in files},
+    })
     return path
 
 
@@ -306,6 +298,16 @@ def _load_unitaries(path, codebook) -> UnitarySet | None:
     return state
 
 
+def _finish(args, cfg: ExperimentConfig, out_dir: Path, started: float, files: list[Path],
+            summary: str) -> int:
+    """The end of every artifact subcommand: ``<command>.manifest.json``
+    over ``files``, then the line ``<command>: <summary>``."""
+    write_manifest(out_dir, args.command, config_hash(cfg), files, args.record_timing,
+                   time.perf_counter() - started)
+    print(f"{args.command}: {summary}")
+    return EXIT_OK
+
+
 def cmd_gen(args) -> int:
     cfg, out_dir, started = _prepare(args)
     codebook = generate_codebook(
@@ -313,11 +315,9 @@ def cmd_gen(args) -> int:
     )
     target = out_dir / "codebook.bin"
     save_codebook(codebook, target)
-    write_manifest(out_dir, "gen", config_hash(cfg), [target], args.record_timing,
-                   time.perf_counter() - started)
-    print(f"gen: wrote {target} ({codebook.size} x {codebook.k_carriers}, "
-          f"{codebook.n_subsets} subsets)")
-    return EXIT_OK
+    return _finish(args, cfg, out_dir, started, [target],
+                   f"wrote {target} ({codebook.size} x {codebook.k_carriers}, "
+                   f"{codebook.n_subsets} subsets)")
 
 
 def cmd_bounds(args) -> int:
@@ -328,12 +328,9 @@ def cmd_bounds(args) -> int:
     report = bound_report(codebook, basis, gamma_grid_linear(cfg), unitaries)
     target = out_dir / "bounds.csv"
     report.write_csv(target)
-    sidecar = target.with_suffix(".json")
-    write_manifest(out_dir, "bounds", config_hash(cfg), [target, sidecar],
-                   args.record_timing, time.perf_counter() - started)
-    print(f"bounds: R = {report.r_value:.6g}, a = {report.a:.6g}, b = {report.b:.6g}; "
-          f"wrote {target}")
-    return EXIT_OK
+    return _finish(args, cfg, out_dir, started, [target, target.with_suffix(".json")],
+                   f"R = {report.r_value:.6g}, a = {report.a:.6g}, b = {report.b:.6g}; "
+                   f"wrote {target}")
 
 
 def cmd_optimize(args) -> int:
@@ -346,22 +343,16 @@ def cmd_optimize(args) -> int:
     target = out_dir / "unitaries.bin"
     save_unitaries(state, target, seed=cfg.seed, config_hash=config_hash(cfg))
     trace_path = out_dir / "optimize_trace.csv"
-    with open(trace_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "r_value", "max_step_norm"])
-        for point in trace:
-            writer.writerow(
-                [point.iteration, f"{point.r_value:.17g}", f"{point.max_step_norm:.17g}"]
-            )
-    write_manifest(out_dir, "optimize", config_hash(cfg), [target, trace_path],
-                   args.record_timing, time.perf_counter() - started)
-    print(f"optimize: iteration {state.iteration}, R {trace[0].r_value:.6g} -> "
-          f"{trace[-1].r_value:.6g}; wrote {target}")
+    write_table(trace_path, ["iteration", "r_value", "max_step_norm"],
+                ((p.iteration, p.r_value, p.max_step_norm) for p in trace))
+    code = _finish(args, cfg, out_dir, started, [target, trace_path],
+                   f"iteration {state.iteration}, R {trace[0].r_value:.6g} -> "
+                   f"{trace[-1].r_value:.6g}; wrote {target}")
     if trace[-1].r_value > trace[0].r_value:
         print(f"warning: R rose from {trace[0].r_value:.6g} to {trace[-1].r_value:.6g}; "
               f"epsilon = {opt_cfg.resolved_epsilon(basis.size):.3g} is likely too large "
               f"for K = {basis.size}", file=sys.stderr)
-    return EXIT_OK
+    return code
 
 
 def cmd_ccdf(args) -> int:
@@ -371,10 +362,8 @@ def cmd_ccdf(args) -> int:
     curve = empirical_ccdf(codebook, gamma_grid_linear(cfg), unitaries, cfg.j_ccdf)
     target = out_dir / "ccdf.csv"
     curve.write_csv(target)
-    write_manifest(out_dir, "ccdf", config_hash(cfg), [target], args.record_timing,
-                   time.perf_counter() - started)
-    print(f"ccdf: {curve.sample_count} codewords at J={cfg.j_ccdf}; wrote {target}")
-    return EXIT_OK
+    return _finish(args, cfg, out_dir, started, [target],
+                   f"{curve.sample_count} codewords at J={cfg.j_ccdf}; wrote {target}")
 
 
 def cmd_ber(args) -> int:
@@ -400,10 +389,8 @@ def cmd_ber(args) -> int:
     )
     target = out_dir / "ber.csv"
     curve.write_csv(target)
-    write_manifest(out_dir, "ber", config_hash(cfg), [target], args.record_timing,
-                   time.perf_counter() - started)
-    print(f"ber: {len(curve.ebn0_db)} grid points; wrote {target}")
-    return EXIT_OK
+    return _finish(args, cfg, out_dir, started, [target],
+                   f"{len(curve.ebn0_db)} grid points; wrote {target}")
 
 
 def cmd_verify(args) -> int:

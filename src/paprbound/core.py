@@ -8,6 +8,7 @@ average power over the whole book.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from collections.abc import Iterator
@@ -297,6 +298,38 @@ _CODEBOOK_FIELDS = {
 }
 
 
+def _cell(value) -> str:
+    """One CSV cell: true/false for a flag, an integer in decimal, any
+    other number with 17 significant digits (nan, inf and -inf as such)."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def write_table(path: str | Path, header: list[str], rows) -> None:
+    """Write a text table: the ``header`` row, then one row of cells
+    per item of ``rows``, in csv's default dialect (rows end in CRLF)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(map(_cell, row) for row in rows)
+
+
+def read_table(path: str | Path) -> list[dict[str, str]]:
+    """The rows of a ``write_table`` file, each a dict keyed by the header."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def write_json(path: str | Path, doc: dict) -> None:
+    """Write a JSON document: keys sorted, two-space indent, final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def write_artifact(path: str | Path, file_format: str, version: int, header: dict,
                    values: np.ndarray) -> None:
     """Write a binary artifact: one JSON header line (the format tag,
@@ -307,6 +340,11 @@ def write_artifact(path: str | Path, file_format: str, version: int, header: dic
         fh.write(json.dumps(fields, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         fh.write(np.asarray(values, dtype="<c16").tobytes())
+
+
+def _bad_field(path, header: dict, key: str, what: str) -> ValueError:
+    got = repr(header[key]) if key in header else "missing"
+    return ValueError(f"{path}: header field '{key}' must be {what} (got {got})")
 
 
 def read_artifact(path: str | Path, file_format: str, version: int, fields: dict,
@@ -335,8 +373,7 @@ def read_artifact(path: str | Path, file_format: str, version: int, fields: dict
         raise ValueError(f"{path}: unsupported version {header.get('version')!r}")
     for key, (what, valid) in fields.items():
         if not valid(header.get(key)):
-            got = repr(header[key]) if key in header else "missing"
-            raise ValueError(f"{path}: header field '{key}' must be {what} (got {got})")
+            raise _bad_field(path, header, key, what)
     dims = [header[key] for key in shape]
     expected = math.prod(dims) * 16  # Python ints: a huge header cannot wrap
     if len(raw) != expected:
@@ -365,5 +402,8 @@ def load_codebook(path: str | Path) -> Codebook:
     header, symbols = read_artifact(
         path, CODEBOOK_FORMAT, FORMAT_VERSION, _CODEBOOK_FIELDS, ("count", "k_carriers")
     )
+    n_subsets = len(header["subset_sizes"])
+    if not (is_int(header.get("n_subsets")) and header["n_subsets"] == n_subsets):
+        raise _bad_field(path, header, "n_subsets", f"{n_subsets}, the number of subset sizes")
     meta = {key: header.get(key) for key in ("seed", "qam_order", "qam_scale")}
     return Codebook(symbols, tuple(header["subset_sizes"]), float(header["p_av"]), **meta)

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import Codebook, transformed_subsets
+from .core import Codebook, read_table, transformed_subsets, write_table
 
 PMEPR_OVERSAMPLING_DEFAULT = 16
 # Oversampled samples per chunk in ``peak_envelope_power``: one chunk's
@@ -105,19 +104,15 @@ class CcdfCurve:
         return linear_to_db(self.gamma)
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["gamma_db", "gamma_linear", "ccdf", "n_samples"])
-            for g, c in zip(self.gamma, self.ccdf):
-                writer.writerow(
-                    [f"{linear_to_db(g):.17g}" if g > 0 else "-inf", f"{g:.17g}",
-                     f"{c:.17g}", self.sample_count]
-                )
+        """CSV columns gamma_db (-inf at gamma = 0), gamma_linear, ccdf, n_samples."""
+        with np.errstate(divide="ignore"):
+            gamma_db = self.gamma_db
+        write_table(path, ["gamma_db", "gamma_linear", "ccdf", "n_samples"],
+                    ((*row, self.sample_count) for row in zip(gamma_db, self.gamma, self.ccdf)))
 
     @staticmethod
     def read_csv(path: str | Path) -> "CcdfCurve":
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+        rows = read_table(path)
         gamma = np.array([float(r["gamma_linear"]) for r in rows])
         ccdf = np.array([float(r["ccdf"]) for r in rows])
         return CcdfCurve(gamma=gamma, ccdf=ccdf, sample_count=int(rows[0]["n_samples"]))

@@ -413,8 +413,17 @@ def without_count(fields):
         (lambda fields: {**fields, "p_av": float("nan")}, "header field 'p_av'"),
         # the exact size, in Python integers: a wrapping product would say 0
         (lambda fields: {**fields, "count": 2**61}, f"expected {2**61 * 8 * 16}\n"),
+        # n_subsets must state the partition's length, not just be there
+        (lambda fields: {**fields, "n_subsets": "x"}, "codebook.bin: header field 'n_subsets'"),
+        (lambda fields: {**fields, "n_subsets": 7}, "header field 'n_subsets' must be 4"),
+        (lambda fields: {**fields, "n_subsets": None}, "header field 'n_subsets'"),
+        (lambda fields: {**fields, "n_subsets": 4.0}, "header field 'n_subsets'"),
+        (lambda fields: {k: v for k, v in fields.items() if k != "n_subsets"},
+         "header field 'n_subsets' must be 4, the number of subset sizes (got missing)"),
     ],
-    ids=["missing-count", "list-header", "null-subset-sizes", "nan-p-av", "huge-count"],
+    ids=["missing-count", "list-header", "null-subset-sizes", "nan-p-av", "huge-count",
+         "text-n-subsets", "wrong-n-subsets", "null-n-subsets", "float-n-subsets",
+         "missing-n-subsets"],
 )
 def test_bad_codebook_header_exits_2(tmp_path, capsys, edit, message):
     cfg_path = small_config(tmp_path)
@@ -422,10 +431,11 @@ def test_bad_codebook_header_exits_2(tmp_path, capsys, edit, message):
     run_cli("gen", "--config", cfg_path)
     rewrite_header(out / "codebook.bin", edit)
     capsys.readouterr()
-    assert run_cli("bounds", "--config", cfg_path, out / "codebook.bin") == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
-    assert len(err.strip().splitlines()) == 1
+    for command in ("bounds", "ccdf"):
+        assert run_cli(command, "--config", cfg_path, out / "codebook.bin") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_unitarity_drift_fails_closed(tmp_path, monkeypatch, capsys):
