@@ -374,7 +374,10 @@ def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: f
     q_adj = np.conj(np.swapaxes(q, -1, -2))
     eye = np.eye(q.shape[-1])
     a = eye - epsilon * (q_adj @ h) @ np.conj(np.swapaxes(q_adj @ c, -1, -2))
-    lam, f = np.linalg.eigh(a @ np.conj(np.swapaxes(a, -1, -2)))
+    gram = a @ np.conj(np.swapaxes(a, -1, -2))
+    if not np.isfinite(gram).all():  # eigh would fail on it; the step is far too large
+        raise RankDeficientUpdate(f"update overflows at epsilon = {epsilon:.3g}; reduce the step size epsilon")
+    lam, f = np.linalg.eigh(gram)
     _require_nonsingular(lam)
     z = (f * lam[..., np.newaxis, :] ** -0.5) @ np.conj(np.swapaxes(f, -1, -2)) @ a - eye
     step = (w @ q) @ z
@@ -577,14 +580,17 @@ def run(
         trace.append(TracePoint(state.iteration, r_value, max_step_norm, time.perf_counter() - started))
 
     checkpoint(0.0)
-    for _ in range(config.max_iters):
-        state, norms = step(state, codebook, basis, config)
-        if state.iteration % config.checkpoint_every == 0:
+    # An epsilon so large that a step overflows is refused (the polar
+    # steps' checks, or the drift guard on the non-finite W), not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.max_iters):
+            state, norms = step(state, codebook, basis, config)
+            if state.iteration % config.checkpoint_every == 0:
+                checkpoint(float(norms.max()))
+            if norms.max() <= config.stop_tol:
+                break
+        if trace[-1].iteration != state.iteration:
             checkpoint(float(norms.max()))
-        if norms.max() <= config.stop_tol:
-            break
-    if trace[-1].iteration != state.iteration:
-        checkpoint(float(norms.max()))
     return state, trace
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from kpoint_oracle import KPointPair
 from scipy.optimize import minimize_scalar
 
@@ -25,6 +27,7 @@ from paprbound.waveform import (
     db_to_linear,
     default_gamma_grid_db,
     empirical_ccdf,
+    peak_envelope_power,
     pmepr,
 )
 
@@ -260,6 +263,28 @@ def test_jensen_floor_with_white_subsets(k):
     for _ in range(20):
         ws = UnitarySet.random(3, k, rng)
         assert r_statistic(book, basis, ws) >= floor - 1e-6
+
+
+@given(
+    k=st.sampled_from([2, 3, 8, 16, 64]),
+    transform=st.booleans(),
+    gaussian=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_codeword_chain(k, transform, gaussian, seed):
+    # The chain behind every bound here, codeword by codeword:
+    # peak^2 <= K (2K - 1) / 2 * quartic_sum(W c).  The sampled peak at
+    # J = 32 lies below the continuous one, so it obeys the bound too.
+    rng = np.random.default_rng(seed)
+    if gaussian:
+        rows = rng.standard_normal((20, k)) + 1j * rng.standard_normal((20, k))
+    else:
+        rows = QamConstellation.square(16).points[rng.integers(0, 16, (20, k))]
+    rows[0] = 1.0  # the constant codeword: its peak K^2 lies on every grid
+    w = random_unitary(k, rng) if transform else np.eye(k)
+    peak = peak_envelope_power(rows @ w.T, 32)
+    quartic = quartic_sum(rows, build_basis(k), w)
+    assert np.all(peak**2 <= k * (2 * k - 1) / 2 * quartic * (1 + 1e-12))
 
 
 def test_bound_report_csv(tmp_path):

@@ -472,6 +472,29 @@ def test_unitarity_drift_fails_closed(tmp_path, monkeypatch, capsys):
     assert not (out / "unitaries.bin").exists()
 
 
+@given(
+    epsilon=st.floats(-6.0, 308.25).map(lambda e: 10.0**e),
+    mode=st.sampled_from(["stochastic", "batch"]),
+    projection=st.sampled_from(["symmetric_decorrelation", "gram_schmidt"]),
+)
+def test_optimize_never_writes_a_set_it_cannot_load(tmp_path_factory, epsilon, mode, projection):
+    # Exit 0 with a set that loads, or exit 3 with one line and no file.
+    tmp_path = tmp_path_factory.mktemp("optimize")
+    cfg_path = small_config(tmp_path, epsilon=epsilon, mode=mode, projection=projection,
+                            max_iters=20)
+    out = tmp_path / "run"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        run_cli("gen", "--config", cfg_path)
+        code = run_cli("optimize", "--config", cfg_path, out / "codebook.bin")
+    if code == EXIT_OK:
+        load_unitaries(out / "unitaries.bin")
+    else:
+        assert code == EXIT_NUMERICAL, err.getvalue()
+        assert err.getvalue().startswith("numerical failure: ") and err.getvalue().count("\n") == 1
+        assert not (out / "unitaries.bin").exists()
+
+
 def test_optimize_warns_when_r_rises(tmp_path, capsys):
     # The default epsilon = K^(-3/2) is too large at K=8: R ends above
     # its start.  The run still succeeds; only stderr says so.

@@ -363,9 +363,14 @@ def test_factored_polar_step_matches_symmetric_projection(k):
     # used: the whole subset (batch) or the one drawn from the (seed,
     # subset, iteration) stream (stochastic), for both projections.
     # Up to K = 64 the largest subsets span all of C^K (2m > K).  At
-    # K = 128 the check stops at m = 3: with m = 33 one batch update
-    # through the 2m x 2m eigendecomposition is ~3e-13 from an SVD polar
-    # factor and ~2e-12 from this dense oracle.
+    # K = 128 the check stops at m = 3.  With sizes (33,)*3 and
+    # (1, 3, 65) the first batch step from the Haar W is within 3.4e-14
+    # of the SVD polar factor U V* (this dense oracle: 1.1e-13), but at
+    # this epsilon the steps are 6-11 in norm, and by the third step
+    # W - eps * delta_w has condition number 1.8e3 and 1.1e4: the
+    # symmetric path then lies 1.8e-12 and 2.5e-11 from U V* (the
+    # oracle 6.0e-13 and 5.3e-12).  The error follows the conditioning,
+    # not m, and neither reference holds to 1e-12 there.
     const = QamConstellation.square(16)
     basis = build_basis(k)
     rng = np.random.default_rng(k)
@@ -528,6 +533,37 @@ def test_random_steps_stay_unitary(mode, projection, k, sizes, steps, seed):
     state, _ = run(book, basis, cfg, UnitarySet.random(book.n_subsets, k, rng))
     assert state.iteration == steps
     assert state.unitarity_error() <= 1e-12
+
+
+@given(
+    mode=st.sampled_from(MODES),
+    projection=st.sampled_from(PROJECTIONS),
+    k=st.sampled_from([2, 4, 8]),
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+    epsilon=st.floats(-6.0, 308.25).map(lambda e: 10.0**e),  # up to 1.8e308
+    seed=st.integers(0, 2**32 - 1),
+)
+# A @ A* overflows in the 2m x 2m polar step, which eigh cannot take.
+@example(mode="batch", projection="symmetric_decorrelation", k=4, sizes=(3, 3), epsilon=1e200, seed=0)
+@example(mode="stochastic", projection="gram_schmidt", k=8, sizes=(2, 2), epsilon=1.7e308, seed=0)
+def test_no_run_leaves_a_set_its_loader_rejects(tmp_path_factory, mode, projection, k, sizes,
+                                                epsilon, seed):
+    # Any finite step size: the run either refuses it with
+    # RankDeficientUpdate (an overflowing step included, with no
+    # RuntimeWarning) or returns a set that saves and loads back.
+    const = QamConstellation.square(16)
+    rng = np.random.default_rng(seed)
+    symbols = const.points[rng.integers(0, 16, (sum(sizes), k))]
+    book = Codebook(symbols=symbols, subset_sizes=sizes, p_av=float(np.mean(np.abs(symbols) ** 2) * k))
+    cfg = OptimizerConfig(epsilon=epsilon, max_iters=12, stop_tol=0.0, checkpoint_every=5,
+                          projection=projection, mode=mode, seed=seed)
+    try:
+        state, _ = run(book, build_basis(k), cfg)
+    except RankDeficientUpdate:
+        return
+    path = tmp_path_factory.mktemp("run") / "unitaries.bin"
+    save_unitaries(state, path)
+    np.testing.assert_array_equal(load_unitaries(path).matrices, state.matrices)
 
 
 def test_rank_deficiency_raises_in_stochastic_mode():

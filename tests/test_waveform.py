@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from paprbound.core import QamConstellation, generate_codebook
 from paprbound.optimizer import UnitarySet
@@ -158,6 +160,31 @@ def test_ccdf_curve_validation_and_csv(tmp_path):
     assert path.read_bytes() == (
         b"gamma_db,gamma_linear,ccdf,n_samples\r\n-inf,0,1,4\r\n0,1,0.5,4\r\n10,10,0,4\r\n"
     )
+
+
+@given(
+    k=st.sampled_from([2, 4, 16, 64]),
+    oversampling=st.sampled_from([1, 2, 3, 4, 8, 16]),
+    gaussian=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_oversampling_sandwich(k, oversampling, gaussian, seed):
+    # The J grid is a subset of the 4J grid, so peak_J <= peak_4J up to
+    # rounding.  For J >= 2 the sampling bound for a trigonometric
+    # polynomial of degree < K on J K points (Sharif, Gharavi-Alkhansari
+    # and Khalaj, IEEE Trans. Commun. 51(1), 2003) caps the continuous
+    # peak, and so peak_4J, at peak_J / cos^2(pi / 2J).
+    rng = np.random.default_rng(seed)
+    if gaussian:
+        rows = rng.standard_normal((20, k)) + 1j * rng.standard_normal((20, k))
+    else:
+        rows = QamConstellation.square(16).points[rng.integers(0, 16, (20, k))]
+    rows[0] = 1.0  # the constant codeword peaks on every grid, at t = 0
+    peak = peak_envelope_power(rows, oversampling)
+    finer = peak_envelope_power(rows, 4 * oversampling)
+    assert np.all(peak <= finer * (1 + 1e-12))
+    if oversampling >= 2:
+        assert np.all(finer <= peak / np.cos(np.pi / (2 * oversampling)) ** 2)
 
 
 def test_default_gamma_grid():
