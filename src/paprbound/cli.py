@@ -345,14 +345,14 @@ def cmd_optimize(args) -> int:
     trace_path = out_dir / "optimize_trace.csv"
     write_table(trace_path, ["iteration", "r_value", "max_step_norm"],
                 ((p.iteration, p.r_value, p.max_step_norm) for p in trace))
-    code = _finish(args, cfg, out_dir, started, [target, trace_path],
-                   f"iteration {state.iteration}, R {trace[0].r_value:.6g} -> "
-                   f"{trace[-1].r_value:.6g}; wrote {target}")
+    _finish(args, cfg, out_dir, started, [target, trace_path],
+            f"iteration {state.iteration}, R {trace[0].r_value:.6g} -> "
+            f"{trace[-1].r_value:.6g}; wrote {target}")
     if trace[-1].r_value > trace[0].r_value:
         print(f"warning: R rose from {trace[0].r_value:.6g} to {trace[-1].r_value:.6g}; "
               f"epsilon = {opt_cfg.resolved_epsilon(basis.size):.3g} is likely too large "
               f"for K = {basis.size}", file=sys.stderr)
-    return code
+    return EXIT_OK
 
 
 def cmd_ccdf(args) -> int:
@@ -468,47 +468,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser):
+    def command(name: str, func, text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output directory (default: config out_dir)")
         p.add_argument("--record-timing", action="store_true",
                        help="record wall-clock data in the manifest (breaks byte-identity)")
+        return p
 
-    p = sub.add_parser("gen", help="generate a codebook file")
-    common(p)
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("bounds", help="evaluate CCDF bounds for a codebook")
-    common(p)
+    command("gen", cmd_gen, "generate a codebook file")
+    p = command("bounds", cmd_bounds, "evaluate CCDF bounds for a codebook")
     p.add_argument("codebook", help="codebook file from 'gen'")
     p.add_argument("--unitaries", default=None, help="unitary-set file from 'optimize'")
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("optimize", help="fit the unitary set")
-    common(p)
+    p = command("optimize", cmd_optimize, "fit the unitary set")
     p.add_argument("codebook", help="codebook file from 'gen'")
     p.add_argument("--resume", default=None, help="unitary-set file to continue from")
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("ccdf", help="measure the empirical PMEPR CCDF")
-    common(p)
+    p = command("ccdf", cmd_ccdf, "measure the empirical PMEPR CCDF")
     p.add_argument("codebook", help="codebook file from 'gen'")
     p.add_argument("--unitaries", default=None, help="unitary-set file from 'optimize'")
-    p.set_defaults(func=cmd_ccdf)
-
-    p = sub.add_parser("ber", help="Monte Carlo bit error rates over the link")
-    common(p)
+    p = command("ber", cmd_ber, "Monte Carlo bit error rates over the link")
     p.add_argument("codebook", help="codebook file from 'gen'")
     p.add_argument("--unitaries", default=None, help="unitary-set file (identity if omitted)")
-    p.set_defaults(func=cmd_ber)
-
-    p = sub.add_parser("verify", help="run the invariant suite against artifacts")
-    common(p)
+    p = command("verify", cmd_verify, "run the invariant suite against artifacts")
     p.add_argument("codebook", nargs="?", default=None, help="codebook file to check")
     p.add_argument("--unitaries", default=None, help="unitary-set file to check")
-    p.set_defaults(func=cmd_verify)
-
     return parser
 
 

@@ -1,4 +1,6 @@
-"""Constellations, codebooks, and deterministic codebook generation.
+"""Constellations, codebooks, deterministic codebook generation, and
+the file codecs: ``write_artifact``/``read_artifact`` for binary
+artifacts, ``write_table``/``write_json`` for every text artifact.
 
 A codeword is a length-K complex vector of subcarrier symbols (symbol
 duration normalized to 1).  A codebook is a stack of codewords together

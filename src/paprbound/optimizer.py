@@ -580,8 +580,7 @@ def run(
         trace.append(TracePoint(state.iteration, r_value, max_step_norm, time.perf_counter() - started))
 
     checkpoint(0.0)
-    # An epsilon so large that a step overflows is refused (the polar
-    # steps' checks, or the drift guard on the non-finite W), not warned about.
+    # A step that overflows is refused by the polar checks or the drift guard, with no warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.max_iters):
             state, norms = step(state, codebook, basis, config)
