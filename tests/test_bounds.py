@@ -303,9 +303,6 @@ def test_bound_report_csv(tmp_path):
     # validity flag consistent with the threshold
     threshold = np.sqrt(report.r_value) / book.p_av
     np.testing.assert_array_equal(report.hoeffding_valid, report.gamma > threshold)
-
-
-def test_bound_report_bytes(tmp_path):
     # The exact text: csv rows ending in \r\n, 17-digit floats, true/false
     # flags, and an invalid Hoeffding point written as nan whatever the
     # array holds there; the sidecar is sorted two-space JSON.
@@ -314,8 +311,8 @@ def test_bound_report_bytes(tmp_path):
         hoeffding=np.array([0.75, 0.5, 1e-300]), hoeffding_valid=np.array([False, True, True]),
         r_value=2.5, a=0.5, b=12.0, p_av=1.0, k_carriers=8, n_subsets=4,
     )
-    report.write_csv(tmp_path / "bounds.csv")
-    assert (tmp_path / "bounds.csv").read_bytes() == (
+    report.write_csv(path)
+    assert path.read_bytes() == (
         b"gamma_db,markov,hoeffding,hoeffding_valid\r\n"
         b"0,2.5,nan,false\r\n"
         b"10,0.025000000000000001,0.5,true\r\n"

@@ -223,6 +223,13 @@ def test_optimize_trace_and_resume(tmp_path):
     assert trace_rows[0] == "iteration,r_value,max_step_norm"
     assert trace_rows[1].startswith("0,")
     assert trace_rows[-1].startswith("40,")
+    # The exact text: the iteration in decimal, R and the step norm with
+    # 17 significant digits, csv's \r\n row ends.
+    _, trace = run(load_codebook(out / "codebook.bin"), build_basis(8), load_config(cfg_path).optimizer())
+    rows = [f"{p.iteration},{p.r_value:.17g},{p.max_step_norm:.17g}\r\n" for p in trace]
+    expected = "iteration,r_value,max_step_norm\r\n" + "".join(rows)
+    assert (out / "optimize_trace.csv").read_bytes() == expected.encode()
+    assert rows[0].endswith(",0\r\n") and len(rows) == 5
 
     # two-stage resume reproduces the single-shot trajectory bit for bit
     cfg_half = small_config(tmp_path, max_iters=20)
@@ -363,10 +370,7 @@ def test_manifests_have_no_timing_by_default(tmp_path):
     run_cli("gen", "--config", cfg_path, "--out", timed, "--record-timing")
     manifest = json.loads((timed / "gen.manifest.json").read_text())
     assert manifest["created_utc"] is not None and manifest["elapsed_s"] > 0
-
-
-def test_manifest_bytes(tmp_path):
-    # Sorted two-space JSON with a final newline; no timing unless asked.
+    # The exact text: sorted two-space JSON with a final newline.
     (tmp_path / "x.bin").write_bytes(b"abc")
     path = write_manifest(tmp_path, "gen", "f" * 64, [tmp_path / "x.bin"], False, 1.5)
     assert path == tmp_path / "gen.manifest.json"
@@ -377,21 +381,6 @@ def test_manifest_bytes(tmp_path):
         b'      "sha256": "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"\n'
         b'    }\n  },\n  "format": "paprbound/manifest",\n  "version": 1\n}\n'
     ) % (paprbound.__version__.encode(), b"f" * 64)
-
-
-def test_optimize_trace_bytes(tmp_path):
-    # One row per checkpoint: the iteration in decimal, R and the step
-    # norm with 17 significant digits, csv's \r\n row ends.
-    cfg_path = small_config(tmp_path)
-    out = tmp_path / "run"
-    run_cli("gen", "--config", cfg_path)
-    run_cli("optimize", "--config", cfg_path, out / "codebook.bin")
-    book = load_codebook(out / "codebook.bin")
-    _, trace = run(book, build_basis(book.k_carriers), load_config(cfg_path).optimizer())
-    rows = [f"{p.iteration},{p.r_value:.17g},{p.max_step_norm:.17g}\r\n" for p in trace]
-    expected = "iteration,r_value,max_step_norm\r\n" + "".join(rows)
-    assert (out / "optimize_trace.csv").read_bytes() == expected.encode()
-    assert rows[0].endswith(",0\r\n") and len(rows) == 5
 
 
 def rewrite_header(path, edit):
