@@ -229,7 +229,9 @@ def ber_sweep(
         raise ValueError("unitary set does not match the codebook")
     tx_indices = constellation.demap(codebook.symbols)
     exact = constellation.points[tx_indices]
-    if not np.allclose(exact, codebook.symbols, atol=1e-9):
+    # Exact equality, the usual case, is cheap; allclose only when it fails.
+    if not (np.array_equal(exact, codebook.symbols)
+            or np.allclose(exact, codebook.symbols, atol=1e-9)):
         raise ValueError("codebook symbols are not points of the given constellation")
     popcount = np.array([bin(x).count("1") for x in range(constellation.order)])
     boundaries = np.cumsum((0,) + codebook.subset_sizes)

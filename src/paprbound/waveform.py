@@ -1,4 +1,12 @@
-"""Oversampled baseband synthesis, PMEPR measurement, and empirical CCDF."""
+"""Oversampled baseband synthesis, PMEPR measurement, and empirical CCDF.
+
+The envelope power |s(t)|^2 of a length-K codeword is a real
+trigonometric polynomial with frequencies -(K-1) .. K-1, 2K - 1 of
+them, all distinct modulo 2K.  So its samples on the 2K-point grid fix
+it exactly, and the power on any finer J-point-per-carrier grid is a
+real upsampling of those 2K samples: ``peak_envelope_power`` runs one
+2K-point synthesis per codeword, not a complex J K-point one.
+"""
 
 from __future__ import annotations
 
@@ -10,9 +18,10 @@ import numpy as np
 from .core import Codebook, read_table, transformed_subsets, write_table
 
 PMEPR_OVERSAMPLING_DEFAULT = 16
-# Oversampled samples per chunk in ``peak_envelope_power``: one chunk's
-# buffers stay in cache, and memory no longer grows with the batch.
-_CHUNK_SAMPLES = 1 << 16
+# J-grid samples per chunk in ``peak_envelope_power``: one chunk's
+# buffers (1 MB of real J-grid power) stay in cache, and memory does
+# not grow with the batch.
+_CHUNK_SAMPLES = 1 << 17
 
 
 def db_to_linear(x):
@@ -48,9 +57,14 @@ def baseband_samples(c: np.ndarray, oversampling: int = 1) -> np.ndarray:
 def peak_envelope_power(c: np.ndarray, oversampling: int = PMEPR_OVERSAMPLING_DEFAULT):
     """max_i |s(t_i)|^2 over the J-oversampled grid (per codeword).
 
+    For J <= 2 the grid is synthesised directly.  For J >= 3 the power
+    p is taken on the 2K-point grid, where it is exact: |s(t)|^2 has no
+    frequency beyond K - 1, so the first K bins of the 2K-point real
+    FFT of p are its whole spectrum (bin K is zero) and a J K-point
+    inverse real FFT of them gives the power on the J grid.
+
     Works through the codewords in chunks of about ``_CHUNK_SAMPLES``
-    oversampled samples with one reused zero-padded buffer, so memory
-    stays bounded whatever the batch size.
+    J-grid samples, so memory stays bounded whatever the batch size.
     """
     if oversampling < 1:
         raise ValueError("oversampling must be >= 1")
@@ -60,15 +74,14 @@ def peak_envelope_power(c: np.ndarray, oversampling: int = PMEPR_OVERSAMPLING_DE
     rows = x.reshape(-1, k)
     peaks = np.empty(rows.shape[0])
     step = max(1, _CHUNK_SAMPLES // n)
-    padded = np.zeros((min(step, rows.shape[0]), n), dtype=np.complex128)
     for start in range(0, rows.shape[0], step):
-        chunk = rows[start : start + step]
-        m = chunk.shape[0]
-        padded[:m, :k] = chunk
-        s = np.fft.ifft(padded[:m], axis=-1, norm="forward")
+        s = baseband_samples(rows[start : start + step], min(oversampling, 2))
         power = np.square(s.real)
         power += np.square(s.imag)
-        power.max(axis=-1, out=peaks[start : start + m])
+        if oversampling > 2:
+            spectrum = np.fft.rfft(power, axis=-1, norm="forward")[:, :k]
+            power = np.fft.irfft(spectrum, n=n, axis=-1, norm="forward")
+        power.max(axis=-1, out=peaks[start : start + s.shape[0]])
     return peaks.reshape(x.shape[:-1])[()]
 
 

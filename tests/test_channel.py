@@ -402,3 +402,18 @@ def test_link_config_validation():
         LinkConfig(ebn0_db=(np.inf,))
     with pytest.raises(ValueError):
         LinkConfig(ebn0_db=(4.0,), oversampling=0)
+
+
+def test_ber_sweep_accepts_symbols_near_the_points_only():
+    # Symbols 1e-12 off the constellation are accepted, 1e-3 off are not.
+    const = QamConstellation.square(16)
+    book = generate_codebook(const, 8, 16, 2, seed=1)
+    link = LinkConfig(ebn0_db=(10.0,))
+    for offset, accepted in ((1e-12, True), (1e-3, False)):
+        symbols = book.symbols + offset
+        shifted = Codebook(symbols, book.subset_sizes, float(np.mean(np.abs(symbols) ** 2) * 8))
+        if accepted:
+            ber_sweep(shifted, const, UnitarySet.identity(2, 8), link, max_symbols=64)
+        else:
+            with pytest.raises(ValueError, match="not points"):
+                ber_sweep(shifted, const, UnitarySet.identity(2, 8), link, max_symbols=64)

@@ -461,6 +461,41 @@ def test_unitarity_drift_fails_closed(tmp_path, monkeypatch, capsys):
     assert not (out / "unitaries.bin").exists()
 
 
+@pytest.mark.parametrize("target, command", [("bound_report", "bounds"), ("run", "optimize")])
+def test_linalg_error_is_a_numerical_failure(tmp_path, monkeypatch, capsys, target, command):
+    # LinAlgError subclasses ValueError; it still exits 3, not 2.
+    from paprbound import cli
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    cfg_path = small_config(tmp_path)
+    out = tmp_path / "run"
+    assert run_cli("gen", "--config", cfg_path) == EXIT_OK
+    monkeypatch.setattr(cli, target, fail)
+    capsys.readouterr()
+    assert run_cli(command, "--config", cfg_path, out / "codebook.bin") == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err == "numerical failure: Eigenvalues did not converge\n"
+
+
+def test_consecutive_calls_parse_independently(tmp_path):
+    # The parser is built once; no option of one call reaches the next.
+    from paprbound.cli import build_parser
+
+    assert build_parser() is build_parser()
+    cfg_path = small_config(tmp_path)
+    cfg = load_config(cfg_path)
+    assert run_cli("gen", "--config", cfg_path, "--seed", 5, "--out", tmp_path / "a") == EXIT_OK
+    assert run_cli("bounds", "--config", cfg_path, tmp_path / "a" / "codebook.bin",
+                   "--out", tmp_path / "b") == EXIT_OK
+    assert run_cli("gen", "--config", cfg_path) == EXIT_OK
+    assert load_codebook(tmp_path / "a" / "codebook.bin").seed == 5
+    manifest = json.loads((tmp_path / "b" / "bounds.manifest.json").read_text())
+    assert manifest["config_hash"] == config_hash(cfg)
+    assert load_codebook(tmp_path / "run" / "codebook.bin").seed == cfg.seed == 77
+
+
 @given(
     epsilon=st.floats(-6.0, 308.25).map(lambda e: 10.0**e),
     mode=st.sampled_from(["stochastic", "batch"]),

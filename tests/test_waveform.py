@@ -212,6 +212,29 @@ def test_chunked_peak_power_matches_unchunked_oracle(k, j):
         assert np.all(np.abs(fast - oracle) <= 1e-12 * oracle), shape
 
 
+@given(
+    k=st.integers(2, 256),
+    oversampling=st.integers(1, 32),
+    gaussian=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_upsampled_peak_power_matches_zero_padded_oracle(k, oversampling, gaussian, seed):
+    # The J-grid power upsampled from the 2K grid against one complex
+    # J K-point transform per codeword, for odd and even K and J.
+    rng = np.random.default_rng(seed)
+    if gaussian:
+        rows = rng.standard_normal((6, k)) + 1j * rng.standard_normal((6, k))
+    else:
+        rows = QamConstellation.square(16).points[rng.integers(0, 16, (6, k))]
+    rows[0] = 0.0  # no power anywhere
+    rows[1] = 1.0  # peak K^2 at t = 0
+    peak = peak_envelope_power(rows, oversampling)
+    oracle = reference_peak_envelope_power(rows, oversampling)
+    assert peak[0] == 0.0
+    assert abs(peak[1] - k**2) <= 1e-12 * k**2
+    assert np.all(np.abs(peak - oracle) <= 1e-12 * oracle)
+
+
 @pytest.mark.parametrize("k, j", [(16, 1), (128, 16), (12, 3), (100, 4)])
 def test_forward_normalized_baseband_matches_scaled_ifft(k, j):
     c = random_rows((5, k), seed=k + j)
