@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -165,15 +166,16 @@ class Codebook:
             raise ValueError("symbols must be a non-empty (count, K) array")
         if sym.shape[1] < 2:
             raise ValueError("carrier count K must be at least 2")
-        if not np.all(np.isfinite(sym.view(np.float64))):
+        # One pass gives p_av; only when it is not finite are the entries
+        # checked one by one (a huge but finite symbol gives inf: a mismatch).
+        p_av = float(np.vdot(sym, sym).real) / sym.shape[0]
+        if not np.isfinite(p_av) and not np.all(np.isfinite(sym.view(np.float64))):
             raise ValueError("codebook contains non-finite entries")
         object.__setattr__(self, "symbols", sym)
         sizes = tuple(int(s) for s in self.subset_sizes)
         if any(s <= 0 for s in sizes) or sum(sizes) != sym.shape[0]:
             raise ValueError("subset sizes must be positive and sum to the codebook size")
         object.__setattr__(self, "subset_sizes", sizes)
-        with np.errstate(over="ignore"):  # a huge symbol gives p_av = inf: a mismatch
-            p_av = float(np.mean(np.abs(sym) ** 2) * sym.shape[1])
         if not abs(p_av - self.p_av) <= 1e-12 * max(1.0, self.p_av):
             raise ValueError("stored p_av does not match the codewords")
         if p_av <= 0:
@@ -341,7 +343,7 @@ def write_artifact(path: str | Path, file_format: str, version: int, header: dic
     with open(path, "wb") as fh:
         fh.write(json.dumps(fields, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(np.asarray(values, dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(values, dtype="<c16"))
 
 
 def _bad_field(path, header: dict, key: str, what: str) -> ValueError:
@@ -362,26 +364,30 @@ def read_artifact(path: str | Path, file_format: str, version: int, fields: dict
     kind = file_format.split("/")[-1]
     with open(path, "rb") as fh:
         header_line = fh.readline()
-        raw = fh.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: not a {kind} file ({exc})") from exc
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: not a {kind} file (header is not a JSON object)")
-    if header.get("format") != file_format:
-        raise ValueError(f"{path}: unexpected format {header.get('format')!r}")
-    if header.get("version") != version:
-        raise ValueError(f"{path}: unsupported version {header.get('version')!r}")
-    for key, (what, valid) in fields.items():
-        if not valid(header.get(key)):
-            raise _bad_field(path, header, key, what)
-    dims = [header[key] for key in shape]
-    expected = math.prod(dims) * 16  # Python ints: a huge header cannot wrap
-    if len(raw) != expected:
-        raise ValueError(f"{path}: payload is {len(raw)} bytes, expected {expected}")
-    pairs = np.frombuffer(raw, dtype="<f8").reshape(*dims, 2)
-    return header, pairs[..., 0] + 1j * pairs[..., 1]
+        try:
+            header = json.loads(header_line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: not a {kind} file ({exc})") from exc
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: not a {kind} file (header is not a JSON object)")
+        if header.get("format") != file_format:
+            raise ValueError(f"{path}: unexpected format {header.get('format')!r}")
+        if header.get("version") != version:
+            raise ValueError(f"{path}: unsupported version {header.get('version')!r}")
+        for key, (what, valid) in fields.items():
+            if not valid(header.get(key)):
+                raise _bad_field(path, header, key, what)
+        dims = [header[key] for key in shape]
+        expected = math.prod(dims) * 16  # Python ints: a huge header cannot wrap
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size == expected:
+            # The (re, im) float64 pairs are the bytes of a little-endian
+            # complex128 array: read them straight into one.
+            values = np.empty(dims, dtype="<c16")
+            size = fh.readinto(values)
+    if size != expected:
+        raise ValueError(f"{path}: payload is {size} bytes, expected {expected}")
+    return header, values
 
 
 def save_codebook(codebook: Codebook, path: str | Path) -> None:

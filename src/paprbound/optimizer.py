@@ -21,22 +21,20 @@ oracle test against the installed numpy is what detects a divergence.
 Both projections share one path: a step hands each stacked chunk of
 subsets' gradient rows and W to its projection's update in
 ``_PROJECTORS`` (for Gram-Schmidt, one stacked QR).  The
-symmetric-decorrelation update never forms a K x K eigenproblem: an
-update from m codewords is W (I - eps H C*) with H = W* G, which
-differs from W only on the span of [H, C] (rank <= 2m), so the polar
-factor needs one 2m x 2m eigendecomposition and O(K^2 m) products,
-O(K^2) per subset in a stochastic step.  With one codeword c per subset
-(every stochastic step) the 2 x 2 factor has a closed form in array
-arithmetic, with no QR or LAPACK call (``_rank_one_polar``).  There the
-update is [[alpha, beta], [0, 1]] with alpha = 1 - eps quartic_sum(W c),
-so a step turns a direction around (norm 2) exactly when
-eps quartic_sum(W c) > 1.  The closed form departs from the
-eigendecomposition in the last bits (2.8e-14 in W, 6e-15 in R over the
-default 20 000-step run at K=128).  The correction multiplies W on the
-right, which carries rounding error in W forward instead of amplifying
-it; no periodic re-projection is needed.  ``run`` still checks the
-unitarity error at every checkpoint and fails closed past
-``UNITARITY_TOL``.
+symmetric-decorrelation update from m codewords is W U V*, where
+U S V* is the SVD of A = I - eps H C* with H = W* G: one stacked
+K x K SVD per chunk, which does not square the condition number of
+W - eps G C* as an eigendecomposition of A A* would.  With one codeword
+c per subset (every stochastic step) A differs from I on span[h, c]
+only, and the 2 x 2 factor there has a closed form in array arithmetic,
+with no LAPACK call and O(K^2) work per subset (``_rank_one_polar``).
+There the update is [[alpha, beta], [0, 1]] with
+alpha = 1 - eps quartic_sum(W c), so a step turns a direction around
+(norm 2) exactly when eps quartic_sum(W c) > 1.  The correction
+multiplies W on the right, which carries rounding error in W forward
+instead of amplifying it; no periodic re-projection is needed.  ``run``
+still checks the unitarity error at every checkpoint and fails closed
+past ``UNITARITY_TOL``.
 """
 
 from __future__ import annotations
@@ -349,13 +347,12 @@ def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: f
     ``w`` is (N, K, K); ``rows`` and ``grads`` are (N, m, K) codeword
     and gradient rows, so G C* is the unscaled descent direction of the
     m codewords, and ``wc`` is ``rows @ W^T`` if the caller has it.
-    With H = W* G the update is W (I - epsilon H C*), and
-    I - epsilon H C* differs from I only on span[H, C].  On an
-    orthonormal basis Q of that span (rank r <= 2m) it is
-    A = I_r - epsilon (Q* H)(Q* C)*, so the polar factor is
-    W + (W Q) Z Q* with Z = (A A*)^{-1/2} A - I_r: an r x r
-    eigendecomposition and O(K^2 m) products per subset.  For m = 1 Z
-    has a closed form (``_rank_one_polar``).
+    With H = W* G the update is W A with A = I - epsilon H C*, and its
+    polar factor is W U V* for the SVD A = U S V* (N. J. Higham,
+    "Computing the polar decomposition -- with applications", SIAM J.
+    Sci. Stat. Comput. 7(4), 1986).  The singular values of A are those
+    of W - epsilon G C*, and S^2 are the eigenvalues of A A*.  For m = 1
+    the update has a closed form (``_rank_one_polar``).
 
     The unitary correction multiplies W on the right, so rounding in W
     is carried, not amplified.  (The left form (I + M)^{-1/2} W' relies
@@ -363,27 +360,19 @@ def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: f
     update turns singular.)
 
     Writes the new stack into ``out`` (same shape as ``w``, not
-    overlapping it) and returns the step norms ||W' - W||_F = ||W Q Z||_F.
+    overlapping it) and returns the step norms ||W' - W||_F.
     """
     if rows.shape[-2] == 1:
         wc = rows @ np.swapaxes(w, -1, -2) if wc is None else wc
         return _rank_one_polar(w, rows, grads, epsilon, out, wc)
-    c = np.swapaxes(rows, -1, -2)
     h = np.conj(np.swapaxes(grads.conj() @ w, -1, -2))
-    q, _ = np.linalg.qr(np.concatenate([h, c], axis=-1))
-    q_adj = np.conj(np.swapaxes(q, -1, -2))
-    eye = np.eye(q.shape[-1])
-    a = eye - epsilon * (q_adj @ h) @ np.conj(np.swapaxes(q_adj @ c, -1, -2))
-    gram = a @ np.conj(np.swapaxes(a, -1, -2))
-    if not np.isfinite(gram).all():  # eigh would fail on it; the step is far too large
+    a = np.eye(w.shape[-1]) - epsilon * (h @ rows.conj())
+    if not np.isfinite(a).all():  # the SVD would fail on it; the step is far too large
         raise RankDeficientUpdate(f"update overflows at epsilon = {epsilon:.3g}; reduce the step size epsilon")
-    lam, f = np.linalg.eigh(gram)
-    _require_nonsingular(lam)
-    z = (f * lam[..., np.newaxis, :] ** -0.5) @ np.conj(np.swapaxes(f, -1, -2)) @ a - eye
-    step = (w @ q) @ z
-    np.matmul(step, q_adj, out=out)
-    out += w
-    return np.linalg.norm(step, axis=(1, 2))
+    u, s, vh = np.linalg.svd(a)
+    _require_nonsingular(s**2)
+    np.matmul(w, u @ vh, out=out)
+    return np.linalg.norm(out - w, axis=(1, 2))
 
 
 def _rank_one_polar(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: float, out: np.ndarray,

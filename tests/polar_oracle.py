@@ -1,11 +1,13 @@
-"""Dense references for the optimizer's factored steps, kept as test oracles.
+"""Dense references for the optimizer's steps, kept as test oracles.
 
-The package never forms the K x K descent direction or a K x K polar
-factor: a step works on the span of the gradient and codeword rows.
-These two functions are the dense forms that the factored updates are
-checked against: a step from codewords C must equal
-``project_symmetric(W - eps * delta_w(C, W, basis))`` (symmetric
-decorrelation) or ``project_gram_schmidt`` of the same matrix.
+The package never forms the K x K descent direction, and its one-codeword
+symmetric step works on the span of the gradient and codeword rows.
+These functions are the dense forms that the steps are checked against:
+a step from codewords C must equal the unitary polar factor of
+W - eps * delta_w(C, W, basis) (symmetric decorrelation), computed here
+as ``polar_factor`` (U V* from an SVD) or ``project_symmetric``
+((W W*)^{-1/2} W from an eigendecomposition, which squares the condition
+number), or ``project_gram_schmidt`` of the same matrix.
 """
 
 import numpy as np
@@ -45,3 +47,9 @@ def project_symmetric(w: np.ndarray) -> np.ndarray:
     lam, f = np.linalg.eigh(h)
     _require_nonsingular(lam)
     return (f * lam[..., np.newaxis, :] ** -0.5) @ np.conj(np.swapaxes(f, -1, -2)) @ w
+
+
+def polar_factor(w: np.ndarray) -> np.ndarray:
+    """Unitary polar factor U V* of W = U S V*, for one matrix or a stack."""
+    u, _, vh = np.linalg.svd(w)
+    return u @ vh

@@ -296,6 +296,24 @@ def test_non_finite_config_never_runs(tmp_path, capsys):
     assert sorted(path.name for path in out.iterdir()) == ["codebook.bin", "gen.manifest.json"]
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("gen", {"codebook_size": 10**13}),
+    ("ccdf", {"j_ccdf": 10**14}),
+    ("ber", {"j_ber": 10**12}),
+])
+def test_oversized_config_fails_closed(tmp_path, capsys, command, overrides):
+    # Each size asks numpy for one array of hundreds of TiB or more, past
+    # any address space, which it refuses before touching memory.
+    out = tmp_path / "run"
+    assert run_cli("gen", "--config", small_config(tmp_path)) == EXIT_OK
+    capsys.readouterr()
+    bad = small_config(tmp_path, **overrides)
+    argv = ("--config", bad) if command == "gen" else ("--config", bad, out / "codebook.bin")
+    assert run_cli(command, *argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
+
+
 def test_exit_codes(tmp_path):
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text('{"version": 1, "mystery": true}')

@@ -157,6 +157,15 @@ def test_codebook_file_roundtrip(tmp_path):
     save_codebook(again, tmp_path / "book2.bin")
     assert (tmp_path / "book.bin").read_bytes() == (tmp_path / "book2.bin").read_bytes()
 
+    # Signed zeros survive the round trip, bit for bit.
+    symbols = book.symbols.copy()
+    symbols[0, :3] = [complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.0)]
+    signed = Codebook.from_symbols(symbols, 4)
+    save_codebook(signed, path)
+    again = load_codebook(path)
+    assert again.symbols.tobytes() == symbols.tobytes()
+    assert again.symbols.flags.writeable
+
 
 def test_codebook_file_corruption_detected(tmp_path):
     const = QamConstellation.square(16)

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import example, given
 from hypothesis import strategies as st
 from kpoint_oracle import KPointPair
-from polar_oracle import delta_w, project_symmetric
+from polar_oracle import delta_w, polar_factor, project_symmetric
 
 from paprbound.bounds import r_statistic
 from paprbound.core import Codebook, QamConstellation, generate_codebook
@@ -139,6 +139,7 @@ def test_symmetric_projection():
     np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-10)
     polar_u, _ = scipy.linalg.polar(m)
     assert np.abs(u - polar_u).max() < 1e-9
+    assert np.abs(polar_factor(m) - polar_u).max() < 1e-12
     np.testing.assert_allclose(project_symmetric(u), u, atol=1e-10)  # idempotent
     stack = np.stack([m, 2.0 * m, random_matrix(8, np.random.default_rng(8))])
     np.testing.assert_allclose(
@@ -359,30 +360,28 @@ def small_step(book, basis, fraction=0.1):
 
 @pytest.mark.parametrize("k", [2, 4, 8, 16, 64, 128])
 def test_factored_polar_step_matches_symmetric_projection(k):
-    # Each step must equal project(W - eps * delta_w) of the codewords it
-    # used: the whole subset (batch) or the one drawn from the (seed,
-    # subset, iteration) stream (stochastic), for both projections.
-    # Up to K = 64 the largest subsets span all of C^K (2m > K).  At
-    # K = 128 the check stops at m = 3.  With sizes (33,)*3 and
-    # (1, 3, 65) the first batch step from the Haar W is within 3.4e-14
-    # of the SVD polar factor U V* (this dense oracle: 1.1e-13), but at
-    # this epsilon the steps are 6-11 in norm, and by the third step
-    # W - eps * delta_w has condition number 1.8e3 and 1.1e4: the
-    # symmetric path then lies 1.8e-12 and 2.5e-11 from U V* (the
-    # oracle 6.0e-13 and 5.3e-12).  The error follows the conditioning,
-    # not m, and neither reference holds to 1e-12 there.
+    # Each step must equal the projection of W - eps * delta_w of the
+    # codewords it used: the whole subset (batch) or the one drawn from
+    # the (seed, subset, iteration) stream (stochastic), for both
+    # projections.  The symmetric reference is U V* from an SVD.  The
+    # largest subsets span all of C^K (2m > K).  At this epsilon the
+    # steps are large, and by the third step at K = 128 W - eps * delta_w
+    # has condition number up to 2.9e3.  The batch steps lie within
+    # 2.7e-15 of U V* there, with unitarity error <= 6.2e-14; an update
+    # through the eigendecomposition of A A*, which squares that number,
+    # lay 3.7e-12 away, with unitarity error 1.6e-10.
     const = QamConstellation.square(16)
     basis = build_basis(k)
     rng = np.random.default_rng(k)
-    large = [(k // 2 + 1,) * 3, (1, 3, k // 2 + 1)] if k <= 64 else [(1, 3, 3)]
-    for sizes in [(1, 1, 1), (3, 3, 3)] + large:
+    eye = np.eye(k)
+    for sizes in [(1, 1, 1), (3, 3, 3), (k // 2 + 1,) * 3, (1, 3, k // 2 + 1)]:
         symbols = const.points[rng.integers(0, 16, (sum(sizes), k))]
         book = Codebook(symbols=symbols, subset_sizes=sizes,
                         p_av=float(np.mean(np.abs(symbols) ** 2) * k))
         eps = small_step(book, basis)
         for (mode, step), (projection, project) in itertools.product(
             (("batch", step_batch), ("stochastic", step_stochastic)),
-            (("symmetric_decorrelation", project_symmetric), ("gram_schmidt", project_gram_schmidt)),
+            (("symmetric_decorrelation", polar_factor), ("gram_schmidt", project_gram_schmidt)),
         ):
             cfg = OptimizerConfig(epsilon=eps, mode=mode, projection=projection, seed=5)
             state = UnitarySet.random(book.n_subsets, k, rng)
@@ -394,8 +393,10 @@ def test_factored_polar_step_matches_symmetric_projection(k):
                         pick = int(draw.integers(block.shape[0]))
                         block = block[pick : pick + 1]
                     expected = project(w - eps * delta_w(block, w, basis))
-                    assert np.abs(new.matrices[n] - expected).max() <= 1e-12, (sizes, mode, projection, n)
+                    got = new.matrices[n]
+                    assert np.abs(got - expected).max() <= 1e-12, (sizes, mode, projection, n)
                     assert abs(norms[n] - np.linalg.norm(expected - w)) <= 1e-12
+                    assert np.linalg.norm(got @ got.conj().T - eye) <= 1e-12, (sizes, mode, projection, n)
                 state = new
 
 
@@ -543,8 +544,10 @@ def test_random_steps_stay_unitary(mode, projection, k, sizes, steps, seed):
     epsilon=st.floats(-6.0, 308.25).map(lambda e: 10.0**e),  # up to 1.8e308
     seed=st.integers(0, 2**32 - 1),
 )
-# A @ A* overflows in the 2m x 2m polar step, which eigh cannot take.
+# At 1e200, A A* overflowed in the former 2m x 2m eigh step; the SVD of
+# I - eps H C* takes it, and refuses that matrix once it overflows (1.7e308).
 @example(mode="batch", projection="symmetric_decorrelation", k=4, sizes=(3, 3), epsilon=1e200, seed=0)
+@example(mode="batch", projection="symmetric_decorrelation", k=4, sizes=(3, 3), epsilon=1.7e308, seed=0)
 @example(mode="stochastic", projection="gram_schmidt", k=8, sizes=(2, 2), epsilon=1.7e308, seed=0)
 def test_no_run_leaves_a_set_its_loader_rejects(tmp_path_factory, mode, projection, k, sizes,
                                                 epsilon, seed):
