@@ -97,7 +97,6 @@ def layer_calls(pb, k: int) -> dict:
     returning the layer's output."""
     const = pb.QamConstellation.square(QAM_ORDER)
     book = pb.generate_codebook(const, k, CODEWORDS, N_SUBSETS, seed=SEED)
-    basis = pb.build_basis(k)
     haar = pb.UnitarySet.random(N_SUBSETS, k, np.random.default_rng([SEED, 1]))
     identity = pb.UnitarySet.identity(N_SUBSETS, k)
     epsilon = k**-1.5 / 100  # small enough that no step is refused
@@ -114,15 +113,15 @@ def layer_calls(pb, k: int) -> dict:
     def chain():
         state = pb.UnitarySet(haar.matrices, iteration=CHAIN * next(next_block))
         for _ in range(CHAIN):
-            state, _ = pb.step_stochastic(state, book, basis, stochastic)
+            state, _ = pb.step_stochastic(state, book, stochastic)
         return state
 
     return {
         "build_basis": lambda: pb.build_basis(k),
         "step_stochastic": chain,
-        "step_batch_symmetric": lambda: pb.step_batch(haar, book, basis, batch["symmetric_decorrelation"]),
-        "step_batch_gram_schmidt": lambda: pb.step_batch(haar, book, basis, batch["gram_schmidt"]),
-        "r_statistic": lambda: pb.r_statistic(book, basis, haar),
+        "step_batch_symmetric": lambda: pb.step_batch(haar, book, batch["symmetric_decorrelation"]),
+        "step_batch_gram_schmidt": lambda: pb.step_batch(haar, book, batch["gram_schmidt"]),
+        "r_statistic": lambda: pb.r_statistic(book, haar),
         "codebook_pmeprs_j16": lambda: pb.codebook_pmeprs(book, haar, 16),
         "ber_sweep_block": lambda: ber_block(haar),
         "ber_sweep_block_identity": lambda: ber_block(identity),

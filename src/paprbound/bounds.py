@@ -23,19 +23,16 @@ from .waveform import baseband_samples, linear_to_db
 PSD_TOLERANCE = 1e-10
 
 
-def r_statistic(codebook: Codebook, basis: SpectralBasis, unitaries=None) -> float:
+def r_statistic(codebook: Codebook, unitaries=None) -> float:
     """Quartic-sum statistic R of the (optionally transformed) codebook.
 
     R = K(2K-1)/(2|C|) * sum over subsets n and codewords c in subset n
-    of quartic_sum(c, basis, W_n); the identity transform is used when
-    no unitaries are given.  This is the statistic every CCDF bound
-    here is written in, and the quantity the unitary optimizer drives
-    down.
+    of quartic_sum(W_n c); the identity transform is used when no
+    unitaries are given.  This is the statistic every CCDF bound here
+    is written in, and the quantity the unitary optimizer drives down.
     """
-    k = basis.size
-    if codebook.k_carriers != k:
-        raise ValueError(f"codebook K={codebook.k_carriers} does not match basis K={k}")
-    total = sum(quartic_sum(block, basis).sum() for block in transformed_subsets(codebook, unitaries))
+    k = codebook.k_carriers
+    total = sum(quartic_sum(block).sum() for block in transformed_subsets(codebook, unitaries))
     return k * (2 * k - 1) / (2.0 * codebook.size) * total
 
 
@@ -213,8 +210,10 @@ def bound_report(
 ) -> BoundReport:
     """Evaluate the Markov and Hoeffding bounds for a codebook, using
     the l2-based endpoints (unitary transforms leave them unchanged)."""
+    if basis.size != codebook.k_carriers:
+        raise ValueError(f"codebook K={codebook.k_carriers} does not match basis K={basis.size}")
     grid = np.asarray(gamma_grid, dtype=float)
-    r = r_statistic(codebook, basis, unitaries)
+    r = r_statistic(codebook, unitaries)
     a, b = codebook_endpoints(codebook)
     markov = markov_ccdf_bound(r, codebook.p_av, grid)
     hoeffding, valid = hoeffding_ccdf_bound(r, a, b, codebook.p_av, grid)

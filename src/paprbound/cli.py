@@ -90,6 +90,18 @@ class GammaGridSpec:
         span = (self.stop - self.start) / self.step  # points - 1; may be inf
         _check(span < GAMMA_GRID_MAX_POINTS,
                f"config field 'gamma_grid_db': {span + 1:.3g} points, over {GAMMA_GRID_MAX_POINTS}")
+        gamma_grid_linear(self)
+
+
+def gamma_grid_linear(grid: GammaGridSpec) -> np.ndarray:
+    """The grid's power ratios 10^(dB/10).  The bounds divide by their
+    squares, so those must be finite, positive and strictly ascending."""
+    with np.errstate(over="ignore", under="ignore"):
+        linear = db_to_linear(default_gamma_grid_db(grid.start, grid.stop, grid.step))
+        squares = linear**2
+    _check(np.isfinite(squares).all() and squares[0] > 0 and (np.diff(squares) > 0).all(),
+           "config field 'gamma_grid_db': 10^(dB/10) squared must be finite, positive and strictly ascending")
+    return linear
 
 
 @dataclass(frozen=True)
@@ -221,11 +233,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def gamma_grid_linear(cfg: ExperimentConfig) -> np.ndarray:
-    grid = cfg.gamma_grid_db
-    return db_to_linear(default_gamma_grid_db(grid.start, grid.stop, grid.step))
-
-
 # ---------------------------------------------------------------------------
 # manifests
 
@@ -257,13 +264,17 @@ def write_manifest(out_dir: Path, command: str, cfg_hash: str, files: list[Path]
 
 
 def verify_manifest(path: Path) -> list[tuple[str, bool]]:
-    """Check every file referenced by a manifest against its checksum."""
+    """Check every file a manifest lists against its checksum; ValueError if it is malformed."""
     with open(path) as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != MANIFEST_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise ValueError(f"{path}: not a manifest file")
+    files = manifest.get("files", {})
+    _check(isinstance(files, dict) and all(isinstance(m, dict) and isinstance(m.get("sha256"), str)
+                                           and is_int(m.get("bytes")) for m in files.values()),
+           f"{path}: 'files' must map each file name to {{sha256: string, bytes: integer}}")
     results = []
-    for name, meta in sorted(manifest.get("files", {}).items()):
+    for name, meta in sorted(files.items()):
         target = path.parent / name
         ok = (
             target.exists()
@@ -325,7 +336,7 @@ def cmd_bounds(args) -> int:
     codebook = load_codebook(args.codebook)
     unitaries = _load_unitaries(args.unitaries, codebook)
     basis = build_basis(codebook.k_carriers)
-    report = bound_report(codebook, basis, gamma_grid_linear(cfg), unitaries)
+    report = bound_report(codebook, basis, gamma_grid_linear(cfg.gamma_grid_db), unitaries)
     target = out_dir / "bounds.csv"
     report.write_csv(target)
     return _finish(args, cfg, out_dir, started, [target, target.with_suffix(".json")],
@@ -350,8 +361,8 @@ def cmd_optimize(args) -> int:
             f"{trace[-1].r_value:.6g}; wrote {target}")
     if trace[-1].r_value > trace[0].r_value:
         print(f"warning: R rose from {trace[0].r_value:.6g} to {trace[-1].r_value:.6g}; "
-              f"epsilon = {opt_cfg.resolved_epsilon(basis.size):.3g} is likely too large "
-              f"for K = {basis.size}", file=sys.stderr)
+              f"epsilon = {opt_cfg.resolved_epsilon(codebook.k_carriers):.3g} is likely too large "
+              f"for K = {codebook.k_carriers}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -359,7 +370,7 @@ def cmd_ccdf(args) -> int:
     cfg, out_dir, started = _prepare(args)
     codebook = load_codebook(args.codebook)
     unitaries = _load_unitaries(args.unitaries, codebook)
-    curve = empirical_ccdf(codebook, gamma_grid_linear(cfg), unitaries, cfg.j_ccdf)
+    curve = empirical_ccdf(codebook, gamma_grid_linear(cfg.gamma_grid_db), unitaries, cfg.j_ccdf)
     target = out_dir / "ccdf.csv"
     curve.write_csv(target)
     return _finish(args, cfg, out_dir, started, [target],

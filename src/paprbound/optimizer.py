@@ -296,8 +296,7 @@ class OptimizerConfig:
         return float(self.epsilon) if self.epsilon is not None else k_carriers ** -1.5
 
 
-def _gradient_rows(rows: np.ndarray, w: np.ndarray, basis: SpectralBasis,
-                   wc: np.ndarray | None = None) -> np.ndarray:
+def _gradient_rows(rows: np.ndarray, w: np.ndarray, wc: np.ndarray | None = None) -> np.ndarray:
     """Per-codeword gradient rows V*(|alpha|^2 alpha) + V_hat*(|beta|^2 beta)
     with alpha = V W c, beta = V_hat W c.
 
@@ -307,7 +306,7 @@ def _gradient_rows(rows: np.ndarray, w: np.ndarray, basis: SpectralBasis,
     ``rows @ W^T`` if the caller has it.  The result has the shape of
     ``rows``.
     """
-    k = basis.size
+    k = rows.shape[-1]
     s = baseband_samples(rows @ np.swapaxes(w, -1, -2) if wc is None else wc, 2)
     return np.fft.fft(np.abs(s) ** 2 * s, axis=-1)[..., :k] / k**2
 
@@ -452,7 +451,7 @@ _PROJECTORS = {
 _GRADIENT_ROWS = 64
 
 
-def _descend(state: UnitarySet, groups, basis: SpectralBasis, epsilon: float, projection: str):
+def _descend(state: UnitarySet, groups, epsilon: float, projection: str):
     """Move each subset's W against the gradient of its codeword rows.
 
     ``groups`` yields (ascending subset indices, (n, m, K) rows) pairs.
@@ -473,16 +472,15 @@ def _descend(state: UnitarySet, groups, basis: SpectralBasis, epsilon: float, pr
             # W c, shared by the gradient and a rank-one update.  Larger
             # chunks form it inside the gradient and free it there.
             wc = rows[chunk] @ np.swapaxes(w[chunk], -1, -2) if rows.shape[1] == 1 else None
-            grads = _gradient_rows(rows[chunk], w[chunk], basis, wc)
+            grads = _gradient_rows(rows[chunk], w[chunk], wc)
             norms[members[chunk]] = _PROJECTORS[projection](w[chunk], rows[chunk], grads, epsilon, out[chunk], wc)
         if not whole:
             new[members] = out
     return UnitarySet(matrices=new, iteration=state.iteration + 1), norms
 
 
-def step_batch(
-    state: UnitarySet, codebook: Codebook, basis: SpectralBasis, config: OptimizerConfig
-) -> tuple[UnitarySet, np.ndarray]:
+def step_batch(state: UnitarySet, codebook: Codebook,
+               config: OptimizerConfig) -> tuple[UnitarySet, np.ndarray]:
     """One full-subset gradient step for every subset.
 
     Subsets of equal size move as one stack; when every subset has the
@@ -499,12 +497,11 @@ def step_batch(
         else:
             rows = np.stack([codebook.subset(n) for n in members])
         groups.append((members, rows))
-    return _descend(state, groups, basis, config.resolved_epsilon(basis.size), config.projection)
+    return _descend(state, groups, config.resolved_epsilon(codebook.k_carriers), config.projection)
 
 
-def step_stochastic(
-    state: UnitarySet, codebook: Codebook, basis: SpectralBasis, config: OptimizerConfig
-) -> tuple[UnitarySet, np.ndarray]:
+def step_stochastic(state: UnitarySet, codebook: Codebook,
+                    config: OptimizerConfig) -> tuple[UnitarySet, np.ndarray]:
     """One single-codeword gradient step per subset.
 
     Each subset draws one codeword uniformly from its own stream,
@@ -520,7 +517,7 @@ def step_stochastic(
     picks = _draw_block(config.seed, sizes, block)[row]
     rows = codebook.symbols[starts + picks][:, np.newaxis, :]
     groups = [(np.arange(codebook.n_subsets), rows)]
-    return _descend(state, groups, basis, config.resolved_epsilon(basis.size), config.projection)
+    return _descend(state, groups, config.resolved_epsilon(codebook.k_carriers), config.projection)
 
 
 @dataclass(frozen=True)
@@ -551,7 +548,7 @@ def run(
     else:
         initial.validate()
         state = initial
-    if state.n_subsets != codebook.n_subsets or state.k_carriers != basis.size:
+    if state.n_subsets != codebook.n_subsets or not state.k_carriers == basis.size == codebook.k_carriers:
         raise ValueError("initial unitary set does not match the codebook/basis")
     step = step_batch if config.mode == "batch" else step_stochastic
     started = time.perf_counter()
@@ -562,17 +559,17 @@ def run(
         if not drift <= UNITARITY_TOL:
             raise RankDeficientUpdate(
                 f"unitarity drift {drift:.3e} > {UNITARITY_TOL:g} at iteration {state.iteration} "
-                f"(epsilon = {config.resolved_epsilon(basis.size):.3g}, K = {basis.size}); "
+                f"(epsilon = {config.resolved_epsilon(codebook.k_carriers):.3g}, K = {codebook.k_carriers}); "
                 "reduce the step size epsilon"
             )
-        r_value = r_statistic(codebook, basis, state)
+        r_value = r_statistic(codebook, state)
         trace.append(TracePoint(state.iteration, r_value, max_step_norm, time.perf_counter() - started))
 
     checkpoint(0.0)
     # A step that overflows is refused by the polar checks or the drift guard, with no warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.max_iters):
-            state, norms = step(state, codebook, basis, config)
+            state, norms = step(state, codebook, config)
             if state.iteration % config.checkpoint_every == 0:
                 checkpoint(float(norms.max()))
             if norms.max() <= config.stop_tol:

@@ -81,23 +81,15 @@ def build_basis(k_carriers: int) -> SpectralBasis:
     return SpectralBasis(k_carriers)
 
 
-def quartic_sum(c: np.ndarray, basis: SpectralBasis, w: np.ndarray | None = None):
-    """Sum of fourth powers of the two spectra of (W c).
+def quartic_sum(c: np.ndarray):
+    """Sum of fourth powers of the two spectra of c (for W c, pass ``c @ W.T``).
 
-    Equals sum_k (c* W* C_k W c)^2 + (c* W* C_hat_k W c)^2, evaluated
-    as sum_n |s_n|^4 / K^2 over the 2K-point envelope s of W c.
+    Equals sum_k (c* C_k c)^2 + (c* C_hat_k c)^2, evaluated as
+    sum_n |s_n|^4 / K^2 over the 2K-point envelope s of c, K = c.shape[-1].
     Accepts a single codeword or a (m, K) batch; returns a scalar or an
     (m,) vector accordingly.
     """
     x = np.asarray(c, dtype=np.complex128)
-    k = basis.size
-    if x.shape[-1] != k:
-        raise ValueError(f"codeword length {x.shape[-1]} != basis size {k}")
-    if w is not None:
-        w = np.asarray(w)
-        if w.shape != (k, k):
-            raise ValueError(f"transform must be {k}x{k}, got {w.shape}")
-        x = x @ w.T
     power = np.abs(baseband_samples(x, 2)) ** 2
-    total = (power * power).sum(axis=-1) / k**2
+    total = (power * power).sum(axis=-1) / x.shape[-1] ** 2
     return float(total) if x.ndim == 1 else total

@@ -4,7 +4,7 @@ The package never forms the K x K descent direction, and its one-codeword
 symmetric step works on the span of the gradient and codeword rows.
 These functions are the dense forms that the steps are checked against:
 a step from codewords C must equal the unitary polar factor of
-W - eps * delta_w(C, W, basis) (symmetric decorrelation), computed here
+W - eps * delta_w(C, W) (symmetric decorrelation), computed here
 as ``polar_factor`` (U V* from an SVD) or ``project_symmetric``
 ((W W*)^{-1/2} W from an eigendecomposition, which squares the condition
 number), or ``project_gram_schmidt`` of the same matrix.
@@ -13,10 +13,9 @@ number), or ``project_gram_schmidt`` of the same matrix.
 import numpy as np
 
 from paprbound.optimizer import _gradient_rows, _require_nonsingular
-from paprbound.spectral import SpectralBasis
 
 
-def delta_w(subset: np.ndarray, w: np.ndarray, basis: SpectralBasis) -> np.ndarray:
+def delta_w(subset: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Unscaled descent direction for one subset.
 
     sum over codewords c of sum_k [(c* W* C_k W c) C_k +
@@ -27,12 +26,12 @@ def delta_w(subset: np.ndarray, w: np.ndarray, basis: SpectralBasis) -> np.ndarr
     matrix times the positive scalar 2 K (2K - 1) / |C|.
     """
     block = np.atleast_2d(np.asarray(subset, dtype=np.complex128))
-    k = basis.size
+    k = w.shape[0]
     if block.shape[0] == 0:
         return np.zeros((k, k), dtype=np.complex128)
     if block.shape[1] != k or w.shape != (k, k):
-        raise ValueError("subset and transform must match the basis size")
-    return _gradient_rows(block, w, basis).T @ block.conj()
+        raise ValueError("subset and transform must have the same K")
+    return _gradient_rows(block, w).T @ block.conj()
 
 
 def project_symmetric(w: np.ndarray) -> np.ndarray:

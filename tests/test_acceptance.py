@@ -101,17 +101,16 @@ def test_criterion_2_bound_chain_soundness():
     k = 16
     const = QamConstellation.square(16)
     book = generate_codebook(const, k, 5000, 5, seed=20260810)
-    basis = build_basis(k)
     grid = db_to_linear(default_gamma_grid_db())
 
     values = codebook_pmeprs(book, oversampling=16)
-    quartics = quartic_sum(book.symbols, basis)
+    quartics = quartic_sum(book.symbols)
     chain_ok = bool(
         np.all(values**2 <= k * (2 * k - 1) / (2 * book.p_av**2) * quartics * (1 + 1e-12))
     )
 
     ccdf = (values[:, None] > grid[None, :]).mean(axis=0)
-    r_value = r_statistic(book, basis)
+    r_value = r_statistic(book)
     markov = markov_ccdf_bound(r_value, book.p_av, grid)
     markov_ok = bool(np.all(ccdf <= markov + 1e-12))
 
@@ -231,7 +230,6 @@ def test_criterion_4_chernoff_optimum():
 
 def test_criterion_5_gradient_against_finite_differences():
     k = 4
-    basis = build_basis(k)
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(10):
@@ -240,7 +238,7 @@ def test_criterion_5_gradient_against_finite_differences():
         scale = 2.0 * k * (2 * k - 1) / subset.shape[0]
 
         def r_of(mat, subset=subset):
-            return r_statistic(Codebook.from_symbols(subset, 1), basis, [mat])
+            return r_statistic(Codebook.from_symbols(subset, 1), [mat])
 
         h = 1e-5
         grad = np.zeros((k, k), complex)
@@ -251,7 +249,7 @@ def test_criterion_5_gradient_against_finite_differences():
                 grad[i, j] = (r_of(w + h * e) - r_of(w - h * e)) / (2 * h) + 1j * (
                     r_of(w + 1j * h * e) - r_of(w - 1j * h * e)
                 ) / (2 * h)
-        fast = scale * delta_w(subset, w, basis)
+        fast = scale * delta_w(subset, w)
         worst = max(worst, float(np.abs(fast - grad).max() / np.abs(grad).max()))
     ok = worst <= 1e-5
     report(5, ok, f"worst relative gradient mismatch {worst:.2e} over 10 instances")
@@ -293,12 +291,12 @@ def test_criterion_6_projection_correctness():
 SMALL_STEP_FRACTION = 0.1
 
 
-def _largest_relative_update(book, basis, epsilon):
+def _largest_relative_update(book, epsilon):
     """Largest single-codeword update eps ||delta_w(c, I)||_F at the
     identity start, as a fraction of ||W||_F = sqrt(K)."""
-    eye = np.eye(basis.size, dtype=np.complex128)
-    largest = max(np.linalg.norm(delta_w(c, eye, basis)) for c in book.symbols)
-    return epsilon * largest / np.sqrt(basis.size)
+    eye = np.eye(book.k_carriers, dtype=np.complex128)
+    largest = max(np.linalg.norm(delta_w(c, eye)) for c in book.symbols)
+    return epsilon * largest / np.sqrt(book.k_carriers)
 
 
 def test_criterion_7_desk_scale_reduction_trend():
@@ -310,7 +308,7 @@ def test_criterion_7_desk_scale_reduction_trend():
     # A fixed-step gradient method descends only for small steps: take
     # the step at which no single-codeword update at the identity start
     # exceeds SMALL_STEP_FRACTION of ||W||_F.
-    epsilon = SMALL_STEP_FRACTION / _largest_relative_update(book, basis, 1.0)
+    epsilon = SMALL_STEP_FRACTION / _largest_relative_update(book, 1.0)
     config = OptimizerConfig(
         epsilon=epsilon, max_iters=2000, stop_tol=0.0, seed=1,
         projection="symmetric_decorrelation", mode="stochastic", checkpoint_every=500,
@@ -335,7 +333,7 @@ def test_criterion_7_desk_scale_reduction_trend():
     k_default = 128
     eps_default = OptimizerConfig().resolved_epsilon(k_default)
     update_default = _largest_relative_update(
-        generate_codebook(const, k_default, 200, 4, seed=99), build_basis(k_default), eps_default
+        generate_codebook(const, k_default, 200, 4, seed=99), eps_default
     )
     default_is_small = update_default <= SMALL_STEP_FRACTION
     elapsed = time.perf_counter() - started
@@ -370,13 +368,12 @@ def test_criterion_8_jensen_floor():
         rng = np.random.default_rng(80 + k)
         blocks = [np.sqrt(k) * random_unitary(k, rng) for _ in range(3)]
         book = Codebook.from_symbols(np.vstack(blocks), 3)
-        basis = build_basis(k)
         for n in range(3):
             gram = book.subset(n).T @ book.subset(n).conj() / k
             assert np.abs(gram - np.eye(k)).max() < 1e-12
         floor = k * k * (2 * k - 1)
         lowest = min(
-            r_statistic(book, basis, UnitarySet.random(3, k, rng)) for _ in range(20)
+            r_statistic(book, UnitarySet.random(3, k, rng)) for _ in range(20)
         )
         ok = lowest >= floor - 1e-6
         if not ok:

@@ -44,17 +44,15 @@ def whitened_codebook(k, n_subsets, rng):
 
 
 def test_r_statistic_hand_case():
-    basis = build_basis(2)
     book = Codebook.from_symbols(np.array([[1.0, 1.0]]), 1)
-    assert abs(r_statistic(book, basis) - 18.0) < 1e-12
+    assert abs(r_statistic(book) - 18.0) < 1e-12
 
 
 def test_r_statistic_identity_and_phase_invariance():
     const = QamConstellation.square(16)
     book = generate_codebook(const, 8, 64, 4, seed=0)
-    basis = build_basis(8)
-    plain = r_statistic(book, basis)
-    ident = r_statistic(book, basis, UnitarySet.identity(4, 8))
+    plain = r_statistic(book)
+    ident = r_statistic(book, UnitarySet.identity(4, 8))
     assert ident == plain
     # An exact identity set yields each subset as drawn, the bytes of block @ I.T.
     eye = np.eye(8)
@@ -63,20 +61,20 @@ def test_r_statistic_identity_and_phase_invariance():
     rng = np.random.default_rng(1)
     ws = UnitarySet.random(4, 8, rng)
     rotated = UnitarySet(matrices=np.exp(0.37j) * ws.matrices)
-    r_w = r_statistic(book, basis, ws)
-    r_rot = r_statistic(book, basis, rotated)
+    r_w = r_statistic(book, ws)
+    r_rot = r_statistic(book, rotated)
     assert abs(r_w - r_rot) < 1e-10 * r_w
     with pytest.raises(ValueError):
-        r_statistic(book, basis, UnitarySet.identity(3, 8))
+        r_statistic(book, UnitarySet.identity(3, 8))
     with pytest.raises(ValueError):
-        r_statistic(book, basis, list(ws.matrices[:3]))
+        r_statistic(book, list(ws.matrices[:3]))
     # Every accepted form of the transforms gives the same bits ...
-    assert r_statistic(book, basis, ws.matrices) == r_w
-    assert r_statistic(book, basis, list(ws.matrices)) == r_w
+    assert r_statistic(book, ws.matrices) == r_w
+    assert r_statistic(book, list(ws.matrices)) == r_w
     # ... and so does the per-subset formula, quartic_sum with W_n.
     total = 0.0
     for n, block in enumerate(book.subsets()):
-        total += quartic_sum(block, basis, ws.matrices[n]).sum()
+        total += quartic_sum(block @ ws.matrices[n].T).sum()
     assert 8 * 15 / (2.0 * book.size) * total == r_w
 
 
@@ -92,10 +90,9 @@ def test_markov_bound_shape():
 def test_markov_dominates_empirical_ccdf():
     const = QamConstellation.square(16)
     book = generate_codebook(const, 16, 1000, 4, seed=2)
-    basis = build_basis(16)
     grid = db_to_linear(default_gamma_grid_db())
     curve = empirical_ccdf(book, grid, oversampling=16)
-    bound = markov_ccdf_bound(r_statistic(book, basis), book.p_av, grid)
+    bound = markov_ccdf_bound(r_statistic(book), book.p_av, grid)
     assert np.all(curve.ccdf <= bound + 1e-12)
 
 
@@ -257,12 +254,11 @@ def test_quartic_moment_matches_monte_carlo():
 @pytest.mark.parametrize("k", [4, 8])
 def test_jensen_floor_with_white_subsets(k):
     rng = np.random.default_rng(8 + k)
-    basis = build_basis(k)
     book = whitened_codebook(k, 3, rng)
     floor = k * k * (2 * k - 1)
     for _ in range(20):
         ws = UnitarySet.random(3, k, rng)
-        assert r_statistic(book, basis, ws) >= floor - 1e-6
+        assert r_statistic(book, ws) >= floor - 1e-6
 
 
 @given(
@@ -283,7 +279,7 @@ def test_per_codeword_chain(k, transform, gaussian, seed):
     rows[0] = 1.0  # the constant codeword: its peak K^2 lies on every grid
     w = random_unitary(k, rng) if transform else np.eye(k)
     peak = peak_envelope_power(rows @ w.T, 32)
-    quartic = quartic_sum(rows, build_basis(k), w)
+    quartic = quartic_sum(rows @ w.T)
     assert np.all(peak**2 <= k * (2 * k - 1) / 2 * quartic * (1 + 1e-12))
 
 
@@ -293,6 +289,8 @@ def test_bound_report_csv(tmp_path):
     basis = build_basis(8)
     grid = db_to_linear(default_gamma_grid_db(6, 12, 0.5))
     report = bound_report(book, basis, grid)
+    with pytest.raises(ValueError, match="does not match basis K=16"):
+        bound_report(book, build_basis(16), grid)
     path = tmp_path / "bounds.csv"
     report.write_csv(path)
     header = path.read_text().splitlines()[0]

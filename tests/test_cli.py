@@ -26,7 +26,7 @@ from paprbound.cli import (
     write_manifest,
 )
 from paprbound.core import load_codebook
-from paprbound.optimizer import load_unitaries, run
+from paprbound.optimizer import UnitarySet, load_unitaries, run, save_unitaries
 from paprbound.spectral import build_basis
 from paprbound.waveform import CcdfCurve
 
@@ -285,6 +285,10 @@ def test_non_finite_config_never_runs(tmp_path, capsys):
          "gamma_grid_db.stop"),
         ({"gamma_grid_db": {"start": -1e308, "stop": 1e308, "step": 1e-300}}, "gamma_grid_db"),
         ({"gamma_grid_db": {"start": 0, "stop": 1e6, "step": 1e-6}}, "gamma_grid_db"),  # 10^12
+        # 10^(dB/10) overflows, underflows to 0, or rounds neighbouring points to one ratio
+        ({"gamma_grid_db": {"start": 1e6, "stop": 1e6 + 1, "step": 1}}, "gamma_grid_db"),
+        ({"gamma_grid_db": {"start": -1e6, "stop": -1e6 + 1, "step": 1}}, "gamma_grid_db"),
+        ({"gamma_grid_db": {"start": 0, "stop": 1e-12, "step": 2e-17}}, "gamma_grid_db"),
     ):
         bad = small_config(tmp_path, **overrides)
         if field != "gamma_grid_db":
@@ -314,10 +318,14 @@ def test_oversized_config_fails_closed(tmp_path, capsys, command, overrides):
     assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text('{"version": 1, "mystery": true}')
     assert run_cli("gen", "--config", bad_cfg) == EXIT_VALIDATION
+    bad_cfg.write_text('{"version": 1,')
+    assert run_cli("gen", "--config", bad_cfg) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[1].startswith(f"error: {bad_cfg}: invalid JSON")
 
     cfg_path = small_config(tmp_path)
     out = tmp_path / "run"
@@ -327,7 +335,7 @@ def test_exit_codes(tmp_path):
     assert run_cli("ccdf", "--config", cfg_path, corrupt) == EXIT_VALIDATION
 
     # singular update: eps = 1/quartic_sum of the drawn codeword at K=2
-    from paprbound.spectral import build_basis, quartic_sum
+    from paprbound.spectral import quartic_sum
 
     cfg_k2 = small_config(
         tmp_path, k_carriers=2, codebook_size=4, n_subsets=4, max_iters=5,
@@ -336,7 +344,7 @@ def test_exit_codes(tmp_path):
     k2_out = tmp_path / "k2"
     run_cli("gen", "--config", cfg_k2, "--out", k2_out)
     book = load_codebook(k2_out / "codebook.bin")
-    eps = 1.0 / quartic_sum(book.symbols[0], build_basis(2))
+    eps = 1.0 / quartic_sum(book.symbols[0])
     cfg_sing = small_config(
         tmp_path, k_carriers=2, codebook_size=4, n_subsets=4, max_iters=5,
         mode="batch", epsilon=eps,
@@ -427,10 +435,13 @@ def without_count(fields):
         (lambda fields: {**fields, "n_subsets": 4.0}, "header field 'n_subsets'"),
         (lambda fields: {k: v for k, v in fields.items() if k != "n_subsets"},
          "header field 'n_subsets' must be 4, the number of subset sizes (got missing)"),
+        (lambda fields: {**fields, "format": "paprbound/unitary-set"},
+         "unexpected format 'paprbound/unitary-set'"),
+        (lambda fields: {**fields, "version": 2}, "unsupported version 2"),
     ],
     ids=["missing-count", "list-header", "null-subset-sizes", "nan-p-av", "huge-count",
          "text-n-subsets", "wrong-n-subsets", "null-n-subsets", "float-n-subsets",
-         "missing-n-subsets"],
+         "missing-n-subsets", "wrong-format", "version-2"],
 )
 def test_bad_codebook_header_exits_2(tmp_path, capsys, edit, message):
     cfg_path = small_config(tmp_path)
@@ -443,6 +454,48 @@ def test_bad_codebook_header_exits_2(tmp_path, capsys, edit, message):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert len(err.strip().splitlines()) == 1
+
+
+def test_unpaired_inputs_fail_closed(tmp_path, capsys):
+    # A K=16 unitary set against a K=64 codebook, wherever a set is read,
+    # and a BER run on a codebook without a constellation: exit 2, one
+    # line, no artifact.
+    cfg_path = small_config(tmp_path, k_carriers=64)
+    out = tmp_path / "run"
+    run_cli("gen", "--config", cfg_path)
+    wrong_k = tmp_path / "k16.bin"
+    save_unitaries(UnitarySet.identity(4, 16), wrong_k)
+    no_qam = tmp_path / "no_qam.bin"
+    no_qam.write_bytes((out / "codebook.bin").read_bytes())
+    rewrite_header(no_qam, lambda fields: {**fields, "qam_order": None})
+    book = out / "codebook.bin"
+    mismatch = "unitary set does not match the codebook"
+    cases = [((command, "--unitaries", wrong_k, book), mismatch) for command in ("bounds", "ccdf", "ber", "verify")]
+    cases += [(("optimize", "--resume", wrong_k, book), mismatch),
+              (("ber", no_qam), "carries no constellation metadata")]
+    capsys.readouterr()
+    for argv, message in cases:
+        assert run_cli(argv[0], "--config", cfg_path, *argv[1:]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1, (argv, err)
+    assert sorted(path.name for path in out.iterdir()) == ["codebook.bin", "gen.manifest.json"]
+
+
+@pytest.mark.parametrize("manifest", [
+    [1],
+    {"format": "paprbound/manifest", "files": {"codebook.bin": "x"}},
+    {"format": "paprbound/manifest", "files": [1]},
+    {"format": "paprbound/manifest", "files": {"codebook.bin": {"sha256": "0" * 64}}},
+], ids=["list", "text-entry", "list-of-files", "entry-without-bytes"])
+def test_malformed_manifest_fails_closed(tmp_path, capsys, manifest):
+    cfg_path = small_config(tmp_path)
+    out = tmp_path / "run"
+    run_cli("gen", "--config", cfg_path)
+    (out / "gen.manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("verify", "--config", cfg_path) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'gen.manifest.json'}: ") and err.count("\n") == 1, err
 
 
 def test_unitarity_drift_fails_closed(tmp_path, monkeypatch, capsys):

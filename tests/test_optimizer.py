@@ -40,9 +40,9 @@ def random_matrix(k, rng=RNG):
     return rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
 
 
-def subset_r(subset, w, basis):
+def subset_r(subset, w):
     book = Codebook.from_symbols(np.atleast_2d(subset), 1)
-    return r_statistic(book, basis, [w])
+    return r_statistic(book, [w])
 
 
 def oracle_picks(seed, sizes, iteration):
@@ -53,14 +53,12 @@ def oracle_picks(seed, sizes, iteration):
 
 
 def test_delta_w_empty_subset():
-    basis = build_basis(4)
-    out = delta_w(np.empty((0, 4), complex), np.eye(4), basis)
+    out = delta_w(np.empty((0, 4), complex), np.eye(4))
     np.testing.assert_array_equal(out, np.zeros((4, 4)))
 
 
 def test_delta_w_matches_dense_operators():
     k = 8
-    basis = build_basis(k)
     rng = np.random.default_rng(1)
     c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     w = random_unitary(k, rng)
@@ -71,26 +69,24 @@ def test_delta_w_matches_dense_operators():
         dense += (u.conj() @ op @ u).real * (op @ np.outer(u, c.conj()))
     for op in ch_ops:
         dense += (u.conj() @ op @ u).real * (op @ np.outer(u, c.conj()))
-    fast = delta_w(c[None, :], w, basis)
+    fast = delta_w(c[None, :], w)
     assert np.abs(fast - dense).max() <= 1e-10 * np.abs(dense).max()
 
 
 def test_delta_w_is_additive_over_subsets():
     k = 4
-    basis = build_basis(k)
     rng = np.random.default_rng(2)
     s1 = rng.standard_normal((3, k)) + 1j * rng.standard_normal((3, k))
     s2 = rng.standard_normal((5, k)) + 1j * rng.standard_normal((5, k))
     w = random_unitary(k, rng)
-    combined = delta_w(np.vstack([s1, s2]), w, basis)
+    combined = delta_w(np.vstack([s1, s2]), w)
     np.testing.assert_allclose(
-        combined, delta_w(s1, w, basis) + delta_w(s2, w, basis), rtol=1e-12
+        combined, delta_w(s1, w) + delta_w(s2, w), rtol=1e-12
     )
 
 
 def test_delta_w_matches_finite_differences():
     k = 4
-    basis = build_basis(k)
     rng = np.random.default_rng(3)
     for _ in range(2):
         subset = rng.standard_normal((3, k)) + 1j * rng.standard_normal((3, k))
@@ -103,12 +99,12 @@ def test_delta_w_matches_finite_differences():
                 e = np.zeros((k, k))
                 e[i, j] = 1.0
                 grad[i, j] = (
-                    subset_r(subset, w + h * e, basis) - subset_r(subset, w - h * e, basis)
+                    subset_r(subset, w + h * e) - subset_r(subset, w - h * e)
                 ) / (2 * h) + 1j * (
-                    subset_r(subset, w + 1j * h * e, basis)
-                    - subset_r(subset, w - 1j * h * e, basis)
+                    subset_r(subset, w + 1j * h * e)
+                    - subset_r(subset, w - 1j * h * e)
                 ) / (2 * h)
-        fast = scale * delta_w(subset, w, basis)
+        fast = scale * delta_w(subset, w)
         assert np.abs(fast - grad).max() <= 1e-5 * np.abs(grad).max()
 
 
@@ -156,22 +152,22 @@ def desk_setup(k=8, count=64, n_subsets=4, seed=10):
 
 
 def test_step_batch_zero_epsilon_is_identity():
-    book, basis = desk_setup()
+    book, _ = desk_setup()
     cfg = OptimizerConfig(epsilon=0.0, mode="batch")
-    state = UnitarySet.identity(book.n_subsets, basis.size)
-    new, norms = step_batch(state, book, basis, cfg)
+    state = UnitarySet.identity(book.n_subsets, book.k_carriers)
+    new, norms = step_batch(state, book, cfg)
     np.testing.assert_allclose(new.matrices, state.matrices, atol=1e-12)
     assert new.iteration == 1
     assert norms.max() < 1e-12
 
 
 def test_step_batch_descends_for_small_epsilon():
-    book, basis = desk_setup()
+    book, _ = desk_setup()
     cfg = OptimizerConfig(epsilon=1e-5, mode="batch")
-    state = UnitarySet.identity(book.n_subsets, basis.size)
-    before = r_statistic(book, basis, state)
-    state, _ = step_batch(state, book, basis, cfg)
-    after = r_statistic(book, basis, state)
+    state = UnitarySet.identity(book.n_subsets, book.k_carriers)
+    before = r_statistic(book, state)
+    state, _ = step_batch(state, book, cfg)
+    after = r_statistic(book, state)
     assert after <= before + 1e-9
     state.validate(1e-8)
 
@@ -181,11 +177,10 @@ def test_identical_subsets_share_trajectories():
     rng = np.random.default_rng(11)
     block = const.points[rng.integers(0, 16, (8, 8))]
     book = Codebook.from_symbols(np.vstack([block, block]), 2)
-    basis = build_basis(8)
     cfg = OptimizerConfig(epsilon=1e-3, mode="batch")
     state = UnitarySet.identity(2, 8)
     for _ in range(5):
-        state, _ = step_batch(state, book, basis, cfg)
+        state, _ = step_batch(state, book, cfg)
     np.testing.assert_array_equal(state.matrices[0], state.matrices[1])
 
 
@@ -193,11 +188,10 @@ def test_stochastic_singleton_equals_batch():
     const = QamConstellation.square(16)
     rng = np.random.default_rng(12)
     book = Codebook.from_symbols(const.points[rng.integers(0, 16, (3, 8))], 3)
-    basis = build_basis(8)
     cfg = OptimizerConfig(epsilon=1e-3, seed=0)
     state = UnitarySet.identity(3, 8)
-    got_b, _ = step_batch(state, book, basis, cfg)
-    got_s, _ = step_stochastic(state, book, basis, cfg)
+    got_b, _ = step_batch(state, book, cfg)
+    got_s, _ = step_stochastic(state, book, cfg)
     np.testing.assert_array_equal(got_b.matrices, got_s.matrices)
 
 
@@ -216,9 +210,13 @@ def test_run_edge_cases():
     book, basis = desk_setup()
     state, trace = run(book, basis, OptimizerConfig(max_iters=0))
     np.testing.assert_array_equal(
-        state.matrices, UnitarySet.identity(book.n_subsets, basis.size).matrices
+        state.matrices, UnitarySet.identity(book.n_subsets, book.k_carriers).matrices
     )
     assert len(trace) == 1 and trace[0].iteration == 0
+    # A basis of another K, with or without a start of the codebook's K.
+    for start in (None, state):
+        with pytest.raises(ValueError, match="does not match the codebook/basis"):
+            run(book, build_basis(16), OptimizerConfig(max_iters=0), start)
     state, trace = run(book, basis, OptimizerConfig(epsilon=1e-3, max_iters=100, stop_tol=1e9))
     assert state.iteration == 1  # stopping rule fires after the first step
     assert trace[-1].iteration == 1
@@ -233,7 +231,7 @@ def test_unitarity_and_roundtrip_after_steps():
     for w in state.matrices:
         assert np.abs(w.conj().T @ (w @ c) - c).max() < 1e-10
         cov = w.conj().T @ w
-        np.testing.assert_allclose(cov, np.eye(basis.size), atol=1e-10)
+        np.testing.assert_allclose(cov, np.eye(book.k_carriers), atol=1e-10)
 
 
 def test_rank_deficiency_raises():
@@ -244,12 +242,11 @@ def test_rank_deficiency_raises():
 
     const = QamConstellation.square(16)
     book = generate_codebook(const, 2, 4, 4, seed=0)
-    basis = build_basis(2)
-    eps = 1.0 / quartic_sum(book.symbols[0], basis)
+    eps = 1.0 / quartic_sum(book.symbols[0])
     cfg = OptimizerConfig(epsilon=eps, mode="batch")
     state = UnitarySet.identity(4, 2)
     with pytest.raises(RankDeficientUpdate):
-        step_batch(state, book, basis, cfg)
+        step_batch(state, book, cfg)
 
 
 def test_desk_scale_reduction_with_matched_step():
@@ -350,12 +347,12 @@ def test_gram_schmidt_matches_row_oracle():
             project_gram_schmidt(w)
 
 
-def small_step(book, basis, fraction=0.1):
+def small_step(book, fraction=0.1):
     """Step at which no single-codeword update at the identity moves W
     by more than ``fraction`` of ||W||_F (the criterion-7 rule)."""
-    eye = np.eye(basis.size, dtype=np.complex128)
-    largest = max(np.linalg.norm(delta_w(c, eye, basis)) for c in book.symbols)
-    return fraction * np.sqrt(basis.size) / largest
+    eye = np.eye(book.k_carriers, dtype=np.complex128)
+    largest = max(np.linalg.norm(delta_w(c, eye)) for c in book.symbols)
+    return fraction * np.sqrt(book.k_carriers) / largest
 
 
 @pytest.mark.parametrize("k", [2, 4, 8, 16, 64, 128])
@@ -371,14 +368,13 @@ def test_factored_polar_step_matches_symmetric_projection(k):
     # through the eigendecomposition of A A*, which squares that number,
     # lay 3.7e-12 away, with unitarity error 1.6e-10.
     const = QamConstellation.square(16)
-    basis = build_basis(k)
     rng = np.random.default_rng(k)
     eye = np.eye(k)
     for sizes in [(1, 1, 1), (3, 3, 3), (k // 2 + 1,) * 3, (1, 3, k // 2 + 1)]:
         symbols = const.points[rng.integers(0, 16, (sum(sizes), k))]
         book = Codebook(symbols=symbols, subset_sizes=sizes,
                         p_av=float(np.mean(np.abs(symbols) ** 2) * k))
-        eps = small_step(book, basis)
+        eps = small_step(book)
         for (mode, step), (projection, project) in itertools.product(
             (("batch", step_batch), ("stochastic", step_stochastic)),
             (("symmetric_decorrelation", polar_factor), ("gram_schmidt", project_gram_schmidt)),
@@ -386,13 +382,13 @@ def test_factored_polar_step_matches_symmetric_projection(k):
             cfg = OptimizerConfig(epsilon=eps, mode=mode, projection=projection, seed=5)
             state = UnitarySet.random(book.n_subsets, k, rng)
             for _ in range(3):
-                new, norms = step(state, book, basis, cfg)
+                new, norms = step(state, book, cfg)
                 for n, (block, w) in enumerate(zip(book.subsets(), state.matrices)):
                     if mode == "stochastic":
                         draw = np.random.default_rng([5, n, state.iteration])
                         pick = int(draw.integers(block.shape[0]))
                         block = block[pick : pick + 1]
-                    expected = project(w - eps * delta_w(block, w, basis))
+                    expected = project(w - eps * delta_w(block, w))
                     got = new.matrices[n]
                     assert np.abs(got - expected).max() <= 1e-12, (sizes, mode, projection, n)
                     assert abs(norms[n] - np.linalg.norm(expected - w)) <= 1e-12
@@ -400,12 +396,12 @@ def test_factored_polar_step_matches_symmetric_projection(k):
                 state = new
 
 
-def oracle_trajectory(book, basis, cfg):
+def oracle_trajectory(book, cfg):
     """Criterion-7-style stochastic run rebuilt step by step from the
     K-point gradient and project_symmetric(W - eps * delta_w), with the
     same (seed, subset, iteration) draws.  Returns the R value at every
     checkpoint and the final matrices."""
-    k = basis.size
+    k = book.k_carriers
     pair = KPointPair(k)
     scale = k * (2 * k - 1) / (2.0 * book.size)
     subsets = list(book.subsets())
@@ -436,25 +432,25 @@ def test_factored_polar_step_does_not_drift():
     const = QamConstellation.square(16)
     book = generate_codebook(const, 16, 200, 4, seed=99)
     basis = build_basis(16)
-    cfg = OptimizerConfig(epsilon=small_step(book, basis), max_iters=2000, stop_tol=0.0,
+    cfg = OptimizerConfig(epsilon=small_step(book), max_iters=2000, stop_tol=0.0,
                           seed=1, checkpoint_every=500)
     state, trace = run(book, basis, cfg)
     assert state.iteration == 2000
     assert state.unitarity_error() <= 1e-12
     assert trace[-1].r_value < trace[0].r_value
 
-    r_values, w = oracle_trajectory(book, basis, cfg)
+    r_values, w = oracle_trajectory(book, cfg)
     assert [p.iteration for p in trace] == [0, 500, 1000, 1500, 2000]
     got = np.array([p.r_value for p in trace])
     assert np.abs(got - r_values).max() <= 1e-12 * max(r_values)
     assert np.abs(state.matrices - w).max() <= 1e-12 * np.abs(w).max()
 
 
-def one_codeword_update(w, c, eps, basis):
+def one_codeword_update(w, c, eps):
     """``_polar_update`` of one matrix by one codeword: (W', step norm)."""
     rows = c[np.newaxis, np.newaxis, :]
     new = np.empty((1,) + w.shape, dtype=np.complex128)
-    norms = _polar_update(w[np.newaxis], rows, _gradient_rows(rows, w[np.newaxis], basis), eps, new)
+    norms = _polar_update(w[np.newaxis], rows, _gradient_rows(rows, w[np.newaxis]), eps, new)
     return new[0], norms[0]
 
 
@@ -468,12 +464,11 @@ def test_rank_one_polar_edge_cases():
     from paprbound.spectral import quartic_sum
 
     k = 16
-    basis = build_basis(k)
     rng = np.random.default_rng(30)
     eye = np.eye(k, dtype=np.complex128)
     haar = random_unitary(k, rng)
     c = QamConstellation.square(16).points[rng.integers(0, 16, k)]
-    e0_sum, c_sum = quartic_sum(eye[0], basis), quartic_sum(haar @ c, basis)
+    e0_sum, c_sum = quartic_sum(eye[0]), quartic_sum(haar @ c)
     for w, codeword, eps, flips in [
         (eye, eye[0], 0.5 / e0_sum, False),
         (eye, eye[0], 3.0 / e0_sum, True),
@@ -481,19 +476,19 @@ def test_rank_one_polar_edge_cases():
         (haar, c, 1.5 / c_sum, True),
         (haar, c, 40.0 / c_sum, True),
     ]:
-        new, norm = one_codeword_update(w, codeword, eps, basis)
-        expected = project_symmetric(w - eps * delta_w(codeword, w, basis))
+        new, norm = one_codeword_update(w, codeword, eps)
+        expected = project_symmetric(w - eps * delta_w(codeword, w))
         assert np.abs(new - expected).max() <= 1e-12 * np.abs(expected).max(), (eps, flips)
         assert abs(norm - np.linalg.norm(expected - w)) <= 1e-12
         assert (abs(norm - 2.0) <= 1e-12) == flips
 
     # A zero codeword has a zero gradient: W stays as it is.
-    new, norm = one_codeword_update(haar, np.zeros(k, dtype=np.complex128), 1e-3, basis)
+    new, norm = one_codeword_update(haar, np.zeros(k, dtype=np.complex128), 1e-3)
     assert norm == 0.0 and np.array_equal(new, haar)
 
     # At eps quartic_sum(W c) = 1 the update is singular, as for the oracle.
-    for update in (lambda: one_codeword_update(haar, c, 1.0 / c_sum, basis),
-                   lambda: project_symmetric(haar - delta_w(c, haar, basis) / c_sum)):
+    for update in (lambda: one_codeword_update(haar, c, 1.0 / c_sum),
+                   lambda: project_symmetric(haar - delta_w(c, haar) / c_sum)):
         with pytest.raises(RankDeficientUpdate, match="reduce the step size epsilon"):
             update()
 
@@ -529,7 +524,7 @@ def test_random_steps_stay_unitary(mode, projection, k, sizes, steps, seed):
     symbols = const.points[rng.integers(0, 16, (sum(sizes), k))]
     book = Codebook(symbols=symbols, subset_sizes=sizes, p_av=float(np.mean(np.abs(symbols) ** 2) * k))
     basis = build_basis(k)
-    cfg = OptimizerConfig(epsilon=small_step(book, basis), max_iters=steps, stop_tol=0.0,
+    cfg = OptimizerConfig(epsilon=small_step(book), max_iters=steps, stop_tol=0.0,
                           projection=projection, mode=mode, seed=seed)
     state, _ = run(book, basis, cfg, UnitarySet.random(book.n_subsets, k, rng))
     assert state.iteration == steps
@@ -576,11 +571,10 @@ def test_rank_deficiency_raises_in_stochastic_mode():
 
     const = QamConstellation.square(16)
     book = generate_codebook(const, 2, 4, 4, seed=0)
-    basis = build_basis(2)
-    cfg = OptimizerConfig(epsilon=1.0 / quartic_sum(book.symbols[2], basis))
+    cfg = OptimizerConfig(epsilon=1.0 / quartic_sum(book.symbols[2]))
     state = UnitarySet.identity(4, 2)
     with pytest.raises(RankDeficientUpdate, match="reduce the step size epsilon"):
-        step_stochastic(state, book, basis, cfg)
+        step_stochastic(state, book, cfg)
 
 
 def test_unitary_header_is_validated(tmp_path):
@@ -639,14 +633,13 @@ def test_steps_leave_their_input_alone(mode, projection, sizes):
     rng = np.random.default_rng(30)
     symbols = const.points[rng.integers(0, 16, (sum(sizes), 8))]
     book = Codebook(symbols=symbols, subset_sizes=sizes, p_av=float(np.mean(np.abs(symbols) ** 2) * 8))
-    basis = build_basis(8)
     state = UnitarySet.random(book.n_subsets, 8, rng)
     before = state.matrices.tobytes(), book.symbols.tobytes()
     state.matrices.flags.writeable = False  # any write into the input raises
     book.symbols.flags.writeable = False  # equal-size batch steps read it as a view
     step = step_batch if mode == "batch" else step_stochastic
     cfg = OptimizerConfig(epsilon=1e-3, mode=mode, projection=projection)
-    new, _ = step(state, book, basis, cfg)
+    new, _ = step(state, book, cfg)
     assert (state.matrices.tobytes(), book.symbols.tobytes()) == before and state.iteration == 0
     assert new.iteration == 1 and not np.shares_memory(new.matrices, state.matrices)
     assert new.matrices.flags.writeable
@@ -663,9 +656,8 @@ def test_batch_step_matches_stacked_gradients(sizes):
     k = 16
     symbols = const.points[rng.integers(0, 16, (sum(sizes), k))]
     book = Codebook(symbols=symbols, subset_sizes=sizes, p_av=float(np.mean(np.abs(symbols) ** 2) * k))
-    basis = build_basis(k)
     state = UnitarySet.random(book.n_subsets, k, rng)
-    eps = small_step(book, basis)
+    eps = small_step(book)
     expected = np.empty_like(state.matrices)
     norms = np.empty(book.n_subsets)
     for m in sorted(set(sizes)):
@@ -673,9 +665,9 @@ def test_batch_step_matches_stacked_gradients(sizes):
         rows = np.stack([book.subset(n) for n in members])
         w = state.matrices[members]
         out = np.empty_like(w)
-        norms[members] = _polar_update(w, rows, _gradient_rows(rows, w, basis), eps, out)
+        norms[members] = _polar_update(w, rows, _gradient_rows(rows, w), eps, out)
         expected[members] = out
-    new, got_norms = step_batch(state, book, basis, OptimizerConfig(epsilon=eps, mode="batch"))
+    new, got_norms = step_batch(state, book, OptimizerConfig(epsilon=eps, mode="batch"))
     assert new.matrices.tobytes() == expected.tobytes()
     assert got_norms.tobytes() == norms.tobytes()
 
@@ -689,19 +681,19 @@ def test_run_matches_keyed_draw_loop_and_resumes():
     const = QamConstellation.square(16)
     book = generate_codebook(const, 16, 200, 4, seed=99)
     basis = build_basis(16)
-    cfg = OptimizerConfig(epsilon=small_step(book, basis), max_iters=2000, stop_tol=0.0,
+    cfg = OptimizerConfig(epsilon=small_step(book), max_iters=2000, stop_tol=0.0,
                           seed=2**32 + 7, checkpoint_every=500)
     starts = np.cumsum((0,) + book.subset_sizes[:-1])
     w = UnitarySet.identity(4, 16).matrices
-    r_values = {0: r_statistic(book, basis, w)}
+    r_values = {0: r_statistic(book, w)}
     step_norms = {}
     for it in range(cfg.max_iters):
         rows = book.symbols[starts + oracle_picks(cfg.seed, book.subset_sizes, it)][:, np.newaxis, :]
         new = np.empty_like(w)
-        norms = _polar_update(w, rows, _gradient_rows(rows, w, basis), cfg.epsilon, new)
+        norms = _polar_update(w, rows, _gradient_rows(rows, w), cfg.epsilon, new)
         w = new
         if it + 1 in (300, 500, 1000, 1500, 2000):
-            r_values[it + 1] = r_statistic(book, basis, w)
+            r_values[it + 1] = r_statistic(book, w)
             step_norms[it + 1] = float(norms.max())
             if it + 1 == 300:
                 w_300 = w

@@ -202,17 +202,14 @@ def test_shift_zero_phase_is_identity():
 
 
 def test_quartic_sum_hand_cases():
-    basis = build_basis(2)
-    assert abs(quartic_sum(np.array([1.0, 1.0]), basis) - 6.0) < 1e-12
-    basis8 = build_basis(8)
+    assert abs(quartic_sum(np.array([1.0, 1.0])) - 6.0) < 1e-12
     delta = np.zeros(8, complex)
     delta[0] = 1.0
-    assert abs(quartic_sum(delta, basis8) - 2.0 / 8.0) < 1e-12
+    assert abs(quartic_sum(delta) - 2.0 / 8.0) < 1e-12
 
 
 def test_quartic_sum_matches_dense_operators():
     k = 16
-    basis = build_basis(k)
     (c,) = random_codewords(k, 1, 4)
     rng = np.random.default_rng(8)
     w, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
@@ -221,19 +218,14 @@ def test_quartic_sum_matches_dense_operators():
     dense = sum((u.conj() @ op @ u).real ** 2 for op in c_ops) + sum(
         (u.conj() @ op @ u).real ** 2 for op in ch_ops
     )
-    fast = quartic_sum(c, basis, w)
+    fast = quartic_sum(c @ w.T)
     assert abs(fast - dense) < 1e-10 * dense
 
 
-def test_quartic_sum_batch_and_errors():
-    basis = build_basis(4)
+def test_quartic_sum_batch_matches_rows():
     batch = random_codewords(4, 5, 2)
-    per_row = np.array([quartic_sum(row, basis) for row in batch])
-    np.testing.assert_allclose(quartic_sum(batch, basis), per_row, rtol=1e-12)
-    with pytest.raises(ValueError):
-        quartic_sum(batch, basis, np.eye(3))
-    with pytest.raises(ValueError):
-        quartic_sum(random_codewords(5, 1, 0)[0], basis)
+    per_row = np.array([quartic_sum(row) for row in batch])
+    np.testing.assert_allclose(quartic_sum(batch), per_row, rtol=1e-12)
 
 
 @pytest.mark.parametrize("k", [2, 3, 8, 16])
@@ -263,14 +255,13 @@ def test_parseval_over_operators():
 
 def test_envelope_and_quartic_bounds_on_dense_grid():
     k = 16
-    basis = build_basis(k)
     codewords = random_codewords(k, 50, 12)
     peaks = (np.abs(baseband_samples(codewords, 32)) ** 2).max(axis=1)
     for c, peak in zip(codewords, peaks):
         rho = aperiodic_corr(c)
         envelope_cap = rho[0].real + 2.0 * np.abs(rho[1:]).sum()
         assert peak <= envelope_cap * (1 + 1e-12)
-        quartic_cap = k * (2 * k - 1) / 2.0 * quartic_sum(c, basis)
+        quartic_cap = k * (2 * k - 1) / 2.0 * quartic_sum(c)
         assert peak**2 <= quartic_cap * (1 + 1e-12)
 
 
@@ -286,7 +277,7 @@ def test_quartic_sum_cauchy_schwarz_floor(k, seed):
     # (above) gives 2 ||c||^4 / K <= quartic_sum <= 2 ||c||^4 for every W.
     (c,), w = haar_case(k, seed)
     norm4 = np.vdot(c, c).real ** 2
-    value = quartic_sum(c, build_basis(k), w)
+    value = quartic_sum(c @ w.T)
     assert 2.0 * norm4 / k * (1 - 1e-12) <= value <= 2.0 * norm4 * (1 + 1e-12)
 
 
@@ -301,10 +292,10 @@ def test_grid_paths_match_kpoint_oracle(k, seed):
     block, w = haar_case(k, seed, count=3)
 
     expected = pair.quartic_sum(block @ w.T)
-    assert np.abs(quartic_sum(block, basis, w) - expected).max() <= 1e-12 * expected.max()
+    assert np.abs(quartic_sum(block @ w.T) - expected).max() <= 1e-12 * expected.max()
 
     expected = pair.delta_w(block, w)
-    assert np.abs(delta_w(block, w, basis) - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.abs(delta_w(block, w) - expected).max() <= 1e-12 * np.abs(expected).max()
 
     a = random_codewords(k, k, seed + 2)
     cov = a.T @ a.conj()
