@@ -109,11 +109,15 @@ def noise_sigma(
     Energy accounting: E_s = p_av / K per subcarrier symbol and
     E_b = E_s / bits_per_symbol, so the frequency-domain noise variance
     is N_0 = E_b / (E_b/N_0); the J*K-point transform spreads it over
-    the time grid as sigma_t^2 = J * K * N_0.
+    the time grid as sigma_t^2 = J * K * N_0; a ratio or sigma_t of 0 or inf is a ValueError.
     """
-    ebn0 = 10.0 ** (ebn0_db / 10.0)
-    n0 = p_av / (k_carriers * bits_per_symbol * ebn0)
-    return float(np.sqrt(oversampling * k_carriers * n0))
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        ebn0 = np.float64(10.0) ** (ebn0_db / 10.0)  # libm's pow as for a float; numpy's array pow may differ
+        n0 = p_av / (k_carriers * bits_per_symbol * ebn0)
+        sigma = np.sqrt(oversampling * k_carriers * n0)
+    if not (0 < ebn0 < np.inf and 0 < sigma < np.inf):
+        raise ValueError(f"ebn0_grid_db: at {ebn0_db:g} dB, E_b/N_0 or the noise sigma is 0 or infinite")
+    return float(sigma)
 
 
 def _transmit_rows(
@@ -234,18 +238,15 @@ def ber_sweep(
             or np.allclose(exact, codebook.symbols, atol=1e-9)):
         raise ValueError("codebook symbols are not points of the given constellation")
     popcount = np.array([bin(x).count("1") for x in range(constellation.order)])
-    boundaries = np.cumsum((0,) + codebook.subset_sizes)
-    subset_of = np.searchsorted(boundaries, np.arange(codebook.size), side="right") - 1
+    subset_of = np.repeat(np.arange(codebook.n_subsets), codebook.subset_sizes)
     # Per subset: the transmit transform and the receiver W_n*, None for W_n = I.
     senders = [None if is_identity(w) else w for w in unitaries.matrices]
     receivers = [None if w is None else w.conj() for w in senders]
+    sigmas = [noise_sigma(ebn0, codebook.p_av, codebook.k_carriers, constellation.bits_per_symbol,
+                          link.oversampling) for ebn0 in link.ebn0_db]
 
     bers, bits, errs, lows, highs = [], [], [], [], []
-    for point, ebn0 in enumerate(link.ebn0_db):
-        sigma = noise_sigma(
-            ebn0, codebook.p_av, codebook.k_carriers,
-            constellation.bits_per_symbol, link.oversampling,
-        )
+    for point, sigma in enumerate(sigmas):
         n_bits = 0
         n_errors = 0
         block = 0

@@ -219,13 +219,17 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return asdict(cfg)
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def _read_json(path: str | Path):
+    """The JSON document in ``path``; ValueError naming the file if it is not JSON text."""
     with open(path) as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_config(data)
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return parse_config(_read_json(path))
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -265,8 +269,7 @@ def write_manifest(out_dir: Path, command: str, cfg_hash: str, files: list[Path]
 
 def verify_manifest(path: Path) -> list[tuple[str, bool]]:
     """Check every file a manifest lists against its checksum; ValueError if it is malformed."""
-    with open(path) as fh:
-        manifest = json.load(fh)
+    manifest = _read_json(path)
     if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise ValueError(f"{path}: not a manifest file")
     files = manifest.get("files", {})

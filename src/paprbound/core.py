@@ -11,6 +11,7 @@ average power over the whole book.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -203,12 +204,18 @@ class Codebook:
     def n_subsets(self) -> int:
         return len(self.subset_sizes)
 
+    @functools.cached_property
+    def subset_starts(self) -> np.ndarray:
+        """The N + 1 row offsets of the partition (read-only): subset n is rows [starts[n], starts[n + 1])."""
+        starts = np.cumsum((0,) + self.subset_sizes)
+        starts.flags.writeable = False
+        return starts
+
     def subset(self, n: int) -> np.ndarray:
         """Rows of subset ``n`` (0-based)."""
         if not 0 <= n < self.n_subsets:
             raise ValueError(f"subset index {n} out of range [0, {self.n_subsets})")
-        start = sum(self.subset_sizes[:n])
-        return self.symbols[start : start + self.subset_sizes[n]]
+        return self.symbols[self.subset_starts[n] : self.subset_starts[n + 1]]
 
     def subsets(self):
         return [self.subset(n) for n in range(self.n_subsets)]
@@ -227,10 +234,6 @@ def generate_codebook(
     codewords to each subset.  The same seed reproduces the codebook
     bit for bit.
     """
-    if k_carriers < 2:
-        raise ValueError("carrier count K must be at least 2")
-    if count % n_subsets != 0:
-        raise ValueError(f"count {count} not divisible by n_subsets {n_subsets}")
     rng = np.random.default_rng(seed % (1 << 64))
     idx = rng.integers(0, constellation.order, size=(count, k_carriers))
     symbols = constellation.points[idx]

@@ -40,6 +40,7 @@ past ``UNITARITY_TOL``.
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -451,31 +452,28 @@ _PROJECTORS = {
 _GRADIENT_ROWS = 64
 
 
-def _descend(state: UnitarySet, groups, epsilon: float, projection: str):
+def _descend(state: UnitarySet, runs, epsilon: float, projection: str):
     """Move each subset's W against the gradient of its codeword rows.
 
-    ``groups`` yields (ascending subset indices, (n, m, K) rows) pairs.
+    ``runs`` yields (first subset, (n, m, K) rows) pairs, one per run of
+    n consecutive subsets of m rows each.  Each chunk of a run reads a
+    view of the old stack and writes into a view of the new one.
     Returns the new state and the per-subset step norms
-    ||W(l+1) - W(l)||_F.  A group that spans every subset reads the old
-    stack and writes the new one in place; any other group works on
-    copies.
+    ||W(l+1) - W(l)||_F.
     """
     new = np.empty_like(state.matrices)
     norms = np.empty(state.n_subsets)
-    for members, rows in groups:
-        whole = len(members) == state.n_subsets
-        w = state.matrices if whole else state.matrices[members]
-        out = new if whole else np.empty_like(w)
+    for first, rows in runs:
         per_call = max(1, _GRADIENT_ROWS // rows.shape[1])
         for i in range(0, len(rows), per_call):
-            chunk = slice(i, i + per_call)
+            block = rows[i : i + per_call]
+            chunk = slice(first + i, first + i + len(block))
+            w = state.matrices[chunk]
             # W c, shared by the gradient and a rank-one update.  Larger
             # chunks form it inside the gradient and free it there.
-            wc = rows[chunk] @ np.swapaxes(w[chunk], -1, -2) if rows.shape[1] == 1 else None
-            grads = _gradient_rows(rows[chunk], w[chunk], wc)
-            norms[members[chunk]] = _PROJECTORS[projection](w[chunk], rows[chunk], grads, epsilon, out[chunk], wc)
-        if not whole:
-            new[members] = out
+            wc = block @ np.swapaxes(w, -1, -2) if block.shape[1] == 1 else None
+            grads = _gradient_rows(block, w, wc)
+            norms[chunk] = _PROJECTORS[projection](w, block, grads, epsilon, new[chunk], wc)
     return UnitarySet(matrices=new, iteration=state.iteration + 1), norms
 
 
@@ -483,21 +481,17 @@ def step_batch(state: UnitarySet, codebook: Codebook,
                config: OptimizerConfig) -> tuple[UnitarySet, np.ndarray]:
     """One full-subset gradient step for every subset.
 
-    Subsets of equal size move as one stack; when every subset has the
-    same size the stack is a view of the codebook, not a copy.  Returns
-    the new state and the per-subset step norms ||W(l+1) - W(l)||_F used
-    by the stopping rule.
+    Each run of consecutive subsets of equal size moves as one stack, a
+    view of the codebook.  Returns the new state and the per-subset step
+    norms ||W(l+1) - W(l)||_F used by the stopping rule.
     """
-    sizes = codebook.subset_sizes
-    groups = []
-    for m in sorted(set(sizes)):
-        members = [n for n, size in enumerate(sizes) if size == m]
-        if len(members) == len(sizes):
-            rows = codebook.symbols.reshape(len(sizes), m, -1)
-        else:
-            rows = np.stack([codebook.subset(n) for n in members])
-        groups.append((members, rows))
-    return _descend(state, groups, config.resolved_epsilon(codebook.k_carriers), config.projection)
+    starts = codebook.subset_starts
+    runs, first = [], 0
+    for m, run_sizes in itertools.groupby(codebook.subset_sizes):
+        n = len(list(run_sizes))
+        runs.append((first, codebook.symbols[starts[first] : starts[first + n]].reshape(n, m, -1)))
+        first += n
+    return _descend(state, runs, config.resolved_epsilon(codebook.k_carriers), config.projection)
 
 
 def step_stochastic(state: UnitarySet, codebook: Codebook,
@@ -511,13 +505,10 @@ def step_stochastic(state: UnitarySet, codebook: Codebook,
     together: one stacked 2K-point FFT pair for the gradients and one
     stacked rank-one polar update.
     """
-    sizes = codebook.subset_sizes
-    starts = np.cumsum((0,) + sizes[:-1])
     block, row = divmod(state.iteration, _DRAW_BLOCK)
-    picks = _draw_block(config.seed, sizes, block)[row]
-    rows = codebook.symbols[starts + picks][:, np.newaxis, :]
-    groups = [(np.arange(codebook.n_subsets), rows)]
-    return _descend(state, groups, config.resolved_epsilon(codebook.k_carriers), config.projection)
+    picks = _draw_block(config.seed, codebook.subset_sizes, block)[row]
+    rows = codebook.symbols[codebook.subset_starts[:-1] + picks][:, np.newaxis, :]
+    return _descend(state, [(0, rows)], config.resolved_epsilon(codebook.k_carriers), config.projection)
 
 
 @dataclass(frozen=True)

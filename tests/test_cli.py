@@ -481,21 +481,39 @@ def test_unpaired_inputs_fail_closed(tmp_path, capsys):
     assert sorted(path.name for path in out.iterdir()) == ["codebook.bin", "gen.manifest.json"]
 
 
-@pytest.mark.parametrize("manifest", [
-    [1],
-    {"format": "paprbound/manifest", "files": {"codebook.bin": "x"}},
-    {"format": "paprbound/manifest", "files": [1]},
-    {"format": "paprbound/manifest", "files": {"codebook.bin": {"sha256": "0" * 64}}},
-], ids=["list", "text-entry", "list-of-files", "entry-without-bytes"])
-def test_malformed_manifest_fails_closed(tmp_path, capsys, manifest):
+@pytest.mark.parametrize("content", [
+    *(json.dumps(manifest).encode() for manifest in (
+        [1],
+        {"format": "paprbound/manifest", "files": {"codebook.bin": "x"}},
+        {"format": "paprbound/manifest", "files": [1]},
+        {"format": "paprbound/manifest", "files": {"codebook.bin": {"sha256": "0" * 64}}},
+    )),
+    b'{"format": ',
+    b"\xff{}",
+], ids=["list", "text-entry", "list-of-files", "entry-without-bytes", "truncated", "not-utf8"])
+def test_malformed_manifest_fails_closed(tmp_path, capsys, content):
     cfg_path = small_config(tmp_path)
     out = tmp_path / "run"
     run_cli("gen", "--config", cfg_path)
-    (out / "gen.manifest.json").write_text(json.dumps(manifest))
+    (out / "gen.manifest.json").write_bytes(content)
     capsys.readouterr()
     assert run_cli("verify", "--config", cfg_path) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out / 'gen.manifest.json'}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("ebn0_db", [-1e6, 1e6])
+def test_extreme_ebn0_fails_closed(tmp_path, capsys, ebn0_db):
+    # 10^(dB/10) underflows to 0 (an infinite noise sigma) or overflows
+    # (a zero sigma): refused before the first block, with no warning.
+    cfg_path = small_config(tmp_path, ebn0_grid_db=[6.0, ebn0_db])
+    out = tmp_path / "run"
+    assert run_cli("gen", "--config", cfg_path) == EXIT_OK
+    capsys.readouterr()
+    assert run_cli("ber", "--config", cfg_path, out / "codebook.bin") == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ebn0_grid_db: ") and err.count("\n") == 1, err
+    assert sorted(path.name for path in out.iterdir()) == ["codebook.bin", "gen.manifest.json"]
 
 
 def test_unitarity_drift_fails_closed(tmp_path, monkeypatch, capsys):

@@ -75,9 +75,9 @@ def test_generate_codebook_partition_shapes():
 
 def test_generate_codebook_errors():
     const = QamConstellation.square(16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not divisible"):
         generate_codebook(const, 8, 10, 3, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 2"):
         generate_codebook(const, 1, 10, 2, seed=0)
 
 

@@ -621,9 +621,10 @@ def test_draw_block_refuses_sizes_it_cannot_replay():
 STEP_CASES = [
     ("stochastic", "symmetric_decorrelation", (6, 6, 6)),
     ("batch", "symmetric_decorrelation", (6, 6, 6)),
-    ("batch", "symmetric_decorrelation", (3, 6, 1, 6)),  # groups that are not the whole stack
+    ("batch", "symmetric_decorrelation", (3, 6, 1, 6)),  # runs of one subset each
     ("batch", "gram_schmidt", (3, 6, 1, 6)),
     ("stochastic", "gram_schmidt", (6, 6, 6)),
+    ("batch", "symmetric_decorrelation", (6, 6, 3, 6, 6)),  # equal sizes that are not adjacent
 ]
 
 
@@ -636,7 +637,7 @@ def test_steps_leave_their_input_alone(mode, projection, sizes):
     state = UnitarySet.random(book.n_subsets, 8, rng)
     before = state.matrices.tobytes(), book.symbols.tobytes()
     state.matrices.flags.writeable = False  # any write into the input raises
-    book.symbols.flags.writeable = False  # equal-size batch steps read it as a view
+    book.symbols.flags.writeable = False  # batch steps read it as views
     step = step_batch if mode == "batch" else step_stochastic
     cfg = OptimizerConfig(epsilon=1e-3, mode=mode, projection=projection)
     new, _ = step(state, book, cfg)
@@ -645,12 +646,16 @@ def test_steps_leave_their_input_alone(mode, projection, sizes):
     assert new.matrices.flags.writeable
 
 
-@pytest.mark.parametrize("sizes", [(6, 6, 6), (3, 6, 1, 6), (20, 20, 20, 20), (70, 70)])
+@pytest.mark.parametrize("sizes", [(6, 6, 6), (3, 6, 1, 6), (20, 20, 20, 20), (70, 70),
+                                   (6, 6, 3, 6, 6), (20, 20, 20, 20, 5, 20, 20)])
 def test_batch_step_matches_stacked_gradients(sizes):
     # Batch symmetric steps take their gradients and updates in chunks
-    # of whole subsets, at most _GRADIENT_ROWS rows each (one chunk,
-    # chunks of 3 and a rest of 1, one subset per chunk above); the
-    # stacked (n, m, K) evaluation gives the same bits.
+    # of whole subsets from one run of consecutive equal sizes, at most
+    # _GRADIENT_ROWS rows each: one chunk for (6, 6, 6), chunks of 3 and
+    # a rest of 1 for (20,) * 4, one subset per chunk for (70, 70), and
+    # runs cut by a subset of another size in the last two.  The
+    # (n, m, K) evaluation of all subsets of one size at once gives the
+    # same bits.
     const = QamConstellation.square(16)
     rng = np.random.default_rng(31)
     k = 16

@@ -1,0 +1,37 @@
+"""The call sites that ``perfbench/tracer.py`` patches by name must exist,
+so that renaming one in the package fails here instead of quietly
+dropping its per-layer metrics from the benchmark."""
+
+import importlib.util
+from pathlib import Path
+
+from paprbound import optimizer
+from paprbound.core import QamConstellation, generate_codebook
+from paprbound.spectral import build_basis
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_finds_every_call_site_but_the_stale_one():
+    tracer = load_tracer().Tracer()
+    original = optimizer.step_batch, dict(optimizer._PROJECTORS)
+    try:
+        tracer.install()
+        # A short batch run reaches the patched step and projection.
+        book = generate_codebook(QamConstellation.square(16), 8, 16, 2, seed=3)
+        cfg = optimizer.OptimizerConfig(epsilon=1e-3, max_iters=2, stop_tol=0.0, mode="batch")
+        optimizer.run(book, build_basis(8), cfg)
+    finally:
+        tracer.restore()
+    # delta_w moved into the tests' polar oracle; the tracer still lists it.
+    assert tracer.missing == ["paprbound.optimizer.delta_w"]
+    assert (optimizer.step_batch, optimizer._PROJECTORS) == original
+    calls = {name: entry["calls"] for name, entry in tracer.totals().items()}
+    assert calls["optimizer.step"] == 2 and calls["optimizer.project_symmetric"] == 2
