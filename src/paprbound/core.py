@@ -110,8 +110,8 @@ class QamConstellation:
         return (_gray(li) << axis_bits) | _gray(lq)
 
     def _axis_level(self, value: np.ndarray) -> np.ndarray:
-        pos = np.rint((value / self.scale + self.side - 1) / 2.0).astype(np.int64)
-        return np.clip(pos, 0, self.side - 1)
+        # Clipped before the cast: a level past the int64 range would not convert.
+        return np.clip(np.rint((value / self.scale + self.side - 1) / 2.0), 0, self.side - 1).astype(np.int64)
 
     def indices_to_bits(self, indices: np.ndarray) -> np.ndarray:
         """Unpack symbol indices to bits, MSB first, shape (..., bits)."""
@@ -189,7 +189,8 @@ class Codebook:
         if count % n_subsets != 0:
             raise ValueError(f"codebook size {count} not divisible by {n_subsets} subsets")
         sizes = (count // n_subsets,) * n_subsets
-        p_av = float(np.mean(np.abs(sym) ** 2) * sym.shape[1])
+        # An empty array gets 0 here, so that __post_init__ names its shape.
+        p_av = float(np.mean(np.abs(sym) ** 2) * sym.shape[1]) if sym.size else 0.0
         return cls(symbols=sym, subset_sizes=sizes, p_av=p_av, **meta)
 
     @property

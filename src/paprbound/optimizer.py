@@ -50,7 +50,6 @@ import numpy as np
 from .bounds import r_statistic
 from .core import INT_OR_NULL_FIELD, SIZE_FIELD, Codebook, read_artifact, write_artifact
 from .spectral import SpectralBasis
-from .waveform import baseband_samples
 
 UNITARY_FORMAT = "paprbound/unitary-set"
 FORMAT_VERSION = 1
@@ -297,19 +296,21 @@ class OptimizerConfig:
         return float(self.epsilon) if self.epsilon is not None else k_carriers ** -1.5
 
 
-def _gradient_rows(rows: np.ndarray, w: np.ndarray, wc: np.ndarray | None = None) -> np.ndarray:
+def _gradient_rows(rows: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-codeword gradient rows V*(|alpha|^2 alpha) + V_hat*(|beta|^2 beta)
-    with alpha = V W c, beta = V_hat W c.
+    with alpha = V W c, beta = V_hat W c, and the products W c.
 
     Evaluated as ``fft(|s|^2 s)[:K] / K^2`` on the 2K-point envelope
     s of W c.  ``rows`` holds codewords as rows, shape (..., m, K), and
-    ``w`` the matching transforms, shape (..., K, K); ``wc`` is
-    ``rows @ W^T`` if the caller has it.  The result has the shape of
-    ``rows``.
+    ``w`` the matching transforms, shape (..., K, K).  W c is formed
+    here once, into the zero-padded buffer of the inverse FFT, and the
+    returned ``wc`` is a view of it.  Both have the shape of ``rows``.
     """
     k = rows.shape[-1]
-    s = baseband_samples(rows @ np.swapaxes(w, -1, -2) if wc is None else wc, 2)
-    return np.fft.fft(np.abs(s) ** 2 * s, axis=-1)[..., :k] / k**2
+    padded = np.zeros(rows.shape[:-1] + (2 * k,), dtype=np.complex128)
+    wc = np.matmul(rows, np.swapaxes(w, -1, -2), out=padded[..., :k])
+    s = np.fft.ifft(padded, axis=-1, norm="forward")
+    return np.fft.fft(np.abs(s) ** 2 * s, axis=-1)[..., :k] / k**2, wc
 
 
 def project_gram_schmidt(w: np.ndarray) -> np.ndarray:
@@ -341,12 +342,12 @@ def _require_nonsingular(lam: np.ndarray) -> None:
 
 
 def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: float, out: np.ndarray,
-                  wc: np.ndarray | None = None):
+                  wc: np.ndarray):
     """Symmetric decorrelation of W - epsilon G C* for a stack of subsets.
 
     ``w`` is (N, K, K); ``rows`` and ``grads`` are (N, m, K) codeword
     and gradient rows, so G C* is the unscaled descent direction of the
-    m codewords, and ``wc`` is ``rows @ W^T`` if the caller has it.
+    m codewords, and ``wc`` is ``rows @ W^T`` from ``_gradient_rows``.
     With H = W* G the update is W A with A = I - epsilon H C*, and its
     polar factor is W U V* for the SVD A = U S V* (N. J. Higham,
     "Computing the polar decomposition -- with applications", SIAM J.
@@ -363,7 +364,6 @@ def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: f
     overlapping it) and returns the step norms ||W' - W||_F.
     """
     if rows.shape[-2] == 1:
-        wc = rows @ np.swapaxes(w, -1, -2) if wc is None else wc
         return _rank_one_polar(w, rows, grads, epsilon, out, wc)
     h = np.conj(np.swapaxes(grads.conj() @ w, -1, -2))
     a = np.eye(w.shape[-1]) - epsilon * (h @ rows.conj())
@@ -427,7 +427,7 @@ def _rank_one_polar(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon:
 
 
 def _gram_schmidt_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: float, out: np.ndarray,
-                         wc: np.ndarray | None = None):
+                         wc: np.ndarray):
     """``_polar_update`` with row-wise Gram-Schmidt: project_gram_schmidt(W - epsilon G C*).
 
     ``wc`` is part of the shared ``_PROJECTORS`` signature and unused here.
@@ -469,10 +469,7 @@ def _descend(state: UnitarySet, runs, epsilon: float, projection: str):
             block = rows[i : i + per_call]
             chunk = slice(first + i, first + i + len(block))
             w = state.matrices[chunk]
-            # W c, shared by the gradient and a rank-one update.  Larger
-            # chunks form it inside the gradient and free it there.
-            wc = block @ np.swapaxes(w, -1, -2) if block.shape[1] == 1 else None
-            grads = _gradient_rows(block, w, wc)
+            grads, wc = _gradient_rows(block, w)
             norms[chunk] = _PROJECTORS[projection](w, block, grads, epsilon, new[chunk], wc)
     return UnitarySet(matrices=new, iteration=state.iteration + 1), norms
 

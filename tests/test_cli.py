@@ -516,6 +516,19 @@ def test_extreme_ebn0_fails_closed(tmp_path, capsys, ebn0_db):
     assert sorted(path.name for path in out.iterdir()) == ["codebook.bin", "gen.manifest.json"]
 
 
+@pytest.mark.parametrize("rapp", [False, True], ids=["linear", "rapp"])
+def test_extreme_low_ebn0_runs_silently(tmp_path, capsys, rapp):
+    # At -400 dB the noise sigma is near 1e20 but finite, so the point
+    # runs: received levels past the int64 range slice to the outer
+    # points with no cast warning.
+    cfg_path = small_config(tmp_path, ebn0_grid_db=[-400.0], rapp={"enabled": rapp})
+    out = tmp_path / "run"
+    assert run_cli("gen", "--config", cfg_path) == EXIT_OK
+    capsys.readouterr()
+    assert run_cli("ber", "--config", cfg_path, out / "codebook.bin") == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_unitarity_drift_fails_closed(tmp_path, monkeypatch, capsys):
     # A step that leaves W 1e-7 off the unitaries at iteration 13: the
     # checkpoint at iteration 20 refuses the run, and ``optimize`` exits

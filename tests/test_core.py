@@ -79,6 +79,11 @@ def test_generate_codebook_errors():
         generate_codebook(const, 8, 10, 3, seed=0)
     with pytest.raises(ValueError, match="at least 2"):
         generate_codebook(const, 1, 10, 2, seed=0)
+    # Empty books are refused by their shape, before p_av averages nothing.
+    with pytest.raises(ValueError, match="at least 2"):
+        generate_codebook(const, 0, 10, 2, seed=0)
+    with pytest.raises(ValueError, match="non-empty"):
+        Codebook.from_symbols(np.empty((0, 4)), 1)
 
 
 def test_generate_codebook_deterministic():

@@ -31,6 +31,7 @@ from paprbound.optimizer import (
     step_stochastic,
 )
 from paprbound.spectral import build_basis
+from paprbound.waveform import baseband_samples
 
 
 RNG = np.random.default_rng(0)
@@ -106,6 +107,23 @@ def test_delta_w_matches_finite_differences():
                 ) / (2 * h)
         fast = scale * delta_w(subset, w)
         assert np.abs(fast - grad).max() <= 1e-5 * np.abs(grad).max()
+
+
+@pytest.mark.parametrize("shape", [(5, 1, 64), (1, 400, 128), (2, 3, 16), (3, 2, 12)])
+def test_gradient_rows_match_envelope_formula(shape):
+    # The step tests compare ``run`` with loops that call ``_gradient_rows``
+    # themselves; this pins its bits to the 2K-point envelope formula
+    # built from public pieces, and its W c to a plain product.
+    n, m, k = shape
+    rng = np.random.default_rng(4)
+    rows = QamConstellation.square(16).points[rng.integers(0, 16, shape)]
+    w = UnitarySet.random(n, k, rng).matrices
+    grads, wc = _gradient_rows(rows, w)
+    expected_wc = rows @ np.swapaxes(w, -1, -2)
+    s = baseband_samples(expected_wc, 2)
+    assert wc.shape == grads.shape == shape
+    assert wc.tobytes() == expected_wc.tobytes()
+    assert grads.tobytes() == (np.fft.fft(np.abs(s) ** 2 * s)[..., :k] / k**2).tobytes()
 
 
 def test_gram_schmidt_projection():
@@ -299,7 +317,7 @@ def test_nan_update_is_refused():
     w = np.eye(4, dtype=complex)[np.newaxis]
     rows = np.ones((1, 1, 4), dtype=complex)
     with pytest.raises(RankDeficientUpdate):
-        _polar_update(w, rows, np.full((1, 1, 4), np.nan + 0j), 1e-3, np.empty_like(w))
+        _polar_update(w, rows, np.full((1, 1, 4), np.nan + 0j), 1e-3, np.empty_like(w), rows)  # W c = c
 
 
 def test_config_validation():
@@ -446,11 +464,16 @@ def test_factored_polar_step_does_not_drift():
     assert np.abs(state.matrices - w).max() <= 1e-12 * np.abs(w).max()
 
 
+def polar_step(w, rows, eps, out):
+    """``_polar_update`` of a stack from its gradient rows and W c: the step norms."""
+    grads, wc = _gradient_rows(rows, w)
+    return _polar_update(w, rows, grads, eps, out, wc)
+
+
 def one_codeword_update(w, c, eps):
     """``_polar_update`` of one matrix by one codeword: (W', step norm)."""
-    rows = c[np.newaxis, np.newaxis, :]
     new = np.empty((1,) + w.shape, dtype=np.complex128)
-    norms = _polar_update(w[np.newaxis], rows, _gradient_rows(rows, w[np.newaxis]), eps, new)
+    norms = polar_step(w[np.newaxis], c[np.newaxis, np.newaxis, :], eps, new)
     return new[0], norms[0]
 
 
@@ -670,7 +693,7 @@ def test_batch_step_matches_stacked_gradients(sizes):
         rows = np.stack([book.subset(n) for n in members])
         w = state.matrices[members]
         out = np.empty_like(w)
-        norms[members] = _polar_update(w, rows, _gradient_rows(rows, w), eps, out)
+        norms[members] = polar_step(w, rows, eps, out)
         expected[members] = out
     new, got_norms = step_batch(state, book, OptimizerConfig(epsilon=eps, mode="batch"))
     assert new.matrices.tobytes() == expected.tobytes()
@@ -695,7 +718,7 @@ def test_run_matches_keyed_draw_loop_and_resumes():
     for it in range(cfg.max_iters):
         rows = book.symbols[starts + oracle_picks(cfg.seed, book.subset_sizes, it)][:, np.newaxis, :]
         new = np.empty_like(w)
-        norms = _polar_update(w, rows, _gradient_rows(rows, w), cfg.epsilon, new)
+        norms = polar_step(w, rows, cfg.epsilon, new)
         w = new
         if it + 1 in (300, 500, 1000, 1500, 2000):
             r_values[it + 1] = r_statistic(book, w)
