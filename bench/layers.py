@@ -1,13 +1,17 @@
-"""Per-layer timings of paprbound over a sweep of carrier counts K.
+"""Per-layer timings of paprbound over a sweep of carrier counts K: an
+A/B of two source trees in one process.
 
 Run from the root of a paprbound source checkout:
 
-    python3 bench/layers.py --out BENCH_<n>.json
+    python3 bench/layers.py --ab <parent-checkout>/src --out BENCH_<n>.json
 
-For each K in K_VALUES it builds one 16-QAM codebook (1000 codewords in
-N = 5 subsets, so m = 200 per subset) and a Haar unitary set from SEED,
-then times these layers, each REPEATS times after one untimed warm-up
-call:
+It imports the other tree's ``paprbound`` as ``paprbound_parent`` next
+to this checkout's; without ``--ab`` that is this checkout's own
+``src``, a self-A/B whose win counts and p-values show the host's noise
+floor.  For each K in K_VALUES each tree builds one 16-QAM codebook
+(1000 codewords in N = 5 subsets, so m = 200 per subset) and a Haar
+unitary set from SEED, and each layer is timed in REPEATS pairs after
+one untimed warm-up call per tree:
 
 * ``build_basis``: the 2K-point envelope grid and its check;
 * ``step_stochastic``: one stochastic step with symmetric decorrelation.
@@ -24,23 +28,15 @@ call:
 * ``ber_sweep_block_identity``: the same block with the identity set,
   the untransformed baseline of every BER comparison.
 
-It prints the median and the interquartile range of each layer in ms and
-writes them, with the machine, ``nproc``, the BLAS thread count and the
-versions, to the JSON file named by ``--out``.  BLAS/OpenMP threads are
-pinned to one before numpy is imported, as in ``perfbench/run.py``.
-
-A/B mode compares this checkout with another source tree in one process:
-
-    python3 bench/layers.py --ab <other-checkout>/src --out BENCH_<n>.json
-
-It imports the other tree's ``paprbound`` under the name
-``paprbound_parent`` next to this checkout's, builds each layer's inputs
-in both from the same seeds, and alternates their samples layer by layer
-(which tree goes first alternates too), so drift of the host between
-processes does not enter the comparison.  Per layer it reports both
-medians and quartiles, how many of the pairs this checkout won, and
-whether every pair of outputs was byte-equal (otherwise the largest
-relative difference).
+The trees' samples alternate layer by layer, and so does which tree goes
+first, so drift of the host between processes does not enter the
+comparison.  Per layer one line is printed, and the JSON file named by
+``--out`` gives both medians and quartiles in ms, how many pairs this
+checkout ("change") won, the two-sided sign-test p-value of that count,
+and whether every pair of outputs was byte-equal (otherwise the largest
+relative difference), with the machine, ``nproc``, the BLAS thread
+count and the versions.  BLAS/OpenMP threads are pinned to one before
+numpy is imported, as in ``perfbench/run.py``.
 """
 
 import os
@@ -54,6 +50,7 @@ import argparse  # noqa: E402
 import importlib.util  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -74,18 +71,6 @@ N_SUBSETS = 5
 QAM_ORDER = 16
 CHAIN = 256  # stochastic steps per sample: one block of draws
 BLOCK_CODEWORDS = 256
-
-
-def timed(fn, repeats: int) -> list[float]:
-    """Seconds per call of ``fn()`` over ``repeats`` calls, after one
-    untimed warm-up call."""
-    fn()
-    samples = []
-    for _ in range(repeats):
-        started = perf_counter()
-        fn()
-        samples.append(perf_counter() - started)
-    return samples
 
 
 # Calls per timed sample, for layers whose sample is a chain of calls.
@@ -126,11 +111,6 @@ def layer_calls(pb, k: int) -> dict:
         "ber_sweep_block": lambda: ber_block(haar),
         "ber_sweep_block_identity": lambda: ber_block(identity),
     }
-
-
-def layer_samples(k: int, repeats: int) -> dict[str, list[float]]:
-    return {name: [t / PER_SAMPLE.get(name, 1) for t in timed(fn, repeats)]
-            for name, fn in layer_calls(paprbound, k).items()}
 
 
 def load_tree(src, name: str = "paprbound_parent"):
@@ -193,14 +173,25 @@ def ab_layers(parent, k: int, repeats: int) -> dict:
                 times[side].append((perf_counter() - started) / PER_SAMPLE.get(name, 1))
             same, diff = compare(arrays(outputs["change"]), arrays(outputs["parent"]))
             equal, worst = equal and same, max(worst, diff)
+        wins = sum(a < b for a, b in zip(times["change"], times["parent"]))
+        losses = sum(a > b for a, b in zip(times["change"], times["parent"]))
         rows[name] = {
             **{side: summary(times[side]) for side in fns},
-            "change_wins": sum(a < b for a, b in zip(times["change"], times["parent"])),
+            "change_wins": wins,
             "pairs": repeats,
+            "sign_test_p": sign_test_p(wins, losses),
             "outputs_byte_equal": equal,
             "max_rel_diff": worst,
         }
     return rows
+
+
+def sign_test_p(wins: int, losses: int) -> float:
+    """Two-sided sign-test p-value of ``wins`` against ``losses`` (ties
+    are counted for neither side)."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2**n)
 
 
 def summary(samples: list[float]) -> dict:
@@ -230,21 +221,10 @@ def header(repeats: int) -> dict:
     }
 
 
-def report(k_values=K_VALUES, repeats: int = REPEATS) -> dict:
-    """Time every layer at each K, print one line per layer and return
-    the JSON document."""
-    layers = {}
-    for k in k_values:
-        layers[str(k)] = {name: summary(s) for name, s in layer_samples(k, repeats).items()}
-        for name, row in layers[str(k)].items():
-            print(f"K={k:<4d} {name:<24s} {row['median_ms']:10.3f} ms  "
-                  f"IQR [{row['q1_ms']:.3f}, {row['q3_ms']:.3f}]")
-    return {**header(repeats), "layers": layers}
-
-
-def report_ab(parent_src, k_values=K_VALUES, repeats: int = REPEATS) -> dict:
-    """A/B of this checkout against the tree at ``parent_src``: print one
-    line per layer and return the JSON document."""
+def report(parent_src=ROOT / "src", k_values=K_VALUES, repeats: int = REPEATS) -> dict:
+    """A/B of this checkout against the tree at ``parent_src`` (by
+    default itself): print one line per layer and return the JSON
+    document."""
     parent = load_tree(parent_src)
     layers = {}
     for k in k_values:
@@ -255,7 +235,7 @@ def report_ab(parent_src, k_values=K_VALUES, repeats: int = REPEATS) -> dict:
             print(f"K={k:<4d} {name:<24s} "
                   + "  ".join(f"{side} {row[side]['median_ms']:.3f} [{row[side]['q1_ms']:.3f}, "
                               f"{row[side]['q3_ms']:.3f}]" for side in ("parent", "change"))
-                  + f" ms  change won {row['change_wins']}/{row['pairs']}  {outputs}")
+                  + f" ms  change won {row['change_wins']}/{row['pairs']} (p {row['sign_test_p']:.3g})  {outputs}")
     return {**header(repeats), "ab": {"columns": ["parent", "change"], "parent_version": parent.__version__},
             "layers": layers}
 
@@ -263,10 +243,11 @@ def report_ab(parent_src, k_values=K_VALUES, repeats: int = REPEATS) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--ab", metavar="PARENT_SRC", default=None,
-                        help="directory holding another tree's paprbound package to compare against")
+    parser.add_argument("--ab", metavar="PARENT_SRC", default=ROOT / "src",
+                        help="directory holding the paprbound package to compare against "
+                             "(default: this checkout's own src)")
     args = parser.parse_args(argv)
-    doc = report() if args.ab is None else report_ab(args.ab)
+    doc = report(args.ab)
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

@@ -73,13 +73,18 @@ def rapp_apply(samples: np.ndarray, model: RappModel) -> np.ndarray:
     """Push samples through the amplitude nonlinearity, phases unchanged."""
     x = np.asarray(samples, dtype=np.complex128)
     p = model.smoothness
-    # (rho/r)^(2p) and (rho/r)^p, taken from rho^2 = re^2 + im^2
+    e = p if model.variant == "standard" else p / 2
+    # u^e = (rho/r)^(2p) or (rho/r)^p, taken from u = rho^2 / r^2 = (re^2 + im^2) / r^2
     gain = np.square(x.real)
     gain += np.square(x.imag)
     gain /= model.clip_level**2
-    gain **= p if model.variant == "standard" else p / 2
+    with np.errstate(over="ignore"):
+        gain **= e
+    over = np.isinf(gain)
     gain += 1.0
     gain **= -1.0 / (2 * p)
+    # Where u^e overflowed, 1 + u^-e rounds to 1: the gain is u^(-e/(2p)) = (r/rho)^(e/p).
+    gain[over] = (model.clip_level / np.abs(x[over])) ** (e / p)
     return x * gain
 
 
@@ -94,8 +99,8 @@ class LinkConfig:
 
     def __post_init__(self):
         grid = tuple(float(x) for x in self.ebn0_db)
-        if not all(np.isfinite(grid)):
-            raise ValueError("E_b/N_0 grid must be finite")
+        if not grid or not all(np.isfinite(grid)):
+            raise ValueError("E_b/N_0 grid must be non-empty and finite")
         object.__setattr__(self, "ebn0_db", grid)
         if self.oversampling < 1:
             raise ValueError("oversampling must be >= 1")
@@ -245,11 +250,9 @@ def ber_sweep(
     sigmas = [noise_sigma(ebn0, codebook.p_av, codebook.k_carriers, constellation.bits_per_symbol,
                           link.oversampling) for ebn0 in link.ebn0_db]
 
-    bers, bits, errs, lows, highs = [], [], [], [], []
+    points = []  # (errors, bits, ci_low, ci_high) per grid point
     for point, sigma in enumerate(sigmas):
-        n_bits = 0
-        n_errors = 0
-        block = 0
+        n_bits = n_errors = block = 0
         while n_errors < target_errors and n_bits < max_symbols * constellation.bits_per_symbol:
             rng = np.random.default_rng(
                 [int(link.seed) % (1 << 63), point, block]
@@ -273,20 +276,9 @@ def ber_sweep(
             n_errors += int(popcount[tx_indices[grouped] ^ rx].sum())
             n_bits += rows.size * codebook.k_carriers * constellation.bits_per_symbol
             block += 1
-        low, high = _wilson_interval(n_errors, n_bits)
-        bers.append(n_errors / n_bits)
-        bits.append(n_bits)
-        errs.append(n_errors)
-        lows.append(low)
-        highs.append(high)
-    return BerCurve(
-        ebn0_db=np.asarray(link.ebn0_db),
-        ber=np.asarray(bers),
-        n_bits=np.asarray(bits),
-        n_errors=np.asarray(errs),
-        ci_low=np.asarray(lows),
-        ci_high=np.asarray(highs),
-    )
+        points.append((n_errors, n_bits, *_wilson_interval(n_errors, n_bits)))
+    errs, bits, lows, highs = map(np.asarray, zip(*points))
+    return BerCurve(np.asarray(link.ebn0_db), errs / bits, bits, errs, lows, highs)
 
 
 _erfc_elementwise = np.vectorize(math.erfc, otypes=[float])

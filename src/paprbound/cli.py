@@ -155,7 +155,15 @@ class ExperimentConfig:
         # OptimizerConfig allows epsilon = 0 (a run that never moves); a config may not.
         _check(self.epsilon is None or self.epsilon > 0, "config field 'epsilon': must be positive")
         _check(is_qam_order(self.qam_order), f"config field 'qam_order': {QAM_ORDER_RULE}, got {self.qam_order}")
-        self.constellation()
+        const, k = self.constellation(), self.k_carriers
+        # Codeword powers lie in [2KD^2, b/K]; R <= (2K - 1) b^2 (b of bounds.qam_endpoints; quartic_sum <= 2b^2/K).
+        with np.errstate(over="ignore", under="ignore"):
+            powers = 2.0 * k * np.float64(const.scale) ** 2 * np.array([1.0, (const.side - 1) ** 2])
+            _check(powers[0] > 0 and (2 * k - 1) * (k * powers[1]) ** 2 < np.inf,
+                   "config field 'qam_scale': the codeword powers and the bound on R must be positive and finite")
+            clip_squared = powers * np.float64(10.0) ** (self.rapp.backoff_db / 10)
+        _check(all(0 < clip_squared) and all(clip_squared < np.inf),
+               "config field 'rapp.backoff_db': the squared clip level p_av 10^(dB/10) must be finite and positive")
         self.optimizer()
 
     def constellation(self) -> QamConstellation:

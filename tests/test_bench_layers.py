@@ -1,9 +1,12 @@
-"""K=16 smoke runs of the per-layer bench, ``bench/layers.py``, plain and A/B."""
+"""The per-layer bench, ``bench/layers.py``: a K=16 smoke run and its sign test."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -16,41 +19,22 @@ LAYERS = {
 # numpy is imported; the report goes to stderr after the bench's lines.
 SMOKE = (
     "import json, sys; sys.path.insert(0, sys.argv[1]); import layers; "
-    "print(json.dumps(layers.report((16,), 2)), file=sys.stderr)"
-)
-AB_SMOKE = (
-    "import json, sys; sys.path.insert(0, sys.argv[1]); import layers; "
-    "print(json.dumps(layers.report_ab(sys.argv[2], (16,), 2)), file=sys.stderr)"
+    "print(json.dumps(layers.report(k_values=(16,), repeats=2)), file=sys.stderr)"
 )
 
 
 def test_layer_bench_smoke():
+    # The default A/B: this checkout against a second copy of its own
+    # source tree, with both columns per layer and every pair of outputs
+    # byte-equal.
     done = subprocess.run(
-        [sys.executable, "-c", SMOKE, str(ROOT / "bench")], capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", SMOKE, str(ROOT / "bench")], capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stderr)
     assert result["threads"] == 1 and result["nproc"] >= 1
     assert {"python", "numpy", "paprbound"} <= set(result["versions"])
     assert result["setup"]["seed"] == 0
-    assert set(result["layers"]) == {"16"}
-    rows = result["layers"]["16"]
-    assert set(rows) == LAYERS
-    for row in rows.values():
-        assert row["samples"] == 2
-        assert 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
-    assert len(done.stdout.splitlines()) == len(LAYERS)
-
-
-def test_layer_bench_ab_structure():
-    # This checkout against a second copy of its own source tree: both
-    # columns per layer, and every pair of outputs byte-equal.
-    done = subprocess.run(
-        [sys.executable, "-c", AB_SMOKE, str(ROOT / "bench"), str(ROOT / "src")],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    result = json.loads(done.stderr)
     assert result["ab"]["columns"] == ["parent", "change"]
     assert set(result["layers"]) == {"16"}
     rows = result["layers"]["16"]
@@ -60,6 +44,21 @@ def test_layer_bench_ab_structure():
             assert row[side]["samples"] == 2
             assert 0 < row[side]["q1_ms"] <= row[side]["median_ms"] <= row[side]["q3_ms"]
         assert row["pairs"] == 2 and 0 <= row["change_wins"] <= 2
+        assert 0 <= row["sign_test_p"] <= 1
         assert row["outputs_byte_equal"] and row["max_rel_diff"] == 0.0
     lines = done.stdout.splitlines()
     assert len(lines) == len(LAYERS) and all("outputs byte-equal" in line for line in lines)
+
+
+def test_sign_test_p(monkeypatch):
+    # Importing the bench pins the BLAS thread variables; a copy of the
+    # environment keeps them out of this process's later subprocesses.
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import layers
+
+    assert layers.sign_test_p(12, 3) == pytest.approx(0.0352, abs=1e-4)
+    assert layers.sign_test_p(3, 12) == layers.sign_test_p(12, 3)
+    assert layers.sign_test_p(11, 4) == pytest.approx(0.1185, abs=1e-4)
+    assert layers.sign_test_p(15, 0) == pytest.approx(6.1e-5, rel=1e-2)
+    assert layers.sign_test_p(0, 0) == layers.sign_test_p(7, 7) == 1.0

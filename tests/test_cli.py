@@ -274,7 +274,9 @@ def test_ber_command_and_reruns(tmp_path):
 def test_non_finite_config_never_runs(tmp_path, capsys):
     # Infinity must stop at the config: in the optimizer it yields an
     # all-NaN unitaries.bin, in the gamma grid a float-to-int overflow.
-    # So must a finite gamma grid whose point count overflows or is huge.
+    # So must a finite gamma grid whose point count overflows or is huge,
+    # a QAM scale whose fourth powers overflow, and a Rapp backoff whose
+    # squared clip level overflows or underflows.
     cfg_path = small_config(tmp_path)
     out = tmp_path / "run"
     assert run_cli("gen", "--config", cfg_path) == EXIT_OK
@@ -289,9 +291,13 @@ def test_non_finite_config_never_runs(tmp_path, capsys):
         ({"gamma_grid_db": {"start": 1e6, "stop": 1e6 + 1, "step": 1}}, "gamma_grid_db"),
         ({"gamma_grid_db": {"start": -1e6, "stop": -1e6 + 1, "step": 1}}, "gamma_grid_db"),
         ({"gamma_grid_db": {"start": 0, "stop": 1e-12, "step": 2e-17}}, "gamma_grid_db"),
+        ({"qam_scale": 1e150}, "qam_scale"),
+        ({"qam_scale": 1e200}, "qam_scale"),
+        ({"rapp": {"backoff_db": 1e6}}, "rapp.backoff_db"),
+        ({"rapp": {"backoff_db": -1e6}}, "rapp.backoff_db"),
     ):
         bad = small_config(tmp_path, **overrides)
-        if field != "gamma_grid_db":
+        if field in ("epsilon", "gamma_grid_db.stop"):
             assert "Infinity" in bad.read_text()
         for command in ("optimize", "bounds", "ccdf"):
             assert run_cli(command, "--config", bad, out / "codebook.bin") == EXIT_VALIDATION
