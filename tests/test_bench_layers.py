@@ -1,7 +1,8 @@
-"""The per-layer bench, ``bench/layers.py``: a K=16 smoke run and its sign test."""
+"""The per-layer bench, ``bench/layers.py``: K=16 smoke runs, self and A/B, and its sign test."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,24 +18,41 @@ LAYERS = {
 
 # A fresh interpreter, so that the bench pins BLAS to one thread before
 # numpy is imported; the report goes to stderr after the bench's lines.
+# The optional third argument is the tree to compare against.
 SMOKE = (
     "import json, sys; sys.path.insert(0, sys.argv[1]); import layers; "
-    "print(json.dumps(layers.report(k_values=(16,), repeats=2)), file=sys.stderr)"
+    "kw = {'parent_src': sys.argv[2]} if len(sys.argv) > 2 else {}; "
+    "print(json.dumps(layers.report(k_values=(16,), repeats=2, **kw)), file=sys.stderr)"
 )
 
 
-def test_layer_bench_smoke():
-    # The default A/B: this checkout against a second copy of its own
-    # source tree, with both columns per layer and every pair of outputs
-    # byte-equal.
+def run_smoke(*parent_src) -> tuple[dict, list[str]]:
     done = subprocess.run(
-        [sys.executable, "-c", SMOKE, str(ROOT / "bench")], capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", SMOKE, str(ROOT / "bench"), *map(str, parent_src)],
+        capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    result = json.loads(done.stderr)
+    return json.loads(done.stderr), done.stdout.splitlines()
+
+
+def test_layer_bench_smoke():
+    # The default run: a self-A/B of this checkout, one line per layer.
+    result, lines = run_smoke()
     assert result["threads"] == 1 and result["nproc"] >= 1
     assert {"python", "numpy", "paprbound"} <= set(result["versions"])
-    assert result["setup"]["seed"] == 0
+    assert result["setup"]["seed"] == 0 and result["setup"]["repeats"] == 2
+    assert result["ab"]["parent_version"] == result["versions"]["paprbound"]
+    assert set(result["layers"]) == {"16"}
+    assert set(result["layers"]["16"]) == LAYERS
+    assert len(lines) == len(LAYERS)
+
+
+def test_layer_bench_ab_structure(tmp_path):
+    # This checkout against a second copy of its own source tree: both
+    # columns per layer, and every pair of outputs byte-equal.
+    shutil.copytree(ROOT / "src" / "paprbound", tmp_path / "paprbound",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    result, lines = run_smoke(tmp_path)
     assert result["ab"]["columns"] == ["parent", "change"]
     assert set(result["layers"]) == {"16"}
     rows = result["layers"]["16"]
@@ -46,7 +64,6 @@ def test_layer_bench_smoke():
         assert row["pairs"] == 2 and 0 <= row["change_wins"] <= 2
         assert 0 <= row["sign_test_p"] <= 1
         assert row["outputs_byte_equal"] and row["max_rel_diff"] == 0.0
-    lines = done.stdout.splitlines()
     assert len(lines) == len(LAYERS) and all("outputs byte-equal" in line for line in lines)
 
 
