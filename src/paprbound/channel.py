@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Codebook, QamConstellation, is_identity, write_table
+from .core import Codebook, QamConstellation, subset_transforms, write_table
 from .optimizer import UnitarySet
 from .waveform import baseband_samples
 
@@ -215,7 +215,7 @@ def _wilson_interval(errors: int, trials: int, z: float = 1.959963984540054):
 def ber_sweep(
     codebook: Codebook,
     constellation: QamConstellation,
-    unitaries: UnitarySet,
+    unitaries,
     link: LinkConfig,
     target_errors: int = 200,
     max_symbols: int = 2_000_000,
@@ -227,15 +227,16 @@ def ber_sweep(
     subset transform) until ``target_errors`` bit errors or the symbol
     budget is reached.  Noise blocks use streams keyed by (seed, grid
     point, block) so the sweep is reproducible and block-parallel safe.
-    A subset whose W_n is exactly I (``core.is_identity``) skips both
-    products, W_n c and W_n* y, with the same counts as with them.
+    ``unitaries`` goes through ``core.subset_transforms``: a subset with no
+    W_n or an exact I skips W_n c and W_n* y, with the same counts as with them.
     """
     for name, value in (("target_errors", target_errors), ("max_symbols", max_symbols),
                         ("block_codewords", block_codewords)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-    if unitaries.n_subsets != codebook.n_subsets or unitaries.k_carriers != codebook.k_carriers:
-        raise ValueError("unitary set does not match the codebook")
+    # Per subset: the transmit transform and the receiver W_n*, None for W_n = I.
+    senders = subset_transforms(codebook, unitaries)
+    receivers = [None if w is None else w.conj() for w in senders]
     tx_indices = constellation.demap(codebook.symbols)
     exact = constellation.points[tx_indices]
     # Exact equality, the usual case, is cheap; allclose only when it fails.
@@ -244,9 +245,6 @@ def ber_sweep(
         raise ValueError("codebook symbols are not points of the given constellation")
     popcount = np.array([bin(x).count("1") for x in range(constellation.order)])
     subset_of = np.repeat(np.arange(codebook.n_subsets), codebook.subset_sizes)
-    # Per subset: the transmit transform and the receiver W_n*, None for W_n = I.
-    senders = [None if is_identity(w) else w for w in unitaries.matrices]
-    receivers = [None if w is None else w.conj() for w in senders]
     sigmas = [noise_sigma(ebn0, codebook.p_av, codebook.k_carriers, constellation.bits_per_symbol,
                           link.oversampling) for ebn0 in link.ebn0_db]
 

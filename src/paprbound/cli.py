@@ -38,6 +38,7 @@ from .core import (
     is_qam_order,
     load_codebook,
     save_codebook,
+    subset_transforms,
     write_json,
     write_table,
 )
@@ -45,7 +46,6 @@ from .optimizer import (
     UNITARITY_TOL,
     OptimizerConfig,
     RankDeficientUpdate,
-    UnitarySet,
     load_unitaries,
     run,
     save_unitaries,
@@ -310,16 +310,6 @@ def _prepare(args) -> tuple[ExperimentConfig, Path, float]:
     return cfg, out_dir, time.perf_counter()
 
 
-def _load_unitaries(path, codebook) -> UnitarySet | None:
-    """The unitary set in ``path``, checked against the codebook; None without a path."""
-    if path is None:
-        return None
-    state = load_unitaries(path)
-    if state.n_subsets != codebook.n_subsets or state.k_carriers != codebook.k_carriers:
-        raise ValueError("unitary set does not match the codebook dimensions")
-    return state
-
-
 def _finish(args, cfg: ExperimentConfig, out_dir: Path, started: float, files: list[Path],
             summary: str) -> int:
     """The end of every artifact subcommand: ``<command>.manifest.json``
@@ -345,7 +335,7 @@ def cmd_gen(args) -> int:
 def cmd_bounds(args) -> int:
     cfg, out_dir, started = _prepare(args)
     codebook = load_codebook(args.codebook)
-    unitaries = _load_unitaries(args.unitaries, codebook)
+    unitaries = load_unitaries(args.unitaries) if args.unitaries is not None else None
     basis = build_basis(codebook.k_carriers)
     report = bound_report(codebook, basis, gamma_grid_linear(cfg.gamma_grid_db), unitaries)
     target = out_dir / "bounds.csv"
@@ -380,7 +370,7 @@ def cmd_optimize(args) -> int:
 def cmd_ccdf(args) -> int:
     cfg, out_dir, started = _prepare(args)
     codebook = load_codebook(args.codebook)
-    unitaries = _load_unitaries(args.unitaries, codebook)
+    unitaries = load_unitaries(args.unitaries) if args.unitaries is not None else None
     curve = empirical_ccdf(codebook, gamma_grid_linear(cfg.gamma_grid_db), unitaries, cfg.j_ccdf)
     target = out_dir / "ccdf.csv"
     curve.write_csv(target)
@@ -394,9 +384,7 @@ def cmd_ber(args) -> int:
     if codebook.qam_order is None:
         raise ValueError("codebook carries no constellation metadata; BER needs a QAM codebook")
     constellation = QamConstellation.square(codebook.qam_order, codebook.qam_scale)
-    unitaries = _load_unitaries(args.unitaries, codebook) or UnitarySet.identity(
-        codebook.n_subsets, codebook.k_carriers
-    )
+    unitaries = load_unitaries(args.unitaries) if args.unitaries is not None else None
     amplifier = None
     if cfg.rapp.enabled:
         amplifier = RappModel.from_backoff(
@@ -465,7 +453,8 @@ def cmd_verify(args) -> int:
         )
         report("envelope norm sandwich", ok)
         if args.unitaries is not None:
-            state = _load_unitaries(args.unitaries, codebook)
+            state = load_unitaries(args.unitaries)
+            subset_transforms(codebook, state)
             report("unitarity of loaded set", state.unitarity_error() <= UNITARITY_TOL)
             w = state.matrices[0]
             c = codebook.symbols[0]

@@ -266,20 +266,25 @@ def is_identity(w: np.ndarray) -> bool:
     return bool(np.all(w.diagonal() == 1)) and np.array_equal(w, np.eye(w.shape[-1]))
 
 
-def transformed_subsets(codebook: Codebook, unitaries=None) -> Iterator[np.ndarray]:
-    """Each subset n as sent, ``block @ W_n.T`` (rows W_n c), computed
-    as the caller reaches it, so one transformed subset is held at a
-    time.  ``unitaries`` (a UnitarySet, an (N, K, K) array, a list of N
-    K x K matrices, or None for the subsets as drawn) is checked first.
-    A subset whose W_n is exactly I (``is_identity``) is yielded as
-    drawn, as for None."""
+def subset_transforms(codebook: Codebook, unitaries=None) -> list[np.ndarray | None]:
+    """The one rule that pairs a unitary set (a UnitarySet, an (N, K, K)
+    array or a list of N K x K matrices) with a codebook: W_n per subset,
+    None where the subset goes out as drawn (no set, or a W_n that is
+    exactly I by ``is_identity``).  Any other shape is a ValueError."""
     if unitaries is None:
-        return iter(codebook.subsets())
+        return [None] * codebook.n_subsets
     matrices = np.asarray(getattr(unitaries, "matrices", unitaries))
-    n, k = codebook.n_subsets, codebook.k_carriers
-    if matrices.shape != (n, k, k):
-        raise ValueError(f"transforms of shape {matrices.shape} for {n} subsets of K={k}")
-    return (block if is_identity(w) else block @ w.T for block, w in zip(codebook.subsets(), matrices))
+    expected = (codebook.n_subsets, codebook.k_carriers, codebook.k_carriers)
+    if matrices.shape != expected:
+        raise ValueError(f"unitary set does not match the codebook: shape {matrices.shape}, expected {expected}")
+    return [None if is_identity(w) else w for w in matrices]
+
+
+def transformed_subsets(codebook: Codebook, unitaries=None) -> Iterator[np.ndarray]:
+    """Each subset n as sent, ``block @ W_n.T`` (rows W_n c), computed as the
+    caller reaches it, so one transformed subset is held at a time."""
+    pairs = zip(codebook.subsets(), subset_transforms(codebook, unitaries))
+    return (block if w is None else block @ w.T for block, w in pairs)
 
 
 def is_int(value) -> bool:
