@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import bound_report
+from .bounds import bound_report, codebook_endpoints
 from .channel import RAPP_VARIANTS, LinkConfig, RappModel, ber_sweep
 from .core import (
     QAM_ORDER_RULE,
@@ -104,6 +104,25 @@ def gamma_grid_linear(grid: GammaGridSpec) -> np.ndarray:
     return linear
 
 
+def check_powers(cfg: "ExperimentConfig", k: int, low: float, high: float, source: str,
+                 rules: tuple[str, ...] = ("qam_scale", "rapp.backoff_db")) -> None:
+    """Refuse codeword powers in [low, high] at which the bounds ("qam_scale")
+    or the Rapp clip level ("rapp.backoff_db") leave float64.  p_av, max ||c||^2
+    and a <= p_av lie in the range, so b = K max ||c||^2 is in [K low, K high],
+    R <= 2K b^2 and b^2 - a^2 >= p_av^2 (K^2 - 1): each term is taken at its worst end."""
+    lo, hi = np.float64(low), np.float64(high)
+    g_lo, g_hi = gamma_grid_linear(cfg.gamma_grid_db)[[0, -1]] ** 2
+    with np.errstate(all="ignore"):
+        bounds = (np.min([((k * lo) ** 2 - lo**2) ** 2, lo**2 * g_lo]) > 0  # (b^2 - a^2)^2, P_av^2 gamma^2
+                  and np.max([(k * hi) ** 4, 2 * k**3 * (hi / lo) ** 2 / g_lo, 2 * (hi**2 * g_hi) ** 2,
+                              2 * (g_hi / (k**2 - 1)) ** 2]) < np.inf)  # b^4, Markov, -2 excess^2, its ratio
+        clip = np.float64(10.0) ** (cfg.rapp.backoff_db / 10) * np.array([lo, hi])
+    _check("qam_scale" not in rules or bounds, "config fields 'qam_scale' and 'gamma_grid_db': p_av^2 gamma^2,"
+           f" (b^2 - a^2)^2 and R must be positive and finite at the codeword powers of {source}")
+    _check("rapp.backoff_db" not in rules or 0 < clip[0] and clip[1] < np.inf, "config field 'rapp.backoff_db':"
+           f" the squared clip level p_av 10^(dB/10) must be positive and finite at the codeword powers of {source}")
+
+
 @dataclass(frozen=True)
 class RappSettings:
     enabled: bool = True
@@ -155,15 +174,10 @@ class ExperimentConfig:
         # OptimizerConfig allows epsilon = 0 (a run that never moves); a config may not.
         _check(self.epsilon is None or self.epsilon > 0, "config field 'epsilon': must be positive")
         _check(is_qam_order(self.qam_order), f"config field 'qam_order': {QAM_ORDER_RULE}, got {self.qam_order}")
-        const, k = self.constellation(), self.k_carriers
-        # Codeword powers lie in [2KD^2, b/K]; R <= (2K - 1) b^2 (b of bounds.qam_endpoints; quartic_sum <= 2b^2/K).
-        with np.errstate(over="ignore", under="ignore"):
-            powers = 2.0 * k * np.float64(const.scale) ** 2 * np.array([1.0, (const.side - 1) ** 2])
-            _check(powers[0] > 0 and (2 * k - 1) * (k * powers[1]) ** 2 < np.inf,
-                   "config field 'qam_scale': the codeword powers and the bound on R must be positive and finite")
-            clip_squared = powers * np.float64(10.0) ** (self.rapp.backoff_db / 10)
-        _check(all(0 < clip_squared) and all(clip_squared < np.inf),
-               "config field 'rapp.backoff_db': the squared clip level p_av 10^(dB/10) must be finite and positive")
+        with np.errstate(over="ignore", invalid="ignore"):  # points past float64 are refused just below
+            const, k = self.constellation(), self.k_carriers
+        low = 2.0 * k * const.scale * const.scale  # codeword powers lie in [2KD^2, 2KD^2 (sqrt(M) - 1)^2]
+        check_powers(self, k, low, low * (const.side - 1) ** 2, "its constellation")
         self.optimizer()
 
     def constellation(self) -> QamConstellation:
@@ -322,9 +336,7 @@ def _finish(args, cfg: ExperimentConfig, out_dir: Path, started: float, files: l
 
 def cmd_gen(args) -> int:
     cfg, out_dir, started = _prepare(args)
-    codebook = generate_codebook(
-        cfg.constellation(), cfg.k_carriers, cfg.codebook_size, cfg.n_subsets, cfg.seed
-    )
+    codebook = generate_codebook(cfg.constellation(), cfg.k_carriers, cfg.codebook_size, cfg.n_subsets, cfg.seed)
     target = out_dir / "codebook.bin"
     save_codebook(codebook, target)
     return _finish(args, cfg, out_dir, started, [target],
@@ -335,8 +347,10 @@ def cmd_gen(args) -> int:
 def cmd_bounds(args) -> int:
     cfg, out_dir, started = _prepare(args)
     codebook = load_codebook(args.codebook)
+    k = codebook.k_carriers
+    check_powers(cfg, k, codebook.p_av, codebook_endpoints(codebook)[1] / k, args.codebook, ("qam_scale",))
     unitaries = load_unitaries(args.unitaries) if args.unitaries is not None else None
-    basis = build_basis(codebook.k_carriers)
+    basis = build_basis(k)
     report = bound_report(codebook, basis, gamma_grid_linear(cfg.gamma_grid_db), unitaries)
     target = out_dir / "bounds.csv"
     report.write_csv(target)
@@ -385,18 +399,12 @@ def cmd_ber(args) -> int:
         raise ValueError("codebook carries no constellation metadata; BER needs a QAM codebook")
     constellation = QamConstellation.square(codebook.qam_order, codebook.qam_scale)
     unitaries = load_unitaries(args.unitaries) if args.unitaries is not None else None
-    amplifier = None
-    if cfg.rapp.enabled:
-        amplifier = RappModel.from_backoff(
-            codebook.p_av, cfg.rapp.backoff_db, cfg.rapp.p, cfg.rapp.variant
-        )
-    link = LinkConfig(
-        ebn0_db=cfg.ebn0_grid_db, oversampling=cfg.j_ber, amplifier=amplifier, seed=cfg.seed
-    )
-    curve = ber_sweep(
-        codebook, constellation, unitaries, link,
-        target_errors=cfg.ber_target_errors, max_symbols=cfg.ber_max_symbols,
-    )
+    check_powers(cfg, codebook.k_carriers, codebook.p_av, codebook.p_av, args.codebook, ("rapp.backoff_db",))
+    amplifier = (RappModel.from_backoff(codebook.p_av, cfg.rapp.backoff_db, cfg.rapp.p, cfg.rapp.variant)
+                 if cfg.rapp.enabled else None)
+    link = LinkConfig(ebn0_db=cfg.ebn0_grid_db, oversampling=cfg.j_ber, amplifier=amplifier, seed=cfg.seed)
+    curve = ber_sweep(codebook, constellation, unitaries, link,
+                      target_errors=cfg.ber_target_errors, max_symbols=cfg.ber_max_symbols)
     target = out_dir / "ber.csv"
     curve.write_csv(target)
     return _finish(args, cfg, out_dir, started, [target],
@@ -442,7 +450,7 @@ def cmd_verify(args) -> int:
     if args.codebook is not None:
         codebook = load_codebook(args.codebook)
         report("codebook invariants", True)  # load_codebook validates
-        sample = codebook.symbols[: min(100, codebook.size)]
+        sample = codebook.symbols[:100] / np.sqrt(codebook.p_av / codebook.k_carriers)  # tolerances at unit power
         peaks = peak_envelope_power(sample, 16)
         l2 = (np.abs(sample) ** 2).sum(axis=1)
         l1sq = np.abs(sample).sum(axis=1) ** 2
@@ -457,7 +465,7 @@ def cmd_verify(args) -> int:
             subset_transforms(codebook, state)
             report("unitarity of loaded set", state.unitarity_error() <= UNITARITY_TOL)
             w = state.matrices[0]
-            c = codebook.symbols[0]
+            c = sample[0]
             report("receiver roundtrip", np.abs(w.conj().T @ (w @ c) - c).max() <= 1e-10)
 
     for manifest in sorted(out_dir.glob("*.manifest.json")):

@@ -64,10 +64,10 @@ def test_r_statistic_identity_and_phase_invariance():
     r_w = r_statistic(book, ws)
     r_rot = r_statistic(book, rotated)
     assert abs(r_w - r_rot) < 1e-10 * r_w
-    with pytest.raises(ValueError):
-        r_statistic(book, UnitarySet.identity(3, 8))
-    with pytest.raises(ValueError):
-        r_statistic(book, list(ws.matrices[:3]))
+    # A set of the wrong shape, in any accepted form, raises the one pairing message.
+    for wrong in (UnitarySet.identity(3, 8), ws.matrices[:3], list(ws.matrices[:3]), UnitarySet.identity(4, 4)):
+        with pytest.raises(ValueError, match=r"^unitary set does not match the codebook: shape \("):
+            r_statistic(book, wrong)
     # Every accepted form of the transforms gives the same bits ...
     assert r_statistic(book, ws.matrices) == r_w
     assert r_statistic(book, list(ws.matrices)) == r_w

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.special import erfc
@@ -194,6 +196,25 @@ def test_ber_sweep_counts_match_per_subset_oracle(block_codewords, monkeypatch):
         assert list(zip(curve.n_bits.tolist(), curve.n_errors.tolist())) == expected, name
         assert any(w is None for w in sent) == any(skipped), name
         assert all(w is None or not is_identity(w) for w in sent), name
+
+
+def test_ber_sweep_pairs_a_set_like_its_siblings():
+    # No set sends every subset as drawn, as r_statistic and
+    # codebook_pmeprs read None: all six arrays of the identity-set sweep.
+    const = QamConstellation.square(16)
+    book = generate_codebook(const, 8, 48, 3, seed=21)
+    link = LinkConfig(ebn0_db=(4.0, 9.0), oversampling=2, seed=22,
+                      amplifier=RappModel.from_backoff(book.p_av, 3.0))
+    budget = {"target_errors": 40, "max_symbols": 20_000}
+    plain = ber_sweep(book, const, None, link, **budget)
+    identity = ber_sweep(book, const, UnitarySet.identity(3, 8), link, **budget)
+    for field in fields(BerCurve):
+        assert getattr(plain, field.name).tobytes() == getattr(identity, field.name).tobytes(), field.name
+    # A set of the wrong shape, in any accepted form, raises the one pairing message.
+    ws = UnitarySet.random(3, 8, np.random.default_rng(23))
+    for wrong in (UnitarySet.identity(2, 8), ws.matrices[:2], list(ws.matrices[:2]), UnitarySet.identity(3, 4)):
+        with pytest.raises(ValueError, match=r"^unitary set does not match the codebook: shape \("):
+            ber_sweep(book, const, wrong, link, **budget)
 
 
 @pytest.mark.parametrize("argument", ["target_errors", "max_symbols", "block_codewords"])

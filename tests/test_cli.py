@@ -5,14 +5,16 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paprbound
+from paprbound import cli
 from paprbound.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -25,7 +27,7 @@ from paprbound.cli import (
     verify_manifest,
     write_manifest,
 )
-from paprbound.core import load_codebook
+from paprbound.core import QamConstellation, generate_codebook, load_codebook, save_codebook
 from paprbound.optimizer import UnitarySet, load_unitaries, run, save_unitaries
 from paprbound.spectral import build_basis
 from paprbound.waveform import CcdfCurve
@@ -272,11 +274,12 @@ def test_ber_command_and_reruns(tmp_path):
 
 
 def test_non_finite_config_never_runs(tmp_path, capsys):
-    # Infinity must stop at the config: in the optimizer it yields an
-    # all-NaN unitaries.bin, in the gamma grid a float-to-int overflow.
-    # So must a finite gamma grid whose point count overflows or is huge,
-    # a QAM scale whose fourth powers overflow, and a Rapp backoff whose
-    # squared clip level overflows or underflows.
+    # Infinity must stop at the config, in every subcommand: in the
+    # optimizer it yields an all-NaN unitaries.bin, in the gamma grid a
+    # float-to-int overflow.  So must a finite gamma grid whose point
+    # count overflows or is huge, a QAM scale or gamma grid at which a
+    # bound under- or overflows, and a Rapp backoff whose squared clip
+    # level overflows or underflows.  Warnings count as stderr lines.
     cfg_path = small_config(tmp_path)
     out = tmp_path / "run"
     assert run_cli("gen", "--config", cfg_path) == EXIT_OK
@@ -295,15 +298,62 @@ def test_non_finite_config_never_runs(tmp_path, capsys):
         ({"qam_scale": 1e200}, "qam_scale"),
         ({"rapp": {"backoff_db": 1e6}}, "rapp.backoff_db"),
         ({"rapp": {"backoff_db": -1e6}}, "rapp.backoff_db"),
+        # p_av^2 underflows to 0 (1e-155, 1e-100), or Hoeffding's (b^2 - a^2)^2 does (1e-60, 1e-45)
+        ({"qam_scale": 1e-155}, "qam_scale"),
+        ({"qam_scale": 1e-100}, "qam_scale"),
+        ({"qam_scale": 1e-60}, "qam_scale"),
+        ({"qam_scale": 1e-45}, "qam_scale"),
+        # Hoeffding's (b^2 - a^2)^2 and excess^2 overflow; the constellation's points overflow
+        ({"qam_scale": 1e37}, "qam_scale"),
+        ({"qam_scale": 1.7976931348623157e308}, "qam_scale"),
+        # P_av^2 gamma^2 squared overflows, or R / (P_av^2 gamma^2) does
+        ({"gamma_grid_db": {"start": 4.0, "stop": 1000.0, "step": 1.0}}, "gamma_grid_db"),
+        ({"gamma_grid_db": {"start": -1540.0, "stop": -1530.0, "step": 1.0}}, "gamma_grid_db"),
     ):
         bad = small_config(tmp_path, **overrides)
         if field in ("epsilon", "gamma_grid_db.stop"):
             assert "Infinity" in bad.read_text()
-        for command in ("optimize", "bounds", "ccdf"):
-            assert run_cli(command, "--config", bad, out / "codebook.bin") == EXIT_VALIDATION
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+        for command in ("gen", "bounds", "optimize", "ccdf", "ber", "verify"):
+            code, err = run_recording(command, "--config", bad, *([] if command == "gen" else [out / "codebook.bin"]))
+            assert code == EXIT_VALIDATION and len(err) == 1, (overrides, command, err)
+            assert err[0].startswith("error: ") and field in err[0], (overrides, command, err)
     assert sorted(path.name for path in out.iterdir()) == ["codebook.bin", "gen.manifest.json"]
+
+
+@pytest.mark.parametrize("scale, command, overrides, field", [
+    (1e60, "ber", {"rapp": {"enabled": True, "backoff_db": 3000.0}}, "rapp.backoff_db"),
+    (1e-155, "bounds", {}, "qam_scale"),
+    (1e-60, "bounds", {}, "qam_scale"),
+    (1e37, "bounds", {}, "qam_scale"),
+])
+def test_codebook_powers_fail_closed(tmp_path, scale, command, overrides, field):
+    # A codebook drawn at a scale no valid config allows, read under a
+    # default-scale config: each command checks the codebook's own powers
+    # with the config's rule, so it exits 2 with one line, not 3 or 0
+    # after a RuntimeWarning.
+    book = tmp_path / "foreign.bin"
+    save_codebook(generate_codebook(QamConstellation.square(16, scale), 8, 40, 2, seed=3), book)
+    out = tmp_path / "run"
+    code, err = run_recording(command, "--config", small_config(tmp_path, **overrides), book)
+    assert code == EXIT_VALIDATION and len(err) == 1 and field in err[0] and str(book) in err[0], err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("qam_scale", [1e-30, 1e10, 1e30])
+def test_verify_is_scale_free(tmp_path, capsys, qam_scale):
+    # The envelope sandwich and the receiver round trip are homogeneous in
+    # the symbol scale; verify checks them at unit power, so their absolute
+    # tolerances hold at any scale a config allows.
+    cfg_path = small_config(tmp_path, qam_scale=qam_scale, max_iters=5)
+    out = tmp_path / "run"
+    for command in ("gen", "optimize"):
+        argv = [command, "--config", cfg_path] + ([] if command == "gen" else [out / "codebook.bin"])
+        assert run_cli(*argv) == EXIT_OK
+    capsys.readouterr()
+    assert run_cli("verify", "--config", cfg_path, "--unitaries", out / "unitaries.bin",
+                   out / "codebook.bin") == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "ok   envelope norm sandwich" in lines and "ok   receiver roundtrip" in lines, lines
 
 
 @pytest.mark.parametrize("command, overrides", [
@@ -726,3 +776,87 @@ def test_huge_payload_entry_fails_closed(tiny_run, target, message):
     code, err = ccdf_with(cfg_path, out, target, path)
     assert code == EXIT_VALIDATION
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+# Float extremes for every numeric config field: signed zero, the
+# smallest subnormal and normal, the largest finite, and decades between.
+FLOAT_EXTREMES = [sign * value for sign in (1.0, -1.0) for value in
+                  (0.0, 5e-324, 2.2250738585072014e-308, 1e-155, 1e-60, 1e-30, 1e-10, 1e10, 1e30, 1e60,
+                   1e155, 1e300, 1.7976931348623157e308)]
+
+
+def numeric_fields(cls, path: tuple[str, ...] = ()) -> dict:
+    """Dotted path -> (annotation, default) of each field that the schema
+    (``cli._field_types``) types as a number, a number or null, or a list
+    of numbers, in ``cls`` and its nested sections."""
+    found = {}
+    for name, kind in cli._field_types(cls).items():
+        if is_dataclass(kind):
+            found.update(numeric_fields(kind, path + (name,)))
+        elif kind in (float, float | None, tuple[float, ...]):
+            found[path + (name,)] = (kind, getattr(cls, name))
+    return found
+
+
+@st.composite
+def fuzzed_configs(draw, fixed: dict) -> dict:
+    """``fixed`` with every numeric field drawn: up to two fields take
+    values from ``FLOAT_EXTREMES``, the others a value from a quarter to
+    four times their default (1 for null), or null where allowed."""
+    config = json.loads(json.dumps(fixed))
+    fields_ = numeric_fields(cli.ExperimentConfig)
+    extreme = draw(st.lists(st.sampled_from(sorted(fields_)), max_size=2, unique=True), label="extreme")
+    for path, (kind, default) in fields_.items():
+        typical = max(map(abs, default)) if isinstance(default, tuple) else abs(default or 1.0)
+        number = st.sampled_from(FLOAT_EXTREMES) if path in extreme else st.floats(typical / 4, typical * 4)
+        if kind == tuple[float, ...]:
+            number = st.lists(number, min_size=1, max_size=3)
+        elif kind == float | None:
+            number = st.none() | number
+        section = config
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = draw(number, label=".".join(path))
+    return config
+
+
+def run_recording(*argv) -> tuple[int, list[str]]:
+    """Exit code and stderr lines of one in-process command; each warning
+    counts as a stderr line, as a user would see it."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(*argv)
+    return code, err.getvalue().splitlines() + [f"{w.category.__name__}: {w.message}" for w in caught]
+
+
+@settings(max_examples=100)
+@given(
+    config=fuzzed_configs({
+        "version": 1, "qam_order": 16, "codebook_size": 32, "n_subsets": 2, "j_ccdf": 4, "j_ber": 1,
+        "max_iters": 20, "checkpoint_every": 10, "ber_target_errors": 20, "ber_max_symbols": 512,
+        "seed": 11,
+    }),
+    k_carriers=st.sampled_from([2, 8, 16]),
+    mode=st.sampled_from(["stochastic", "batch"]),
+    projection=st.sampled_from(["symmetric_decorrelation", "gram_schmidt"]),
+    rapp=st.fixed_dictionaries({"enabled": st.booleans(), "variant": st.sampled_from(["standard", "p_inner"])}),
+)
+def test_every_config_fails_closed(tmp_path_factory, config, k_carriers, mode, projection, rapp):
+    # Every command either exits 0 with nothing on stderr (optimize may
+    # add its one "R rose" warning) or exits 2 or 3 with one stderr line.
+    root = tmp_path_factory.mktemp("property")
+    config = {**config, "k_carriers": k_carriers, "mode": mode, "projection": projection,
+              "rapp": {**config["rapp"], **rapp}, "out_dir": str(root / "run")}
+    cfg_path = root / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    book, unit = root / "run" / "codebook.bin", root / "run" / "unitaries.bin"
+    for argv in (("gen",), ("bounds", book), ("optimize", book), ("ccdf", "--unitaries", unit, book),
+                 ("ber", "--unitaries", unit, book), ("verify", "--unitaries", unit, book)):
+        code, err = run_recording(argv[0], "--config", cfg_path, *argv[1:])
+        if code == EXIT_OK:
+            assert err == [] or (argv[0] == "optimize" and len(err) == 1
+                                 and err[0].startswith("warning: R rose")), (argv, config, err)
+        else:
+            assert code in (EXIT_VALIDATION, EXIT_NUMERICAL) and len(err) == 1, (argv, config, code, err)

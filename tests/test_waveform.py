@@ -123,11 +123,11 @@ def test_identity_unitaries_are_a_noop():
 def test_unitary_count_mismatch():
     const = QamConstellation.square(16)
     book = generate_codebook(const, 8, 64, 4, seed=6)
-    with pytest.raises(ValueError):
-        codebook_pmeprs(book, UnitarySet.identity(3, 8))
     ws = UnitarySet.random(4, 8, np.random.default_rng(2))
-    with pytest.raises(ValueError):
-        codebook_pmeprs(book, ws.matrices[:3])
+    # A set of the wrong shape, in any accepted form, raises the one pairing message.
+    for wrong in (UnitarySet.identity(3, 8), ws.matrices[:3], list(ws.matrices[:3]), UnitarySet.identity(4, 4)):
+        with pytest.raises(ValueError, match=r"^unitary set does not match the codebook: shape \("):
+            codebook_pmeprs(book, wrong)
     # A UnitarySet, the (N, K, K) array and a list of matrices give the
     # same bits as the per-subset formula pmepr(block @ W_n.T).
     oracle = np.concatenate(
