@@ -104,11 +104,9 @@ def gamma_grid_linear(grid: GammaGridSpec) -> np.ndarray:
     return linear
 
 
-def check_powers(cfg: "ExperimentConfig", k: int, low: float, high: float, source: str,
-                 rules: tuple[str, ...] = ("qam_scale", "rapp.backoff_db")) -> None:
-    """Refuse codeword powers in [low, high] at which the bounds ("qam_scale")
-    or the Rapp clip level ("rapp.backoff_db") leave float64.  p_av, max ||c||^2
-    and a <= p_av lie in the range, so b = K max ||c||^2 is in [K low, K high],
+def check_powers(cfg: ExperimentConfig, k: int, low: float, high: float, source: str) -> None:
+    """Refuse codeword powers in [low, high] at which the bounds or the Rapp clip level leave float64.
+    p_av, max ||c||^2 and a <= p_av lie in the range, so b = K max ||c||^2 is in [K low, K high],
     R <= 2K b^2 and b^2 - a^2 >= p_av^2 (K^2 - 1): each term is taken at its worst end."""
     lo, hi = np.float64(low), np.float64(high)
     g_lo, g_hi = gamma_grid_linear(cfg.gamma_grid_db)[[0, -1]] ** 2
@@ -117,10 +115,10 @@ def check_powers(cfg: "ExperimentConfig", k: int, low: float, high: float, sourc
                   and np.max([(k * hi) ** 4, 2 * k**3 * (hi / lo) ** 2 / g_lo, 2 * (hi**2 * g_hi) ** 2,
                               2 * (g_hi / (k**2 - 1)) ** 2]) < np.inf)  # b^4, Markov, -2 excess^2, its ratio
         clip = np.float64(10.0) ** (cfg.rapp.backoff_db / 10) * np.array([lo, hi])
-    _check("qam_scale" not in rules or bounds, "config fields 'qam_scale' and 'gamma_grid_db': p_av^2 gamma^2,"
-           f" (b^2 - a^2)^2 and R must be positive and finite at the codeword powers of {source}")
-    _check("rapp.backoff_db" not in rules or 0 < clip[0] and clip[1] < np.inf, "config field 'rapp.backoff_db':"
-           f" the squared clip level p_av 10^(dB/10) must be positive and finite at the codeword powers of {source}")
+    _check(bounds, "config fields 'qam_scale' and 'gamma_grid_db': p_av^2 gamma^2, (b^2 - a^2)^2 and R"
+           f" must be positive and finite at the codeword powers of {source}")
+    _check(0 < clip[0] and clip[1] < np.inf, "config field 'rapp.backoff_db': the squared clip level"
+           f" p_av 10^(dB/10) must be positive and finite at the codeword powers of {source}")
 
 
 @dataclass(frozen=True)
@@ -336,7 +334,9 @@ def _finish(args, cfg: ExperimentConfig, out_dir: Path, started: float, files: l
 
 def cmd_gen(args) -> int:
     cfg, out_dir, started = _prepare(args)
-    codebook = generate_codebook(cfg.constellation(), cfg.k_carriers, cfg.codebook_size, cfg.n_subsets, cfg.seed)
+    codebook = generate_codebook(
+        cfg.constellation(), cfg.k_carriers, cfg.codebook_size, cfg.n_subsets, cfg.seed
+    )
     target = out_dir / "codebook.bin"
     save_codebook(codebook, target)
     return _finish(args, cfg, out_dir, started, [target],
@@ -348,7 +348,7 @@ def cmd_bounds(args) -> int:
     cfg, out_dir, started = _prepare(args)
     codebook = load_codebook(args.codebook)
     k = codebook.k_carriers
-    check_powers(cfg, k, codebook.p_av, codebook_endpoints(codebook)[1] / k, args.codebook, ("qam_scale",))
+    check_powers(cfg, k, codebook.p_av, codebook_endpoints(codebook)[1] / k, args.codebook)
     unitaries = load_unitaries(args.unitaries) if args.unitaries is not None else None
     basis = build_basis(k)
     report = bound_report(codebook, basis, gamma_grid_linear(cfg.gamma_grid_db), unitaries)
@@ -399,7 +399,7 @@ def cmd_ber(args) -> int:
         raise ValueError("codebook carries no constellation metadata; BER needs a QAM codebook")
     constellation = QamConstellation.square(codebook.qam_order, codebook.qam_scale)
     unitaries = load_unitaries(args.unitaries) if args.unitaries is not None else None
-    check_powers(cfg, codebook.k_carriers, codebook.p_av, codebook.p_av, args.codebook, ("rapp.backoff_db",))
+    check_powers(cfg, codebook.k_carriers, codebook.p_av, codebook.p_av, args.codebook)
     amplifier = (RappModel.from_backoff(codebook.p_av, cfg.rapp.backoff_db, cfg.rapp.p, cfg.rapp.variant)
                  if cfg.rapp.enabled else None)
     link = LinkConfig(ebn0_db=cfg.ebn0_grid_db, oversampling=cfg.j_ber, amplifier=amplifier, seed=cfg.seed)

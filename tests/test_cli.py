@@ -321,16 +321,17 @@ def test_non_finite_config_never_runs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scale, command, overrides, field", [
-    (1e60, "ber", {"rapp": {"enabled": True, "backoff_db": 3000.0}}, "rapp.backoff_db"),
+    (1e60, "ber", {"rapp": {"enabled": True, "backoff_db": 3000.0}}, "qam_scale"),
+    (1e30, "ber", {"rapp": {"enabled": True, "backoff_db": 3000.0}}, "rapp.backoff_db"),
+    (1e-155, "ber", {}, "qam_scale"),
     (1e-155, "bounds", {}, "qam_scale"),
     (1e-60, "bounds", {}, "qam_scale"),
     (1e37, "bounds", {}, "qam_scale"),
 ])
 def test_codebook_powers_fail_closed(tmp_path, scale, command, overrides, field):
-    # A codebook drawn at a scale no valid config allows, read under a
-    # default-scale config: each command checks the codebook's own powers
-    # with the config's rule, so it exits 2 with one line, not 3 or 0
-    # after a RuntimeWarning.
+    # A codebook drawn at another scale, read under a default-scale config:
+    # bounds and ber check the codebook's own powers with the config's rule,
+    # so they exit 2 with one line, not 3 or 0 after a RuntimeWarning.
     book = tmp_path / "foreign.bin"
     save_codebook(generate_codebook(QamConstellation.square(16, scale), 8, 40, 2, seed=3), book)
     out = tmp_path / "run"
