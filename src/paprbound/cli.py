@@ -20,7 +20,7 @@ import json
 import sys
 import time
 import typing
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -134,9 +134,9 @@ class RappSettings:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """The config schema: ``parse_config`` reads the field names, types
-    and defaults from these declarations."""
+class ExperimentConfig(OptimizerConfig):
+    """The config schema, with the optimizer settings it inherits: ``parse_config``
+    reads the field names, types and defaults from these declarations."""
 
     version: int = CONFIG_VERSION
     k_carriers: int = 128
@@ -146,12 +146,6 @@ class ExperimentConfig:
     n_subsets: int = 5
     j_ccdf: int = 16
     j_ber: int = 1
-    epsilon: float | None = None
-    max_iters: int = 20000
-    stop_tol: float = 1e-6
-    projection: str = "symmetric_decorrelation"
-    mode: str = "stochastic"
-    checkpoint_every: int = 500
     gamma_grid_db: GammaGridSpec = GammaGridSpec()
     ebn0_grid_db: tuple[float, ...] = (4.0, 8.0, 12.0)
     rapp: RappSettings = RappSettings()
@@ -176,14 +170,10 @@ class ExperimentConfig:
             const, k = self.constellation(), self.k_carriers
         low = 2.0 * k * const.scale * const.scale  # codeword powers lie in [2KD^2, 2KD^2 (sqrt(M) - 1)^2]
         check_powers(self, k, low, low * (const.side - 1) ** 2, "its constellation")
-        self.optimizer()
+        super().__post_init__()
 
     def constellation(self) -> QamConstellation:
         return QamConstellation.square(self.qam_order, self.qam_scale)
-
-    def optimizer(self) -> OptimizerConfig:
-        """The optimizer settings, taken from the fields of the same name."""
-        return OptimizerConfig(**{f.name: getattr(self, f.name) for f in fields(OptimizerConfig)})
 
 
 # Per field annotation: what a JSON value must be, the test, and the
@@ -363,9 +353,8 @@ def cmd_optimize(args) -> int:
     cfg, out_dir, started = _prepare(args)
     codebook = load_codebook(args.codebook)
     basis = build_basis(codebook.k_carriers)
-    opt_cfg = cfg.optimizer()
     initial = load_unitaries(args.resume) if args.resume is not None else None
-    state, trace = run(codebook, basis, opt_cfg, initial=initial)
+    state, trace = run(codebook, basis, cfg, initial=initial)
     target = out_dir / "unitaries.bin"
     save_unitaries(state, target, seed=cfg.seed, config_hash=config_hash(cfg))
     trace_path = out_dir / "optimize_trace.csv"
@@ -376,7 +365,7 @@ def cmd_optimize(args) -> int:
             f"{trace[-1].r_value:.6g}; wrote {target}")
     if trace[-1].r_value > trace[0].r_value:
         print(f"warning: R rose from {trace[0].r_value:.6g} to {trace[-1].r_value:.6g}; "
-              f"epsilon = {opt_cfg.resolved_epsilon(codebook.k_carriers):.3g} is likely too large "
+              f"epsilon = {cfg.resolved_epsilon(codebook.k_carriers):.3g} is likely too large "
               f"for K = {codebook.k_carriers}", file=sys.stderr)
     return EXIT_OK
 

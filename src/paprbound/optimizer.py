@@ -18,19 +18,20 @@ generator per draw.  The stream is therefore the package's own: numpy
 does not promise stable Generator streams across releases, and the
 oracle test against the installed numpy is what detects a divergence.
 
-Both projections share one path: a step hands each stacked chunk of
-subsets' gradient rows and W to its projection's update in
-``_PROJECTORS`` (for Gram-Schmidt, one stacked QR).  The
-symmetric-decorrelation update from m codewords is W U V*, where
-U S V* is the SVD of A = I - eps H C* with H = W* G: one stacked
-K x K SVD per chunk, which does not square the condition number of
-W - eps G C* as an eigendecomposition of A A* would.  With one codeword
-c per subset (every stochastic step) A differs from I on span[h, c]
-only, and the 2 x 2 factor there has a closed form in array arithmetic,
-with no LAPACK call and O(K^2) work per subset (``_rank_one_polar``).
-There the update is [[alpha, beta], [0, 1]] with
-alpha = 1 - eps quartic_sum(W c), so a step turns a direction around
-(norm 2) exactly when eps quartic_sum(W c) > 1.  The correction
+Both projections share one path: a step hands gradient rows and W to
+its projection's update in ``_PROJECTORS``, one subset per call in a
+batch step and all subsets as one stack in a stochastic step (for
+Gram-Schmidt, a stacked QR).  The symmetric-decorrelation update from
+m codewords is W U V*, where U S V* is the SVD of A = I - eps H C*
+with H = W* G: one K x K SVD per subset, which does not square the
+condition number of W - eps G C* as an eigendecomposition of A A*
+would.  With one codeword c per subset (every stochastic step) A
+differs from I on span[h, c] only, and the 2 x 2 factor there has a
+closed form in array arithmetic, with no LAPACK call and O(K^2) work
+per subset (``_rank_one_polar``).  There the update is
+[[alpha, beta], [0, 1]] with alpha = 1 - eps quartic_sum(W c), so a
+step turns a direction around (norm 2) exactly when
+eps quartic_sum(W c) > 1.  The correction
 multiplies W on the right, which carries rounding error in W forward
 instead of amplifying it; no periodic re-projection is needed.  ``run``
 still checks the unitarity error at every checkpoint and fails closed
@@ -40,7 +41,6 @@ past ``UNITARITY_TOL``.
 from __future__ import annotations
 
 import functools
-import itertools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import r_statistic
-from .core import INT_OR_NULL_FIELD, SIZE_FIELD, Codebook, read_artifact, write_artifact
+from .core import INT_OR_NULL_FIELD, SIZE_FIELD, Codebook, read_artifact, subset_transforms, write_artifact
 from .spectral import SpectralBasis
 
 UNITARY_FORMAT = "paprbound/unitary-set"
@@ -443,34 +443,20 @@ _PROJECTORS = {
 }
 
 
-# Codeword rows per chunk of a step: whole subsets are stacked up to
-# this many rows, and each chunk's gradient and update run back to back
-# while its rows are in cache.  Stacked vs one subset at a time (N = 5,
-# one thread): gradients 2.0-2.8x faster at m = 1, even at m = 16-64,
-# 0.55-0.6x at m = 200; a batch Gram-Schmidt step at K = 128, m = 200
-# with one five-subset update took 34 ms against 28 ms.
-_GRADIENT_ROWS = 64
-
-
-def _descend(state: UnitarySet, runs, epsilon: float, projection: str):
+def _descend(state: UnitarySet, chunks, epsilon: float, projection: str):
     """Move each subset's W against the gradient of its codeword rows.
 
-    ``runs`` yields (first subset, (n, m, K) rows) pairs, one per run of
-    n consecutive subsets of m rows each.  Each chunk of a run reads a
-    view of the old stack and writes into a view of the new one.
-    Returns the new state and the per-subset step norms
-    ||W(l+1) - W(l)||_F.
+    ``chunks`` yields (subset slice, (n, m, K) rows) pairs, one per
+    stack of n subsets of m rows each.  Each pair reads a view of the
+    old stack and writes into a view of the new one.  Returns the new
+    state and the per-subset step norms ||W(l+1) - W(l)||_F.
     """
     new = np.empty_like(state.matrices)
     norms = np.empty(state.n_subsets)
-    for first, rows in runs:
-        per_call = max(1, _GRADIENT_ROWS // rows.shape[1])
-        for i in range(0, len(rows), per_call):
-            block = rows[i : i + per_call]
-            chunk = slice(first + i, first + i + len(block))
-            w = state.matrices[chunk]
-            grads, wc = _gradient_rows(block, w)
-            norms[chunk] = _PROJECTORS[projection](w, block, grads, epsilon, new[chunk], wc)
+    for chunk, rows in chunks:
+        w = state.matrices[chunk]
+        grads, wc = _gradient_rows(rows, w)
+        norms[chunk] = _PROJECTORS[projection](w, rows, grads, epsilon, new[chunk], wc)
     return UnitarySet(matrices=new, iteration=state.iteration + 1), norms
 
 
@@ -478,17 +464,13 @@ def step_batch(state: UnitarySet, codebook: Codebook,
                config: OptimizerConfig) -> tuple[UnitarySet, np.ndarray]:
     """One full-subset gradient step for every subset.
 
-    Each run of consecutive subsets of equal size moves as one stack, a
-    view of the codebook.  Returns the new state and the per-subset step
-    norms ||W(l+1) - W(l)||_F used by the stopping rule.
+    Each subset moves on its own: one gradient and one update per
+    subset, on a view of its codebook rows.  Returns the new state and
+    the per-subset step norms ||W(l+1) - W(l)||_F used by the stopping
+    rule.
     """
-    starts = codebook.subset_starts
-    runs, first = [], 0
-    for m, run_sizes in itertools.groupby(codebook.subset_sizes):
-        n = len(list(run_sizes))
-        runs.append((first, codebook.symbols[starts[first] : starts[first + n]].reshape(n, m, -1)))
-        first += n
-    return _descend(state, runs, config.resolved_epsilon(codebook.k_carriers), config.projection)
+    chunks = ((slice(n, n + 1), block[np.newaxis]) for n, block in enumerate(codebook.subsets()))
+    return _descend(state, chunks, config.resolved_epsilon(codebook.k_carriers), config.projection)
 
 
 def step_stochastic(state: UnitarySet, codebook: Codebook,
@@ -499,13 +481,14 @@ def step_stochastic(state: UnitarySet, codebook: Codebook,
     keyed by (seed, subset, iteration); a rerun or a resumed run
     therefore reproduces the trajectory exactly.  The draws come from
     ``_draw_block``, 256 iterations at a time.  All subsets move
-    together: one stacked 2K-point FFT pair for the gradients and one
-    stacked rank-one polar update.
+    together, as one stack: one 2K-point FFT pair for the gradients and
+    one update (the rank-one polar form, or a stacked QR).
     """
     block, row = divmod(state.iteration, _DRAW_BLOCK)
     picks = _draw_block(config.seed, codebook.subset_sizes, block)[row]
     rows = codebook.symbols[codebook.subset_starts[:-1] + picks][:, np.newaxis, :]
-    return _descend(state, [(0, rows)], config.resolved_epsilon(codebook.k_carriers), config.projection)
+    epsilon = config.resolved_epsilon(codebook.k_carriers)
+    return _descend(state, [(slice(None), rows)], epsilon, config.projection)
 
 
 @dataclass(frozen=True)
@@ -529,15 +512,17 @@ def run(
     every checkpoint (start, every ``checkpoint_every`` iterations, and
     the final state).  Each checkpoint also measures the unitarity error
     and raises ``RankDeficientUpdate`` past ``UNITARITY_TOL``, so a run
-    never returns a set that ``load_unitaries`` would reject.
+    never returns a set that ``load_unitaries`` would reject, and raises
+    ValueError on an R that overflows.
     """
+    if basis.size != codebook.k_carriers:
+        raise ValueError(f"codebook K={codebook.k_carriers} does not match basis K={basis.size}")
     if initial is None:
-        state = UnitarySet.identity(codebook.n_subsets, basis.size)
+        state = UnitarySet.identity(codebook.n_subsets, codebook.k_carriers)
     else:
+        subset_transforms(codebook, initial)
         initial.validate()
         state = initial
-    if state.n_subsets != codebook.n_subsets or not state.k_carriers == basis.size == codebook.k_carriers:
-        raise ValueError("initial unitary set does not match the codebook/basis")
     step = step_batch if config.mode == "batch" else step_stochastic
     started = time.perf_counter()
     trace = []
@@ -551,11 +536,13 @@ def run(
                 "reduce the step size epsilon"
             )
         r_value = r_statistic(codebook, state)
+        if not np.isfinite(r_value):
+            raise ValueError(f"R is {r_value} at iteration {state.iteration}: the codeword powers overflow float64")
         trace.append(TracePoint(state.iteration, r_value, max_step_norm, time.perf_counter() - started))
 
-    checkpoint(0.0)
-    # A step that overflows is refused by the polar checks or the drift guard, with no warning.
+    # Overflow fails closed with no warning: a step's in the polar checks or drift guard, R's in checkpoint.
     with np.errstate(over="ignore", invalid="ignore"):
+        checkpoint(0.0)
         for _ in range(config.max_iters):
             state, norms = step(state, codebook, config)
             if state.iteration % config.checkpoint_every == 0:

@@ -227,7 +227,7 @@ def test_optimize_trace_and_resume(tmp_path):
     assert trace_rows[-1].startswith("40,")
     # The exact text: the iteration in decimal, R and the step norm with
     # 17 significant digits, csv's \r\n row ends.
-    _, trace = run(load_codebook(out / "codebook.bin"), build_basis(8), load_config(cfg_path).optimizer())
+    _, trace = run(load_codebook(out / "codebook.bin"), build_basis(8), load_config(cfg_path))
     rows = [f"{p.iteration},{p.r_value:.17g},{p.max_step_norm:.17g}\r\n" for p in trace]
     expected = "iteration,r_value,max_step_norm\r\n" + "".join(rows)
     assert (out / "optimize_trace.csv").read_bytes() == expected.encode()
@@ -337,6 +337,18 @@ def test_codebook_powers_fail_closed(tmp_path, scale, command, overrides, field)
     out = tmp_path / "run"
     code, err = run_recording(command, "--config", small_config(tmp_path, **overrides), book)
     assert code == EXIT_VALIDATION and len(err) == 1 and field in err[0] and str(book) in err[0], err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e100, 1e150])
+def test_optimize_refuses_an_overflowing_r(tmp_path, scale):
+    # R of a codebook drawn at a huge scale overflows float64 before any
+    # step: optimize exits 2 with one line and no warning, writing nothing.
+    book = tmp_path / "foreign.bin"
+    save_codebook(generate_codebook(QamConstellation.square(16, scale), 8, 64, 4, seed=3), book)
+    out = tmp_path / "run"
+    code, err = run_recording("optimize", "--config", small_config(tmp_path), book)
+    assert code == EXIT_VALIDATION and err == ["error: R is inf at iteration 0: the codeword powers overflow float64"]
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -607,7 +619,7 @@ def test_unitarity_drift_fails_closed(tmp_path, monkeypatch, capsys):
     book = load_codebook(out / "codebook.bin")
     cfg = load_config(cfg_path)
     with pytest.raises(optimizer.RankDeficientUpdate) as raised:
-        optimizer.run(book, paprbound.build_basis(8), cfg.optimizer())
+        optimizer.run(book, paprbound.build_basis(8), cfg)
     assert str(raised.value) == (
         "unitarity drift 2.000e-07 > 1e-08 at iteration 20 (epsilon = 0.001, K = 8); "
         "reduce the step size epsilon"

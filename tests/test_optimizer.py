@@ -231,10 +231,14 @@ def test_run_edge_cases():
         state.matrices, UnitarySet.identity(book.n_subsets, book.k_carriers).matrices
     )
     assert len(trace) == 1 and trace[0].iteration == 0
-    # A basis of another K, with or without a start of the codebook's K.
+    # A basis of another K, with or without a start of the codebook's K,
+    # and a start of another shape, which the pairing rule refuses.
     for start in (None, state):
-        with pytest.raises(ValueError, match="does not match the codebook/basis"):
+        with pytest.raises(ValueError, match="^codebook K=8 does not match basis K=16$"):
             run(book, build_basis(16), OptimizerConfig(max_iters=0), start)
+    for start in (UnitarySet.identity(3, 8), UnitarySet.identity(4, 16)):
+        with pytest.raises(ValueError, match=r"^unitary set does not match the codebook: shape \("):
+            run(book, basis, OptimizerConfig(max_iters=0), start)
     state, trace = run(book, basis, OptimizerConfig(epsilon=1e-3, max_iters=100, stop_tol=1e9))
     assert state.iteration == 1  # stopping rule fires after the first step
     assert trace[-1].iteration == 1
@@ -669,23 +673,27 @@ def test_steps_leave_their_input_alone(mode, projection, sizes):
     assert new.matrices.flags.writeable
 
 
-@pytest.mark.parametrize("sizes", [(6, 6, 6), (3, 6, 1, 6), (20, 20, 20, 20), (70, 70),
-                                   (6, 6, 3, 6, 6), (20, 20, 20, 20, 5, 20, 20)])
-def test_batch_step_matches_stacked_gradients(sizes):
-    # Batch symmetric steps take their gradients and updates in chunks
-    # of whole subsets from one run of consecutive equal sizes, at most
-    # _GRADIENT_ROWS rows each: one chunk for (6, 6, 6), chunks of 3 and
-    # a rest of 1 for (20,) * 4, one subset per chunk for (70, 70), and
-    # runs cut by a subset of another size in the last two.  The
-    # (n, m, K) evaluation of all subsets of one size at once gives the
-    # same bits.
+ORACLE_SIZES = [(6, 6, 6), (3, 6, 1, 6), (20, 20, 20, 20), (70, 70), (6, 6, 3, 6, 6),
+                (20, 20, 20, 20, 5, 20, 20), (1,) * 70, (2,) * 65]
+
+
+def oracle_setup(sizes, seed):
+    """A random K=16 codebook partitioned as ``sizes``, a Haar start and a small step."""
     const = QamConstellation.square(16)
-    rng = np.random.default_rng(31)
-    k = 16
-    symbols = const.points[rng.integers(0, 16, (sum(sizes), k))]
-    book = Codebook(symbols=symbols, subset_sizes=sizes, p_av=float(np.mean(np.abs(symbols) ** 2) * k))
-    state = UnitarySet.random(book.n_subsets, k, rng)
-    eps = small_step(book)
+    rng = np.random.default_rng(seed)
+    symbols = const.points[rng.integers(0, 16, (sum(sizes), 16))]
+    book = Codebook(symbols=symbols, subset_sizes=sizes, p_av=float(np.mean(np.abs(symbols) ** 2) * 16))
+    return book, UnitarySet.random(book.n_subsets, 16, rng), small_step(book)
+
+
+@pytest.mark.parametrize("sizes", ORACLE_SIZES)
+def test_batch_step_matches_stacked_gradients(sizes):
+    # A batch symmetric step takes its gradient and update one subset at
+    # a time.  The (n, m, K) evaluation of all subsets of one size at
+    # once gives the same bits: for equal sizes side by side, for runs
+    # cut by a subset of another size, and for stacks of 70 one-row and
+    # 65 two-row subsets.
+    book, state, eps = oracle_setup(sizes, 31)
     expected = np.empty_like(state.matrices)
     norms = np.empty(book.n_subsets)
     for m in sorted(set(sizes)):
@@ -696,6 +704,23 @@ def test_batch_step_matches_stacked_gradients(sizes):
         norms[members] = polar_step(w, rows, eps, out)
         expected[members] = out
     new, got_norms = step_batch(state, book, OptimizerConfig(epsilon=eps, mode="batch"))
+    assert new.matrices.tobytes() == expected.tobytes()
+    assert got_norms.tobytes() == norms.tobytes()
+
+
+@pytest.mark.parametrize("sizes", ORACLE_SIZES)
+def test_stochastic_step_matches_per_subset_updates(sizes):
+    # A stochastic step moves all N subsets as one stack, also past 64
+    # subsets; one update per subset from its keyed draw gives the same bits.
+    book, state, eps = oracle_setup(sizes, 32)
+    cfg = OptimizerConfig(epsilon=eps, seed=9)
+    picks = oracle_picks(cfg.seed, sizes, 0)
+    expected = np.empty_like(state.matrices)
+    norms = np.empty(book.n_subsets)
+    for n, (block, pick) in enumerate(zip(book.subsets(), picks)):
+        norms[n : n + 1] = polar_step(state.matrices[n : n + 1], block[np.newaxis, pick : pick + 1], eps,
+                                      expected[n : n + 1])
+    new, got_norms = step_stochastic(state, book, cfg)
     assert new.matrices.tobytes() == expected.tobytes()
     assert got_norms.tobytes() == norms.tobytes()
 

@@ -34,4 +34,5 @@ def test_tracer_finds_every_call_site_but_the_stale_one():
     assert tracer.missing == ["paprbound.optimizer.delta_w"]
     assert (optimizer.step_batch, optimizer._PROJECTORS) == original
     calls = {name: entry["calls"] for name, entry in tracer.totals().items()}
-    assert calls["optimizer.step"] == 2 and calls["optimizer.project_symmetric"] == 2
+    # A batch step makes one projector call per subset: 2 steps x 2 subsets.
+    assert calls["optimizer.step"] == 2 and calls["optimizer.project_symmetric"] == 4
