@@ -20,7 +20,7 @@ from .core import Codebook, QamConstellation, transformed_subsets, write_json, w
 from .spectral import SpectralBasis, quartic_sum
 from .waveform import baseband_samples, linear_to_db
 
-PSD_TOLERANCE = 1e-10
+PSD_TOLERANCE = 1e-10  # relative to the largest |eigenvalue|
 
 
 def r_statistic(codebook: Codebook, unitaries=None) -> float:
@@ -128,7 +128,7 @@ def gaussian_ccdf_bound(
     if sigma.shape != (k, k):
         raise ValueError(f"covariance must be {k}x{k}")
     eigs = np.linalg.eigvalsh(sigma)
-    if eigs.min() < -PSD_TOLERANCE:
+    if eigs.min() < -PSD_TOLERANCE * np.abs(eigs).max():
         raise ValueError(f"covariance not PSD: min eigenvalue {eigs.min():.3e}")
     # Row i of the flat view below starts i places later than row i of
     # ``padded``, so column K-1+d collects sigma[i, j] with i - j = d.
@@ -162,7 +162,7 @@ def gaussian_quartic_moment(g: np.ndarray, cov: np.ndarray) -> tuple[float, floa
         raise ValueError("g and cov must be square matrices of equal size")
     for name, mat in (("g", g), ("cov", cov)):
         eigs = np.linalg.eigvalsh(mat)
-        if eigs.min() < -PSD_TOLERANCE:
+        if eigs.min() < -PSD_TOLERANCE * np.abs(eigs).max():
             raise ValueError(f"{name} not PSD: min eigenvalue {eigs.min():.3e}")
     tg = real_embedding(g)
     tc = real_embedding(cov)

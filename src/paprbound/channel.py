@@ -239,9 +239,9 @@ def ber_sweep(
     receivers = [None if w is None else w.conj() for w in senders]
     tx_indices = constellation.demap(codebook.symbols)
     exact = constellation.points[tx_indices]
-    # Exact equality, the usual case, is cheap; allclose only when it fails.
+    # Exact equality, the usual case, is cheap; allclose at the points' scale only when it fails.
     if not (np.array_equal(exact, codebook.symbols)
-            or np.allclose(exact, codebook.symbols, atol=1e-9)):
+            or np.allclose(exact, codebook.symbols, atol=1e-9 * constellation.scale)):
         raise ValueError("codebook symbols are not points of the given constellation")
     popcount = np.array([bin(x).count("1") for x in range(constellation.order)])
     subset_of = np.repeat(np.arange(codebook.n_subsets), codebook.subset_sizes)

@@ -16,7 +16,7 @@ import json
 import math
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -151,12 +151,14 @@ class Codebook:
     subset_sizes : tuple[int, ...]
         Sizes of the N consecutive blocks; they sum to count.
     p_av : float
-        Empirical mean of the squared l2 norm over the codebook.
+        Empirical mean of the squared l2 norm over the codebook, derived
+        from ``symbols``.  The metadata after it is keyword-only.
     """
 
     symbols: np.ndarray = field(repr=False)
     subset_sizes: tuple[int, ...]
-    p_av: float
+    p_av: float = field(init=False)
+    _: KW_ONLY
     seed: int | None = None
     qam_order: int | None = None
     qam_scale: float | None = None
@@ -167,20 +169,18 @@ class Codebook:
             raise ValueError("symbols must be a non-empty (count, K) array")
         if sym.shape[1] < 2:
             raise ValueError("carrier count K must be at least 2")
-        # One pass gives p_av; only when it is not finite are the entries
-        # checked one by one (a huge but finite symbol gives inf: a mismatch).
-        p_av = float(np.vdot(sym, sym).real) / sym.shape[0]
-        if not np.isfinite(p_av) and not np.all(np.isfinite(sym.view(np.float64))):
-            raise ValueError("codebook contains non-finite entries")
         object.__setattr__(self, "symbols", sym)
         sizes = tuple(int(s) for s in self.subset_sizes)
         if any(s <= 0 for s in sizes) or sum(sizes) != sym.shape[0]:
             raise ValueError("subset sizes must be positive and sum to the codebook size")
         object.__setattr__(self, "subset_sizes", sizes)
-        if not abs(p_av - self.p_av) <= 1e-12 * max(1.0, self.p_av):
-            raise ValueError("stored p_av does not match the codewords")
-        if p_av <= 0:
-            raise ValueError("average power must be positive")
+        # A non-finite entry, or a huge finite one whose square overflows,
+        # gives a p_av of inf or NaN, which the check below refuses.
+        with np.errstate(over="ignore"):
+            p_av = float(np.mean(np.abs(sym) ** 2) * sym.shape[1])
+        if not 0 < p_av < math.inf:
+            raise ValueError(f"average power p_av must be positive and finite, got {p_av}")
+        object.__setattr__(self, "p_av", p_av)
 
     @classmethod
     def from_symbols(cls, symbols: np.ndarray, n_subsets: int, **meta) -> "Codebook":
@@ -188,10 +188,7 @@ class Codebook:
         count = sym.shape[0]
         if count % n_subsets != 0:
             raise ValueError(f"codebook size {count} not divisible by {n_subsets} subsets")
-        sizes = (count // n_subsets,) * n_subsets
-        # An empty array gets 0 here, so that __post_init__ names its shape.
-        p_av = float(np.mean(np.abs(sym) ** 2) * sym.shape[1]) if sym.size else 0.0
-        return cls(symbols=sym, subset_sizes=sizes, p_av=p_av, **meta)
+        return cls(sym, (count // n_subsets,) * n_subsets, **meta)
 
     @property
     def size(self) -> int:
@@ -423,4 +420,7 @@ def load_codebook(path: str | Path) -> Codebook:
     if not (is_int(header.get("n_subsets")) and header["n_subsets"] == n_subsets):
         raise _bad_field(path, header, "n_subsets", f"{n_subsets}, the number of subset sizes")
     meta = {key: header.get(key) for key in ("seed", "qam_order", "qam_scale")}
-    return Codebook(symbols, tuple(header["subset_sizes"]), float(header["p_av"]), **meta)
+    book = Codebook(symbols, tuple(header["subset_sizes"]), **meta)
+    if not abs(header["p_av"] - book.p_av) <= 1e-12 * book.p_av:
+        raise _bad_field(path, header, "p_av", f"{book.p_av!r} to 1e-12 relative, the codewords' average power")
+    return book

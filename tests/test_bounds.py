@@ -188,6 +188,27 @@ def test_gaussian_bound_closed_forms():
         gaussian_ccdf_bound(-np.eye(k), basis, grid)
 
 
+def test_gaussian_psd_checks_scale_with_the_matrix():
+    # The PSD checks compare the smallest eigenvalue with the largest
+    # |eigenvalue|.  A rank-3 covariance scaled by 1e12, whose roundoff
+    # leaves a smallest eigenvalue near -2e-3, is PSD; -1e-12 I is not.
+    k = 8
+    basis = build_basis(k)
+    grid = np.array([2.0, 10.0])
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((k, 3)) + 1j * rng.standard_normal((k, 3))
+    low_rank = a @ a.conj().T
+    np.testing.assert_allclose(gaussian_ccdf_bound(1e12 * low_rank, basis, grid),
+                               gaussian_ccdf_bound(low_rank, basis, grid), rtol=1e-9)
+    np.testing.assert_allclose(gaussian_quartic_moment(np.eye(k), 1e12 * low_rank),
+                               1e24 * np.array(gaussian_quartic_moment(np.eye(k), low_rank)), rtol=1e-9)
+    negative = -1e-12 * np.eye(k)
+    with pytest.raises(ValueError, match="covariance not PSD"):
+        gaussian_ccdf_bound(negative, basis, grid)
+    with pytest.raises(ValueError, match="cov not PSD"):
+        gaussian_quartic_moment(np.eye(k), negative)
+
+
 @pytest.mark.parametrize("k", [8, 64, 128])
 def test_gaussian_bound_matches_einsum_oracle(k):
     # The oracle takes the traces Tr(C_k cov), Tr(C_hat_k cov) as

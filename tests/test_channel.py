@@ -163,7 +163,7 @@ def test_ber_sweep_counts_match_per_subset_oracle(block_codewords, monkeypatch):
     # Unequal subsets; 5-codeword blocks leave some subsets empty.
     const = QamConstellation.square(16)
     whole = generate_codebook(const, 16, 250, 1, seed=14)
-    book = Codebook(symbols=whole.symbols, subset_sizes=(100, 60, 90), p_av=whole.p_av)
+    book = Codebook(symbols=whole.symbols, subset_sizes=(100, 60, 90))
     haar = UnitarySet.random(3, 16, np.random.default_rng(15)).matrices
     eye = UnitarySet.identity(3, 16).matrices
     nudged = eye.copy()  # one ulp from I, on and off the diagonal: not the identity
@@ -431,14 +431,19 @@ def test_link_config_validation():
 
 def test_ber_sweep_accepts_symbols_near_the_points_only():
     # Symbols 1e-12 off the constellation are accepted, 1e-3 off are not.
+    # The tolerance scales with the constellation, so a codebook drawn at
+    # scale 1e-20 does not pass for points of a 2e-20 constellation.
     const = QamConstellation.square(16)
     book = generate_codebook(const, 8, 16, 2, seed=1)
+    tiny = generate_codebook(QamConstellation.square(16, 1e-20), 8, 16, 2, seed=1)
     link = LinkConfig(ebn0_db=(10.0,))
-    for offset, accepted in ((1e-12, True), (1e-3, False)):
-        symbols = book.symbols + offset
-        shifted = Codebook(symbols, book.subset_sizes, float(np.mean(np.abs(symbols) ** 2) * 8))
+    for shifted, constellation, accepted in (
+        (Codebook(book.symbols + 1e-12, book.subset_sizes), const, True),
+        (Codebook(book.symbols + 1e-3, book.subset_sizes), const, False),
+        (tiny, QamConstellation.square(16, 2e-20), False),
+    ):
         if accepted:
-            ber_sweep(shifted, const, UnitarySet.identity(2, 8), link, max_symbols=64)
+            ber_sweep(shifted, constellation, UnitarySet.identity(2, 8), link, max_symbols=64)
         else:
             with pytest.raises(ValueError, match="not points"):
-                ber_sweep(shifted, const, UnitarySet.identity(2, 8), link, max_symbols=64)
+                ber_sweep(shifted, constellation, UnitarySet.identity(2, 8), link, max_symbols=64)

@@ -340,6 +340,24 @@ def test_codebook_powers_fail_closed(tmp_path, scale, command, overrides, field)
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("scale", [1e-20, 1e-7, None])
+def test_tampered_header_p_av_fails_closed(tmp_path, scale):
+    # A codebook whose header p_av is doubled, at any scale: bounds, ccdf
+    # and ber exit 2 with one line naming the file and the field.
+    cfg_path = small_config(tmp_path, **({} if scale is None else {"qam_scale": scale}))
+    out = tmp_path / "run"
+    assert run_recording("gen", "--config", cfg_path) == (EXIT_OK, [])
+    header, payload = (out / "codebook.bin").read_bytes().split(b"\n", 1)
+    fields = json.loads(header)
+    fields["p_av"] *= 2
+    book = tmp_path / "tampered.bin"
+    book.write_bytes(json.dumps(fields, sort_keys=True).encode() + b"\n" + payload)
+    for command in ("bounds", "ccdf", "ber"):
+        code, err = run_recording(command, "--config", cfg_path, book)
+        assert code == EXIT_VALIDATION and len(err) == 1, (command, err)
+        assert err[0].startswith(f"error: {book}: header field 'p_av' must be "), (command, err)
+
+
 @pytest.mark.parametrize("scale", [1e80, 1e100, 1e150])
 def test_optimize_refuses_an_overflowing_r(tmp_path, scale):
     # R of a codebook drawn at a huge scale overflows float64 before any

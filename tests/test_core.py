@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -139,14 +142,37 @@ def test_subset_gram_concentrates_like_inverse_sqrt():
 
 def test_codebook_validation():
     sym = np.ones((4, 4), dtype=complex)
+    assert Codebook(symbols=sym, subset_sizes=(2, 2)).p_av == 4.0
     with pytest.raises(ValueError):
-        Codebook(symbols=sym, subset_sizes=(2, 3), p_av=4.0)
-    with pytest.raises(ValueError):
-        Codebook(symbols=sym, subset_sizes=(2, 2), p_av=3.0)
-    bad = sym.copy()
-    bad[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        Codebook(symbols=bad, subset_sizes=(2, 2), p_av=4.0)
+        Codebook(symbols=sym, subset_sizes=(2, 3))
+    with pytest.raises(TypeError):  # p_av is derived; the metadata is keyword-only
+        Codebook(sym, (2, 2), 4.0)
+    for value in (np.nan, np.inf, 1e300):  # 1e300 squared overflows
+        bad = sym.copy()
+        bad[0, 0] = value
+        with pytest.raises(ValueError, match="p_av"):
+            Codebook(symbols=bad, subset_sizes=(2, 2))
+    with pytest.raises(ValueError, match="p_av"):
+        Codebook(symbols=np.zeros((4, 4)), subset_sizes=(2, 2))
+
+
+@pytest.mark.parametrize("scale", [1e-20, None])
+def test_load_codebook_checks_header_p_av_relative(tmp_path, scale):
+    # The header's p_av must match the codewords' to 1e-12 relative, at
+    # any scale: 1e-13 off loads, 1e-11 off is refused naming the field.
+    book = generate_codebook(QamConstellation.square(16, scale), 8, 40, 2, seed=4)
+    path = tmp_path / "book.bin"
+    save_codebook(book, path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    for factor, loads in ((1 + 1e-13, True), (1 + 1e-11, False)):
+        fields = json.loads(header)
+        fields["p_av"] *= factor
+        path.write_bytes(json.dumps(fields, sort_keys=True).encode() + b"\n" + payload)
+        if loads:
+            assert load_codebook(path).p_av == book.p_av
+        else:
+            with pytest.raises(ValueError, match="^" + re.escape(f"{path}: header field 'p_av' must be ")):
+                load_codebook(path)
 
 
 def test_codebook_file_roundtrip(tmp_path):

@@ -394,8 +394,7 @@ def test_factored_polar_step_matches_symmetric_projection(k):
     eye = np.eye(k)
     for sizes in [(1, 1, 1), (3, 3, 3), (k // 2 + 1,) * 3, (1, 3, k // 2 + 1)]:
         symbols = const.points[rng.integers(0, 16, (sum(sizes), k))]
-        book = Codebook(symbols=symbols, subset_sizes=sizes,
-                        p_av=float(np.mean(np.abs(symbols) ** 2) * k))
+        book = Codebook(symbols=symbols, subset_sizes=sizes)
         eps = small_step(book)
         for (mode, step), (projection, project) in itertools.product(
             (("batch", step_batch), ("stochastic", step_stochastic)),
@@ -549,7 +548,7 @@ def test_random_steps_stay_unitary(mode, projection, k, sizes, steps, seed):
     const = QamConstellation.square(16)
     rng = np.random.default_rng(seed)
     symbols = const.points[rng.integers(0, 16, (sum(sizes), k))]
-    book = Codebook(symbols=symbols, subset_sizes=sizes, p_av=float(np.mean(np.abs(symbols) ** 2) * k))
+    book = Codebook(symbols=symbols, subset_sizes=sizes)
     basis = build_basis(k)
     cfg = OptimizerConfig(epsilon=small_step(book), max_iters=steps, stop_tol=0.0,
                           projection=projection, mode=mode, seed=seed)
@@ -579,7 +578,7 @@ def test_no_run_leaves_a_set_its_loader_rejects(tmp_path_factory, mode, projecti
     const = QamConstellation.square(16)
     rng = np.random.default_rng(seed)
     symbols = const.points[rng.integers(0, 16, (sum(sizes), k))]
-    book = Codebook(symbols=symbols, subset_sizes=sizes, p_av=float(np.mean(np.abs(symbols) ** 2) * k))
+    book = Codebook(symbols=symbols, subset_sizes=sizes)
     cfg = OptimizerConfig(epsilon=epsilon, max_iters=12, stop_tol=0.0, checkpoint_every=5,
                           projection=projection, mode=mode, seed=seed)
     try:
@@ -660,7 +659,7 @@ def test_steps_leave_their_input_alone(mode, projection, sizes):
     const = QamConstellation.square(16)
     rng = np.random.default_rng(30)
     symbols = const.points[rng.integers(0, 16, (sum(sizes), 8))]
-    book = Codebook(symbols=symbols, subset_sizes=sizes, p_av=float(np.mean(np.abs(symbols) ** 2) * 8))
+    book = Codebook(symbols=symbols, subset_sizes=sizes)
     state = UnitarySet.random(book.n_subsets, 8, rng)
     before = state.matrices.tobytes(), book.symbols.tobytes()
     state.matrices.flags.writeable = False  # any write into the input raises
@@ -682,7 +681,7 @@ def oracle_setup(sizes, seed):
     const = QamConstellation.square(16)
     rng = np.random.default_rng(seed)
     symbols = const.points[rng.integers(0, 16, (sum(sizes), 16))]
-    book = Codebook(symbols=symbols, subset_sizes=sizes, p_av=float(np.mean(np.abs(symbols) ** 2) * 16))
+    book = Codebook(symbols=symbols, subset_sizes=sizes)
     return book, UnitarySet.random(book.n_subsets, 16, rng), small_step(book)
 
 
