@@ -36,7 +36,6 @@ from .core import (
     load_codebook,
     save_codebook,
     subset_gram,
-    validate_codeword,
 )
 from .optimizer import (
     OptimizerConfig,

@@ -109,6 +109,13 @@ def codebook_endpoints(codebook: Codebook) -> tuple[float, float]:
     return float(norms.min()), float(codebook.k_carriers * norms.max())
 
 
+def _require_psd(name: str, matrix: np.ndarray) -> None:
+    """Raise a ValueError naming ``name`` unless ``matrix`` is PSD to ``PSD_TOLERANCE``."""
+    eigs = np.linalg.eigvalsh(matrix)
+    if eigs.min() < -PSD_TOLERANCE * np.abs(eigs).max():
+        raise ValueError(f"{name} not PSD: min eigenvalue {eigs.min():.3e}")
+
+
 def gaussian_ccdf_bound(
     cov: np.ndarray, basis: SpectralBasis, gamma_grid: np.ndarray
 ) -> np.ndarray:
@@ -127,25 +134,23 @@ def gaussian_ccdf_bound(
     k = basis.size
     if sigma.shape != (k, k):
         raise ValueError(f"covariance must be {k}x{k}")
-    eigs = np.linalg.eigvalsh(sigma)
-    if eigs.min() < -PSD_TOLERANCE * np.abs(eigs).max():
-        raise ValueError(f"covariance not PSD: min eigenvalue {eigs.min():.3e}")
+    _require_psd("covariance", sigma)
     # Row i of the flat view below starts i places later than row i of
     # ``padded``, so column K-1+d collects sigma[i, j] with i - j = d.
     padded = np.zeros((k, 2 * k), dtype=np.complex128)
     padded[:, :k] = sigma[:, ::-1]
     diag_sums = padded.ravel()[: k * (2 * k - 1)].reshape(k, 2 * k - 1).sum(axis=0)[k - 1 :]
     p_av = float(diag_sums[0].real)
+    if not p_av > 0:
+        raise ValueError(f"covariance must have a positive trace, got {p_av}")
     traces = (2.0 * baseband_samples(diag_sums, 2).real - p_av) / k
     grid = np.asarray(gamma_grid, dtype=float)
     return 3.0 * k * (2 * k - 1) / (2.0 * p_av**2 * grid**2) * (traces**2).sum()
 
 
 def real_embedding(z: np.ndarray) -> np.ndarray:
-    """Real 2Kx2K (or 2K-vector) embedding [[Re, -Im], [Im, Re]]."""
+    """Real 2Kx2K embedding [[Re, -Im], [Im, Re]] of a KxK matrix."""
     z = np.asarray(z)
-    if z.ndim == 1:
-        return np.concatenate([z.real, z.imag])
     return np.block([[z.real, -z.imag], [z.imag, z.real]])
 
 
@@ -160,10 +165,8 @@ def gaussian_quartic_moment(g: np.ndarray, cov: np.ndarray) -> tuple[float, floa
     cov = np.asarray(cov, dtype=np.complex128)
     if g.shape != cov.shape or g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("g and cov must be square matrices of equal size")
-    for name, mat in (("g", g), ("cov", cov)):
-        eigs = np.linalg.eigvalsh(mat)
-        if eigs.min() < -PSD_TOLERANCE * np.abs(eigs).max():
-            raise ValueError(f"{name} not PSD: min eigenvalue {eigs.min():.3e}")
+    _require_psd("g", g)
+    _require_psd("cov", cov)
     tg = real_embedding(g)
     tc = real_embedding(cov)
     prod = tg @ tc

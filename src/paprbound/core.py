@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import os
+import sys
 from collections.abc import Iterator
 from dataclasses import KW_ONLY, dataclass, field
 from pathlib import Path
@@ -118,26 +119,6 @@ class QamConstellation:
         idx = np.asarray(indices)
         shifts = np.arange(self.bits_per_symbol - 1, -1, -1)
         return (idx[..., None] >> shifts) & 1
-
-    def bits_to_indices(self, bits: np.ndarray) -> np.ndarray:
-        b = np.asarray(bits)
-        if b.shape[-1] != self.bits_per_symbol:
-            raise ValueError(f"expected {self.bits_per_symbol} bits per symbol")
-        shifts = np.arange(self.bits_per_symbol - 1, -1, -1)
-        return (b << shifts).sum(axis=-1)
-
-    def mean_power(self) -> float:
-        return float(np.mean(np.abs(self.points) ** 2))
-
-
-def validate_codeword(c: np.ndarray) -> np.ndarray:
-    """Check the codeword contract: 1-D, length >= 2, all entries finite."""
-    x = np.asarray(c, dtype=np.complex128)
-    if x.ndim != 1 or x.shape[0] < 2:
-        raise ValueError("codeword must be a 1-D vector with at least 2 symbols")
-    if not np.all(np.isfinite(x.view(np.float64))):
-        raise ValueError("codeword contains non-finite entries")
-    return x
 
 
 @dataclass(frozen=True)
@@ -290,8 +271,8 @@ def is_int(value) -> bool:
 
 
 def is_number(value) -> bool:
-    """An int or a finite float.  JSON's Infinity and NaN parse as floats."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """An int or float within float64's range; a huge int is compared exactly, never converted."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 # Header field checks: (what the value must be, predicate).
@@ -325,12 +306,6 @@ def write_table(path: str | Path, header: list[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(map(_cell, row) for row in rows)
-
-
-def read_table(path: str | Path) -> list[dict[str, str]]:
-    """The rows of a ``write_table`` file, each a dict keyed by the header."""
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
 
 
 def write_json(path: str | Path, doc: dict) -> None:

@@ -255,10 +255,10 @@ class UnitarySet:
         with np.errstate(over="ignore", invalid="ignore"):
             return float(np.max([np.linalg.norm(w @ w.conj().T - eye) for w in self.matrices]))
 
-    def validate(self, tol: float = UNITARITY_TOL) -> None:
+    def validate(self) -> None:
         err = self.unitarity_error()
-        if not err <= tol:
-            raise ValueError(f"unitarity violated: max ||W W* - I||_F = {err:.3e} > {tol}")
+        if not err <= UNITARITY_TOL:
+            raise ValueError(f"unitarity violated: max ||W W* - I||_F = {err:.3e} > {UNITARITY_TOL}")
 
 
 @dataclass(frozen=True)
@@ -578,12 +578,12 @@ _UNITARY_FIELDS = {
 }
 
 
-def load_unitaries(path: str | Path, tol: float = UNITARITY_TOL) -> UnitarySet:
-    """Read a unitary-set file and re-validate unitarity."""
+def load_unitaries(path: str | Path) -> UnitarySet:
+    """Read a unitary-set file and re-validate unitarity to ``UNITARITY_TOL``."""
     header, matrices = read_artifact(
         path, UNITARY_FORMAT, FORMAT_VERSION, _UNITARY_FIELDS,
         ("n_subsets", "k_carriers", "k_carriers"),
     )
     state = UnitarySet(matrices=matrices, iteration=header["iteration"])
-    state.validate(tol)
+    state.validate()
     return state

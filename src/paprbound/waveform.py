@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Codebook, read_table, transformed_subsets, write_table
+from .core import Codebook, transformed_subsets, write_table
 
 PMEPR_OVERSAMPLING_DEFAULT = 16
 # J-grid samples per chunk in ``peak_envelope_power``: one chunk's
@@ -122,13 +122,6 @@ class CcdfCurve:
             gamma_db = self.gamma_db
         write_table(path, ["gamma_db", "gamma_linear", "ccdf", "n_samples"],
                     ((*row, self.sample_count) for row in zip(gamma_db, self.gamma, self.ccdf)))
-
-    @staticmethod
-    def read_csv(path: str | Path) -> "CcdfCurve":
-        rows = read_table(path)
-        gamma = np.array([float(r["gamma_linear"]) for r in rows])
-        ccdf = np.array([float(r["ccdf"]) for r in rows])
-        return CcdfCurve(gamma=gamma, ccdf=ccdf, sample_count=int(rows[0]["n_samples"]))
 
 
 def codebook_pmeprs(

@@ -209,6 +209,17 @@ def test_gaussian_psd_checks_scale_with_the_matrix():
         gaussian_quartic_moment(np.eye(k), negative)
 
 
+def test_gaussian_bound_refuses_a_zero_covariance():
+    # A zero covariance is PSD but has P_av = Tr(cov) = 0, so the bound
+    # would divide by zero (a RuntimeWarning the suite makes an error).
+    # The quartic moment of c = 0 is 0, with no division.
+    k = 8
+    zero = np.zeros((k, k))
+    with pytest.raises(ValueError, match="^covariance must have a positive trace, got 0.0$"):
+        gaussian_ccdf_bound(zero, build_basis(k), np.array([2.0, 10.0]))
+    assert gaussian_quartic_moment(zero, zero) == (0.0, 0.0)
+
+
 @pytest.mark.parametrize("k", [8, 64, 128])
 def test_gaussian_bound_matches_einsum_oracle(k):
     # The oracle takes the traces Tr(C_k cov), Tr(C_hat_k cov) as

@@ -30,7 +30,6 @@ from paprbound.cli import (
 from paprbound.core import QamConstellation, generate_codebook, load_codebook, save_codebook
 from paprbound.optimizer import UnitarySet, load_unitaries, run, save_unitaries
 from paprbound.spectral import build_basis
-from paprbound.waveform import CcdfCurve
 
 
 def small_config(tmp_path, **overrides):
@@ -185,20 +184,20 @@ def test_gen_bounds_ccdf_pipeline(tmp_path):
         assert (flag == "true") == (float(gamma_db) > threshold_db + 1e-12)
 
     assert run_cli("ccdf", "--config", cfg_path, out / "codebook.bin") == EXIT_OK
-    curve = CcdfCurve.read_csv(out / "ccdf.csv")
-    assert curve.sample_count == 64
+    curve = np.genfromtxt(out / "ccdf.csv", delimiter=",", names=True)
+    assert np.all(curve["n_samples"] == 64)
 
     # cross-command consistency: the markov column dominates the
     # empirical curve at every grid point
     markov = np.array([float(line.split(",")[1]) for line in rows[1:]])
-    assert np.all(curve.ccdf <= markov + 1e-12)
+    assert np.all(curve["ccdf"] <= markov + 1e-12)
 
     # J=1 curve is pointwise below the J=8 curve
     j1 = tmp_path / "j1"
     j1.mkdir()
     assert run_cli("ccdf", "--config", small_config(j1, j_ccdf=1), out / "codebook.bin") == EXIT_OK
-    low = CcdfCurve.read_csv(j1 / "run" / "ccdf.csv")
-    assert np.all(low.ccdf <= curve.ccdf + 1e-12)
+    low = np.genfromtxt(j1 / "run" / "ccdf.csv", delimiter=",", names=True)
+    assert np.all(low["ccdf"] <= curve["ccdf"] + 1e-12)
 
 
 def test_bounds_identity_unitaries_match_plain(tmp_path):
@@ -356,6 +355,25 @@ def test_tampered_header_p_av_fails_closed(tmp_path, scale):
         code, err = run_recording(command, "--config", cfg_path, book)
         assert code == EXIT_VALIDATION and len(err) == 1, (command, err)
         assert err[0].startswith(f"error: {book}: header field 'p_av' must be "), (command, err)
+
+
+@pytest.mark.parametrize("where, field", [
+    ("config", "epsilon"), ("config", "qam_scale"), ("config", "stop_tol"),
+    ("header", "p_av"), ("header", "qam_scale"),
+])
+def test_huge_integer_fails_closed(tmp_path, where, field):
+    # A JSON integer past float64's range fails the field check, with one
+    # line naming the field, before anything converts it to a float.
+    cfg_path = small_config(tmp_path)
+    out = tmp_path / "run"
+    if where == "config":
+        code, err = run_recording("gen", "--config", small_config(tmp_path, **{field: 10**400}))
+    else:
+        assert run_recording("gen", "--config", cfg_path) == (EXIT_OK, [])
+        rewrite_header(out / "codebook.bin", lambda fields: {**fields, field: 10**400})
+        code, err = run_recording("bounds", "--config", cfg_path, out / "codebook.bin")
+    assert code == EXIT_VALIDATION and len(err) == 1, err
+    assert err[0].startswith("error: ") and f"field '{field}'" in err[0] and "must be a finite number" in err[0], err
 
 
 @pytest.mark.parametrize("scale", [1e80, 1e100, 1e150])

@@ -11,14 +11,13 @@ from paprbound.core import (
     load_codebook,
     save_codebook,
     subset_gram,
-    validate_codeword,
 )
 
 
 def test_default_scale_normalizes_mean_power():
     for order in (4, 16, 64, 256, 65536):
         const = QamConstellation.square(order)
-        assert abs(const.mean_power() - 1.0) < 1e-12
+        assert abs(np.mean(np.abs(const.points) ** 2) - 1.0) < 1e-12
         assert len(const.points) == order
 
 
@@ -48,23 +47,15 @@ def test_bit_roundtrip_and_demap_oracle():
     const = QamConstellation.square(64)
     rng = np.random.default_rng(0)
     idx = rng.integers(0, 64, 500)
-    assert np.array_equal(const.bits_to_indices(const.indices_to_bits(idx)), idx)
+    bits = const.indices_to_bits(idx)
+    assert bits.shape == (500, 6)
+    assert np.array_equal(bits @ (1 << np.arange(5, -1, -1)), idx)  # MSB first
     noisy = const.points[idx] + 0.3 * const.scale * (
         rng.standard_normal(500) + 1j * rng.standard_normal(500)
     )
     # exhaustive nearest-point oracle
     brute = np.abs(noisy[:, None] - const.points[None, :]).argmin(axis=1)
     assert np.array_equal(const.demap(noisy), brute)
-
-
-def test_validate_codeword():
-    validate_codeword(np.array([1.0, 1j]))
-    with pytest.raises(ValueError):
-        validate_codeword(np.array([1.0]))
-    with pytest.raises(ValueError):
-        validate_codeword(np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        validate_codeword(np.array([1.0, np.inf * 1j]))
 
 
 def test_generate_codebook_partition_shapes():

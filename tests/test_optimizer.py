@@ -15,6 +15,7 @@ from paprbound.core import Codebook, QamConstellation, generate_codebook
 from paprbound.optimizer import (
     MODES,
     PROJECTIONS,
+    UNITARITY_TOL,
     OptimizerConfig,
     RankDeficientUpdate,
     UnitarySet,
@@ -187,7 +188,7 @@ def test_step_batch_descends_for_small_epsilon():
     state, _ = step_batch(state, book, cfg)
     after = r_statistic(book, state)
     assert after <= before + 1e-9
-    state.validate(1e-8)
+    state.validate()
 
 
 def test_identical_subsets_share_trajectories():
@@ -248,7 +249,7 @@ def test_unitarity_and_roundtrip_after_steps():
     book, basis = desk_setup()
     cfg = OptimizerConfig(epsilon=1e-3, max_iters=20, stop_tol=0.0, seed=1)
     state, _ = run(book, basis, cfg)
-    state.validate(1e-8)
+    state.validate()
     c = book.symbols[5]
     for w in state.matrices:
         assert np.abs(w.conj().T @ (w @ c) - c).max() < 1e-10
@@ -299,11 +300,23 @@ def test_unitary_set_persistence(tmp_path):
     assert again.iteration == 17
 
     raw = bytearray(path.read_bytes())
-    raw[-5] ^= 0xFF  # flip a payload byte: unitarity re-check must fail
+    raw[-1] ^= 0x40  # flip the top exponent bit of the last entry's imaginary part
     bad = tmp_path / "bad.bin"
     bad.write_bytes(bytes(raw))
-    with pytest.raises(ValueError):
-        load_unitaries(bad, tol=1e-10)
+    with pytest.raises(ValueError, match="unitarity violated"):
+        load_unitaries(bad)
+
+    # The loader's one bound is UNITARITY_TOL: s W has error |s^2 - 1| sqrt(K).
+    for ratio, accepted in ((0.99, True), (1.01, False)):
+        s = np.sqrt(1.0 + ratio * UNITARITY_TOL / np.sqrt(8))
+        scaled = UnitarySet(matrices=s * state.matrices)
+        assert abs(scaled.unitarity_error() / UNITARITY_TOL - ratio) < 1e-4
+        save_unitaries(scaled, path)
+        if accepted:
+            np.testing.assert_array_equal(load_unitaries(path).matrices, scaled.matrices)
+        else:
+            with pytest.raises(ValueError, match="unitarity violated"):
+                load_unitaries(path)
 
 
 def test_nan_payload_is_rejected(tmp_path):

@@ -144,10 +144,12 @@ def test_ccdf_curve_validation_and_csv(tmp_path):
     curve = CcdfCurve(gamma=grid, ccdf=ccdf, sample_count=10)
     path = tmp_path / "curve.csv"
     curve.write_csv(path)
-    again = CcdfCurve.read_csv(path)
-    np.testing.assert_allclose(again.gamma, curve.gamma, rtol=1e-15)
-    np.testing.assert_allclose(again.ccdf, curve.ccdf, rtol=1e-15)
-    assert again.sample_count == 10
+    # 17 significant digits read back exactly.
+    table = np.genfromtxt(path, delimiter=",", names=True)
+    assert table.dtype.names == ("gamma_db", "gamma_linear", "ccdf", "n_samples")
+    np.testing.assert_array_equal(table["gamma_linear"], curve.gamma)
+    np.testing.assert_array_equal(table["ccdf"], curve.ccdf)
+    assert np.all(table["n_samples"] == 10)
     with pytest.raises(ValueError):
         CcdfCurve(gamma=grid, ccdf=ccdf[::-1], sample_count=10)  # increasing
     with pytest.raises(ValueError):
