@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Codebook, QamConstellation, transformed_subsets, write_json, write_table
+from .core import Codebook, QamConstellation, scale_back, transformed_subsets, unit_power, write_json, write_table
 from .spectral import SpectralBasis, quartic_sum
 from .waveform import baseband_samples, linear_to_db
 
@@ -29,11 +29,13 @@ def r_statistic(codebook: Codebook, unitaries=None) -> float:
     R = K(2K-1)/(2|C|) * sum over subsets n and codewords c in subset n
     of quartic_sum(W_n c); the identity transform is used when no
     unitaries are given.  This is the statistic every CCDF bound here
-    is written in, and the quantity the unitary optimizer drives down.
+    is written in, and the quantity the unitary optimizer drives down;
+    summed at unit mean symbol power (``core.unit_power``), scaled back.
     """
-    k = codebook.k_carriers
-    total = sum(quartic_sum(block).sum() for block in transformed_subsets(codebook, unitaries))
-    return k * (2 * k - 1) / (2.0 * codebook.size) * total
+    e, book = unit_power(codebook)
+    k = book.k_carriers
+    total = sum(quartic_sum(block).sum() for block in transformed_subsets(book, unitaries))
+    return scale_back(k * (2 * k - 1) / (2.0 * book.size) * total, 4 * e)
 
 
 def markov_ccdf_bound(r_value: float, p_av: float, gamma_grid: np.ndarray) -> np.ndarray:
@@ -212,23 +214,16 @@ def bound_report(
     unitaries=None,
 ) -> BoundReport:
     """Evaluate the Markov and Hoeffding bounds for a codebook, using
-    the l2-based endpoints (unitary transforms leave them unchanged)."""
+    the l2-based endpoints (unitary transforms leave them unchanged), at
+    unit mean symbol power (``core.unit_power``); R, a and b are scaled back."""
     if basis.size != codebook.k_carriers:
         raise ValueError(f"codebook K={codebook.k_carriers} does not match basis K={basis.size}")
     grid = np.asarray(gamma_grid, dtype=float)
-    r = r_statistic(codebook, unitaries)
-    a, b = codebook_endpoints(codebook)
-    markov = markov_ccdf_bound(r, codebook.p_av, grid)
-    hoeffding, valid = hoeffding_ccdf_bound(r, a, b, codebook.p_av, grid)
-    return BoundReport(
-        gamma=grid,
-        markov=markov,
-        hoeffding=hoeffding,
-        hoeffding_valid=valid,
-        r_value=r,
-        a=a,
-        b=b,
-        p_av=codebook.p_av,
-        k_carriers=codebook.k_carriers,
-        n_subsets=codebook.n_subsets,
-    )
+    e, book = unit_power(codebook)
+    r = r_statistic(book, unitaries)
+    a, b = codebook_endpoints(book)
+    markov = markov_ccdf_bound(r, book.p_av, grid)
+    hoeffding, valid = hoeffding_ccdf_bound(r, a, b, book.p_av, grid)
+    return BoundReport(gamma=grid, markov=markov, hoeffding=hoeffding, hoeffding_valid=valid,
+                       r_value=scale_back(r, 4 * e), a=scale_back(a, 2 * e), b=scale_back(b, 2 * e),
+                       p_av=codebook.p_av, k_carriers=codebook.k_carriers, n_subsets=codebook.n_subsets)

@@ -10,12 +10,12 @@ QAM error rates as independent oracles for the Monte Carlo path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .core import Codebook, QamConstellation, subset_transforms, write_table
+from .core import Codebook, QamConstellation, subset_transforms, unit_power, write_table
 from .optimizer import UnitarySet
 from .waveform import baseband_samples
 
@@ -77,8 +77,8 @@ def rapp_apply(samples: np.ndarray, model: RappModel) -> np.ndarray:
     # u^e = (rho/r)^(2p) or (rho/r)^p, taken from u = rho^2 / r^2 = (re^2 + im^2) / r^2
     gain = np.square(x.real)
     gain += np.square(x.imag)
-    gain /= model.clip_level**2
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):  # u or r^2 past float64 is inf: taken below, or u = 0
+        gain /= np.float64(model.clip_level) ** 2
         gain **= e
     over = np.isinf(gain)
     gain += 1.0
@@ -229,11 +229,17 @@ def ber_sweep(
     point, block) so the sweep is reproducible and block-parallel safe.
     ``unitaries`` goes through ``core.subset_transforms``: a subset with no
     W_n or an exact I skips W_n c and W_n* y, with the same counts as with them.
+    The link runs at unit mean symbol power: ``constellation``, the clip level
+    and, through p_av, the noise take the codebook's 2^-e (``core.unit_power``).
     """
     for name, value in (("target_errors", target_errors), ("max_symbols", max_symbols),
                         ("block_codewords", block_codewords)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+    e, codebook = unit_power(codebook)
+    constellation = QamConstellation.square(constellation.order, math.ldexp(constellation.scale, -e))
+    if link.amplifier is not None:
+        link = replace(link, amplifier=replace(link.amplifier, clip_level=math.ldexp(link.amplifier.clip_level, -e)))
     # Per subset: the transmit transform and the receiver W_n*, None for W_n = I.
     senders = subset_transforms(codebook, unitaries)
     receivers = [None if w is None else w.conj() for w in senders]

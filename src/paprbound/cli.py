@@ -17,6 +17,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 import typing
@@ -27,11 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import bound_report, codebook_endpoints
+from .bounds import BoundReport, bound_report
 from .channel import RAPP_VARIANTS, LinkConfig, RappModel, ber_sweep
 from .core import (
     QAM_ORDER_RULE,
     QamConstellation,
+    default_qam_scale,
     generate_codebook,
     is_int,
     is_number,
@@ -39,6 +41,7 @@ from .core import (
     load_codebook,
     save_codebook,
     subset_transforms,
+    unit_power,
     write_json,
     write_table,
 )
@@ -67,6 +70,8 @@ CONFIG_VERSION = 1
 MANIFEST_FORMAT = "paprbound/manifest"
 # Most points a gamma grid may span; the default grid has 37.
 GAMMA_GRID_MAX_POINTS = 100_000
+GAMMA_GRID_MAX_DB = 600.0  # keeps the bounds in float64 at unit mean symbol power for any K <= SIZE_MAX
+SIZE_MAX = 2**53  # largest size field: float64 holds every integer up to it
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +90,8 @@ class GammaGridSpec:
     step: float = 0.25
 
     def __post_init__(self):
-        _check(self.step > 0 and self.stop >= self.start,
-               "config field 'gamma_grid_db': needs step > 0 and stop >= start")
+        _check(self.step > 0 and -GAMMA_GRID_MAX_DB <= self.start <= self.stop <= GAMMA_GRID_MAX_DB,
+               f"config field 'gamma_grid_db': needs step > 0 and start <= stop in +-{GAMMA_GRID_MAX_DB:g} dB")
         span = (self.stop - self.start) / self.step  # points - 1; may be inf
         _check(span < GAMMA_GRID_MAX_POINTS,
                f"config field 'gamma_grid_db': {span + 1:.3g} points, over {GAMMA_GRID_MAX_POINTS}")
@@ -94,31 +99,17 @@ class GammaGridSpec:
 
 
 def gamma_grid_linear(grid: GammaGridSpec) -> np.ndarray:
-    """The grid's power ratios 10^(dB/10).  The bounds divide by their
-    squares, so those must be finite, positive and strictly ascending."""
-    with np.errstate(over="ignore", under="ignore"):
-        linear = db_to_linear(default_gamma_grid_db(grid.start, grid.stop, grid.step))
-        squares = linear**2
-    _check(np.isfinite(squares).all() and squares[0] > 0 and (np.diff(squares) > 0).all(),
-           "config field 'gamma_grid_db': 10^(dB/10) squared must be finite, positive and strictly ascending")
+    """The grid's power ratios 10^(dB/10); the bounds divide by their squares, which must strictly ascend."""
+    linear = db_to_linear(default_gamma_grid_db(grid.start, grid.stop, grid.step))
+    _check((np.diff(linear**2) > 0).all(), "config field 'gamma_grid_db': 10^(dB/10) squared must strictly ascend")
     return linear
 
 
-def check_powers(cfg: ExperimentConfig, k: int, low: float, high: float, source: str) -> None:
-    """Refuse codeword powers in [low, high] at which the bounds or the Rapp clip level leave float64.
-    p_av, max ||c||^2 and a <= p_av lie in the range, so b = K max ||c||^2 is in [K low, K high],
-    R <= 2K b^2 and b^2 - a^2 >= p_av^2 (K^2 - 1): each term is taken at its worst end."""
-    lo, hi = np.float64(low), np.float64(high)
-    g_lo, g_hi = gamma_grid_linear(cfg.gamma_grid_db)[[0, -1]] ** 2
-    with np.errstate(all="ignore"):
-        bounds = (np.min([((k * lo) ** 2 - lo**2) ** 2, lo**2 * g_lo]) > 0  # (b^2 - a^2)^2, P_av^2 gamma^2
-                  and np.max([(k * hi) ** 4, 2 * k**3 * (hi / lo) ** 2 / g_lo, 2 * (hi**2 * g_hi) ** 2,
-                              2 * (g_hi / (k**2 - 1)) ** 2]) < np.inf)  # b^4, Markov, -2 excess^2, its ratio
-        clip = np.float64(10.0) ** (cfg.rapp.backoff_db / 10) * np.array([lo, hi])
-    _check(bounds, "config fields 'qam_scale' and 'gamma_grid_db': p_av^2 gamma^2, (b^2 - a^2)^2 and R"
-           f" must be positive and finite at the codeword powers of {source}")
-    _check(0 < clip[0] and clip[1] < np.inf, "config field 'rapp.backoff_db': the squared clip level"
-           f" p_av 10^(dB/10) must be positive and finite at the codeword powers of {source}")
+def check_powers(report: BoundReport, source: str) -> None:
+    """Refuse a report whose R, a or b, scaled back to the powers of ``source``, left float64 (a may be 0)."""
+    for name, value in (("R", report.r_value), ("a", report.a), ("b", report.b)):
+        _check(sys.float_info.min <= value < np.inf or (name == "a" and value == 0),
+               f"{source}: at its qam_scale, {name} is {value}, outside float64's normal range")
 
 
 @dataclass(frozen=True)
@@ -130,6 +121,9 @@ class RappSettings:
 
     def __post_init__(self):
         _check(self.p > 0, "config field 'rapp.p': must be positive")
+        with np.errstate(over="ignore"):  # the clip level's power over p_av, at any codebook scale
+            _check(0 < np.float64(10.0) ** (self.backoff_db / 10) < np.inf,
+                   "config field 'rapp.backoff_db': 10^(dB/10) must be finite and positive")
         _check(self.variant in RAPP_VARIANTS, f"config field 'rapp.variant': must be one of {RAPP_VARIANTS}")
 
 
@@ -159,17 +153,17 @@ class ExperimentConfig(OptimizerConfig):
         for name, low in (("k_carriers", 2), ("codebook_size", 1), ("n_subsets", 1),
                           ("j_ccdf", 1), ("j_ber", 1), ("ber_target_errors", 1),
                           ("ber_max_symbols", 1)):
-            _check(getattr(self, name) >= low, f"config field '{name}': must be >= {low}")
+            _check(low <= getattr(self, name) <= SIZE_MAX, f"config field '{name}': must be from {low} to 2^53")
         _check(self.codebook_size % self.n_subsets == 0,
                f"codebook_size {self.codebook_size} not divisible by n_subsets {self.n_subsets}")
-        _check(self.qam_scale is None or self.qam_scale > 0, "config field 'qam_scale': must be positive")
         # OptimizerConfig allows epsilon = 0 (a run that never moves); a config may not.
         _check(self.epsilon is None or self.epsilon > 0, "config field 'epsilon': must be positive")
         _check(is_qam_order(self.qam_order), f"config field 'qam_order': {QAM_ORDER_RULE}, got {self.qam_order}")
-        with np.errstate(over="ignore", invalid="ignore"):  # points past float64 are refused just below
-            const, k = self.constellation(), self.k_carriers
-        low = 2.0 * k * const.scale * const.scale  # codeword powers lie in [2KD^2, 2KD^2 (sqrt(M) - 1)^2]
-        check_powers(self, k, low, low * (const.side - 1) ** 2, "its constellation")
+        scale = default_qam_scale(self.qam_order) if self.qam_scale is None else self.qam_scale
+        low = 2.0 * self.k_carriers * scale * scale  # codeword powers lie in [2KD^2, 2KD^2 (sqrt(M) - 1)^2]
+        _check(scale > 0 and sys.float_info.min <= low and low * (math.isqrt(self.qam_order) - 1) ** 2 < math.inf,
+               "config field 'qam_scale': must be positive, with codeword powers 2KD^2 to 2KD^2 (sqrt(M) - 1)^2"
+               " that are normal floats")
         super().__post_init__()
 
     def constellation(self) -> QamConstellation:
@@ -337,11 +331,10 @@ def cmd_gen(args) -> int:
 def cmd_bounds(args) -> int:
     cfg, out_dir, started = _prepare(args)
     codebook = load_codebook(args.codebook)
-    k = codebook.k_carriers
-    check_powers(cfg, k, codebook.p_av, codebook_endpoints(codebook)[1] / k, args.codebook)
     unitaries = load_unitaries(args.unitaries) if args.unitaries is not None else None
-    basis = build_basis(k)
+    basis = build_basis(codebook.k_carriers)
     report = bound_report(codebook, basis, gamma_grid_linear(cfg.gamma_grid_db), unitaries)
+    check_powers(report, args.codebook)
     target = out_dir / "bounds.csv"
     report.write_csv(target)
     return _finish(args, cfg, out_dir, started, [target, target.with_suffix(".json")],
@@ -388,7 +381,6 @@ def cmd_ber(args) -> int:
         raise ValueError("codebook carries no constellation metadata; BER needs a QAM codebook")
     constellation = QamConstellation.square(codebook.qam_order, codebook.qam_scale)
     unitaries = load_unitaries(args.unitaries) if args.unitaries is not None else None
-    check_powers(cfg, codebook.k_carriers, codebook.p_av, codebook.p_av, args.codebook)
     amplifier = (RappModel.from_backoff(codebook.p_av, cfg.rapp.backoff_db, cfg.rapp.p, cfg.rapp.variant)
                  if cfg.rapp.enabled else None)
     link = LinkConfig(ebn0_db=cfg.ebn0_grid_db, oversampling=cfg.j_ber, amplifier=amplifier, seed=cfg.seed)
@@ -419,10 +411,8 @@ def cmd_verify(args) -> int:
         rho_ext = np.concatenate([rho, [0.0]])
         per = np.abs(rho[:k] + np.conj(rho_ext[k - np.arange(k)])) ** 2
         odd = np.abs(rho[:k] - np.conj(rho_ext[k - np.arange(k)])) ** 2
-        report(
-            f"decomposition identity K={k}",
-            abs(lhs - 0.5 * (per.sum() + odd.sum())) <= 1e-9 * max(1.0, abs(lhs)),
-        )
+        report(f"decomposition identity K={k}",
+               abs(lhs - 0.5 * (per.sum() + odd.sum())) <= 1e-9 * max(1.0, abs(lhs)))
         # Even and odd samples of the 2K-point envelope: K times the
         # cyclic and the negacyclic spectral power.
         power = np.abs(baseband_samples(c, 2)) ** 2
@@ -439,22 +429,17 @@ def cmd_verify(args) -> int:
     if args.codebook is not None:
         codebook = load_codebook(args.codebook)
         report("codebook invariants", True)  # load_codebook validates
-        sample = codebook.symbols[:100] / np.sqrt(codebook.p_av / codebook.k_carriers)  # tolerances at unit power
+        sample = unit_power(codebook)[1].symbols[:100]  # tolerances at unit mean symbol power
         peaks = peak_envelope_power(sample, 16)
         l2 = (np.abs(sample) ** 2).sum(axis=1)
         l1sq = np.abs(sample).sum(axis=1) ** 2
-        ok = bool(
-            np.all(peaks >= l2 - 1e-9)
-            and np.all(peaks <= l1sq + 1e-9)
-            and np.all(l1sq <= codebook.k_carriers * l2 + 1e-9)
-        )
-        report("envelope norm sandwich", ok)
+        report("envelope norm sandwich", bool(np.all(peaks >= l2 - 1e-9) and np.all(peaks <= l1sq + 1e-9)
+               and np.all(l1sq <= codebook.k_carriers * l2 + 1e-9)))
         if args.unitaries is not None:
             state = load_unitaries(args.unitaries)
             subset_transforms(codebook, state)
             report("unitarity of loaded set", state.unitarity_error() <= UNITARITY_TOL)
-            w = state.matrices[0]
-            c = sample[0]
+            w, c = state.matrices[0], sample[0]
             report("receiver roundtrip", np.abs(w.conj().T @ (w @ c) - c).max() <= 1e-10)
 
     for manifest in sorted(out_dir.glob("*.manifest.json")):

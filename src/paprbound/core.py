@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import KW_ONLY, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,11 @@ QAM_ORDER_RULE = f"must be a power of 4 from 4 to {max(QAM_ORDERS)}"
 def is_qam_order(order: int) -> bool:
     """Whether ``order`` is a supported square QAM size (``QAM_ORDER_RULE``)."""
     return order in QAM_ORDERS
+
+
+def default_qam_scale(order: int) -> float:
+    """The scale sqrt(3 / (2 (M - 1))) at which M-QAM has unit mean symbol power."""
+    return math.sqrt(3.0 / (2.0 * (order - 1)))
 
 
 def _gray(i: np.ndarray | int):
@@ -80,7 +85,7 @@ class QamConstellation:
             raise ValueError(f"order {QAM_ORDER_RULE}, got {order}")
         side = math.isqrt(order)
         if scale is None:
-            scale = float(np.sqrt(3.0 / (2.0 * (order - 1))))
+            scale = default_qam_scale(order)
         if scale <= 0:
             raise ValueError("scale must be positive")
         axis_bits = side.bit_length() - 1
@@ -225,6 +230,35 @@ def generate_codebook(
     )
 
 
+def scale_ratio(codebook: Codebook) -> float:
+    """The codebook's qam_scale over its order's ``default_qam_scale``; 1 without them."""
+    known = codebook.qam_scale is not None and is_qam_order(codebook.qam_order)
+    return codebook.qam_scale / default_qam_scale(codebook.qam_order) if known else 1.0
+
+
+def unit_power(codebook: Codebook) -> tuple[int, Codebook]:
+    """The one scale rule: e = round(log2 ``scale_ratio``) (without a qam_scale,
+    of sqrt(p_av / K)) and the codebook with symbols and qam_scale times 2^-e,
+    ``codebook`` itself for e = 0, as at every default scale.  A power of two
+    is exact and commutes with the FFTs, products and roots downstream, away
+    from under- and overflow: a power here is 2^(-2e) times the codebook's."""
+    if codebook.qam_scale is not None and is_qam_order(codebook.qam_order):  # logs: no overflow
+        e = round(math.log2(codebook.qam_scale) - math.log2(default_qam_scale(codebook.qam_order)))
+    else:
+        e = round(math.log2(codebook.p_av / codebook.k_carriers) / 2)
+    if e == 0:
+        return 0, codebook
+    pairs = np.ldexp(np.ascontiguousarray(codebook.symbols).view(np.float64), -e)
+    scale = None if codebook.qam_scale is None else math.ldexp(codebook.qam_scale, -e)
+    return e, replace(codebook, symbols=pairs.view(np.complex128), qam_scale=scale)
+
+
+def scale_back(value: float, exponent: int) -> float:
+    """``value`` times 2^exponent: exact, inf past float64's range, subnormal or 0 below it."""
+    with np.errstate(over="ignore", under="ignore"):
+        return float(np.ldexp(value, exponent))
+
+
 def subset_gram(codebook: Codebook, n: int) -> np.ndarray:
     """Empirical second-moment matrix of subset ``n``.
 
@@ -285,7 +319,7 @@ _CODEBOOK_FIELDS = {
     "p_av": ("a finite number", is_number),
     "seed": INT_OR_NULL_FIELD,
     "qam_order": INT_OR_NULL_FIELD,
-    "qam_scale": ("a finite number or null", lambda v: v is None or is_number(v)),
+    "qam_scale": ("a finite number > 0 or null", lambda v: v is None or (is_number(v) and v > 0)),
 }
 
 

@@ -1,46 +1,24 @@
 """Descent on sets of unitary matrices that lowers the quartic statistic.
 
 Each subset of the codebook gets its own K x K unitary W_n.  A step
-moves W_n against the generalized complex gradient of the quartic
-statistic restricted to that subset (evaluated per codeword on the
-2K-point envelope grid, one FFT each way, and a rank-one outer
-product) and then projects back onto the unitary matrices, either by
-row-wise Gram-Schmidt (the LQ factor of a QR factorization) or by
-symmetric decorrelation (W (W W*)^{-1/2} ... the polar unitary
-factor).  The batch step sums the gradient over a whole subset; the
-stochastic step uses one uniformly drawn codeword per subset and
-iteration, with the draw stream keyed by (seed, subset, iteration) so
-trajectories are reproducible and resumable.  Each draw is
-``np.random.default_rng([seed, subset, iteration]).integers(size)`` as
-numpy 2.4 computes it; ``_draw_block`` replays that seeding arithmetic
-for 256 iterations of every subset at once instead of building one
-generator per draw.  The stream is therefore the package's own: numpy
-does not promise stable Generator streams across releases, and the
-oracle test against the installed numpy is what detects a divergence.
-
-Both projections share one path: a step hands gradient rows and W to
-its projection's update in ``_PROJECTORS``, one subset per call in a
-batch step and all subsets as one stack in a stochastic step (for
-Gram-Schmidt, a stacked QR).  The symmetric-decorrelation update from
-m codewords is W U V*, where U S V* is the SVD of A = I - eps H C*
-with H = W* G: one K x K SVD per subset, which does not square the
-condition number of W - eps G C* as an eigendecomposition of A A*
-would.  With one codeword c per subset (every stochastic step) A
-differs from I on span[h, c] only, and the 2 x 2 factor there has a
-closed form in array arithmetic, with no LAPACK call and O(K^2) work
-per subset (``_rank_one_polar``).  There the update is
-[[alpha, beta], [0, 1]] with alpha = 1 - eps quartic_sum(W c), so a
-step turns a direction around (norm 2) exactly when
-eps quartic_sum(W c) > 1.  The correction
-multiplies W on the right, which carries rounding error in W forward
-instead of amplifying it; no periodic re-projection is needed.  ``run``
-still checks the unitarity error at every checkpoint and fails closed
-past ``UNITARITY_TOL``.
+moves W_n against the gradient of the quartic statistic restricted to
+that subset (one 2K-point FFT each way per codeword, ``_gradient_rows``)
+and projects back onto the unitary matrices, by row-wise Gram-Schmidt
+or by symmetric decorrelation, the polar factor (``_PROJECTORS``; with
+one codeword per subset, in closed form by ``_rank_one_polar``).  A
+batch step sums the gradient over a whole subset; a stochastic step
+draws one codeword per subset and iteration from a stream keyed by
+(seed, subset, iteration) (``_draw_block``, numpy 2.4's stream replayed
+for 256 iterations at once), so trajectories are reproducible and
+resumable.  ``run`` works at unit mean symbol power and checks the
+unitarity error at every checkpoint, failing closed past
+``UNITARITY_TOL``.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import r_statistic
-from .core import INT_OR_NULL_FIELD, SIZE_FIELD, Codebook, read_artifact, subset_transforms, write_artifact
+from .core import (INT_OR_NULL_FIELD, SIZE_FIELD, Codebook, read_artifact, scale_back, scale_ratio,
+                   subset_transforms, unit_power, write_artifact)
 from .spectral import SpectralBasis
 
 UNITARY_FORMAT = "paprbound/unitary-set"
@@ -265,9 +244,11 @@ class UnitarySet:
 class OptimizerConfig:
     """Step size, stopping rule, projection, and draw mode.
 
-    ``epsilon=None`` resolves to K^(-3/2) at run time.  ``stop_tol``
-    bounds the Frobenius step norm max_n ||W(l+1) - W(l)||; the run also
-    stops at ``max_iters``.
+    ``epsilon=None`` resolves to K^(-3/2) at run time.  Epsilon is taken at
+    unit mean symbol power: a step moves W by epsilon times four symbols,
+    so with a codebook's ``core.scale_ratio`` s it is epsilon / s^4, and W
+    does not depend on qam_scale.  ``stop_tol`` bounds the Frobenius step
+    norm max_n ||W(l+1) - W(l)||; the run also stops at ``max_iters``.
     """
 
     epsilon: float | None = None
@@ -470,7 +451,8 @@ def step_batch(state: UnitarySet, codebook: Codebook,
     rule.
     """
     chunks = ((slice(n, n + 1), block[np.newaxis]) for n, block in enumerate(codebook.subsets()))
-    return _descend(state, chunks, config.resolved_epsilon(codebook.k_carriers), config.projection)
+    epsilon = config.resolved_epsilon(codebook.k_carriers) / scale_ratio(codebook) ** 4
+    return _descend(state, chunks, epsilon, config.projection)
 
 
 def step_stochastic(state: UnitarySet, codebook: Codebook,
@@ -487,7 +469,7 @@ def step_stochastic(state: UnitarySet, codebook: Codebook,
     block, row = divmod(state.iteration, _DRAW_BLOCK)
     picks = _draw_block(config.seed, codebook.subset_sizes, block)[row]
     rows = codebook.symbols[codebook.subset_starts[:-1] + picks][:, np.newaxis, :]
-    epsilon = config.resolved_epsilon(codebook.k_carriers)
+    epsilon = config.resolved_epsilon(codebook.k_carriers) / scale_ratio(codebook) ** 4
     return _descend(state, [(slice(None), rows)], epsilon, config.projection)
 
 
@@ -512,8 +494,9 @@ def run(
     every checkpoint (start, every ``checkpoint_every`` iterations, and
     the final state).  Each checkpoint also measures the unitarity error
     and raises ``RankDeficientUpdate`` past ``UNITARITY_TOL``, so a run
-    never returns a set that ``load_unitaries`` would reject, and raises
-    ValueError on an R that overflows.
+    never returns a set that ``load_unitaries`` would reject.  The steps
+    and R work at unit mean symbol power (``core.unit_power``); an R that
+    leaves float64's normal range when scaled back raises ValueError.
     """
     if basis.size != codebook.k_carriers:
         raise ValueError(f"codebook K={codebook.k_carriers} does not match basis K={basis.size}")
@@ -524,6 +507,7 @@ def run(
         initial.validate()
         state = initial
     step = step_batch if config.mode == "batch" else step_stochastic
+    e, book = unit_power(codebook)
     started = time.perf_counter()
     trace = []
 
@@ -535,16 +519,17 @@ def run(
                 f"(epsilon = {config.resolved_epsilon(codebook.k_carriers):.3g}, K = {codebook.k_carriers}); "
                 "reduce the step size epsilon"
             )
-        r_value = r_statistic(codebook, state)
-        if not np.isfinite(r_value):
-            raise ValueError(f"R is {r_value} at iteration {state.iteration}: the codeword powers overflow float64")
+        r_value = scale_back(r_statistic(book, state), 4 * e)
+        if not sys.float_info.min <= r_value < np.inf:
+            raise ValueError(f"R is {r_value} at iteration {state.iteration}: the codeword powers "
+                             f"{'overflow' if r_value > 1 else 'underflow'} float64")
         trace.append(TracePoint(state.iteration, r_value, max_step_norm, time.perf_counter() - started))
 
-    # Overflow fails closed with no warning: a step's in the polar checks or drift guard, R's in checkpoint.
+    # Overflow fails closed with no warning: a step's in the polar checks or drift guard.
     with np.errstate(over="ignore", invalid="ignore"):
         checkpoint(0.0)
         for _ in range(config.max_iters):
-            state, norms = step(state, codebook, config)
+            state, norms = step(state, book, config)
             if state.iteration % config.checkpoint_every == 0:
                 checkpoint(float(norms.max()))
             if norms.max() <= config.stop_tol:

@@ -9,10 +9,7 @@ spectrum beta).  Both spectra are samples of one signal: with
 s = ``baseband_samples(u, 2)``, the envelope of u on the 2K-point grid,
 |alpha|^2 and |beta|^2 are, up to order, the even and the odd samples
 of |s|^2 / K.  So every quartic statistic here is a sum over that grid,
-one 2K-point FFT per codeword.
-
-``build_basis`` checks the grid numerically for every K before it
-returns, in O(K^2 log K).
+one 2K-point FFT per codeword; ``build_basis`` checks the grid for each K.
 """
 
 from __future__ import annotations

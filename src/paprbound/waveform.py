@@ -1,11 +1,7 @@
 """Oversampled baseband synthesis, PMEPR measurement, and empirical CCDF.
 
-The envelope power |s(t)|^2 of a length-K codeword is a real
-trigonometric polynomial with frequencies -(K-1) .. K-1, 2K - 1 of
-them, all distinct modulo 2K.  So its samples on the 2K-point grid fix
-it exactly, and the power on any finer J-point-per-carrier grid is a
-real upsampling of those 2K samples: ``peak_envelope_power`` runs one
-2K-point synthesis per codeword, not a complex J K-point one.
+``peak_envelope_power`` takes the envelope power on the 2K-point grid,
+which fixes it exactly, and upsamples that real signal to the J grid.
 """
 
 from __future__ import annotations
@@ -15,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Codebook, transformed_subsets, write_table
+from .core import Codebook, transformed_subsets, unit_power, write_table
 
 PMEPR_OVERSAMPLING_DEFAULT = 16
 # J-grid samples per chunk in ``peak_envelope_power``: one chunk's
@@ -58,10 +54,11 @@ def peak_envelope_power(c: np.ndarray, oversampling: int = PMEPR_OVERSAMPLING_DE
     """max_i |s(t_i)|^2 over the J-oversampled grid (per codeword).
 
     For J <= 2 the grid is synthesised directly.  For J >= 3 the power
-    p is taken on the 2K-point grid, where it is exact: |s(t)|^2 has no
-    frequency beyond K - 1, so the first K bins of the 2K-point real
-    FFT of p are its whole spectrum (bin K is zero) and a J K-point
-    inverse real FFT of them gives the power on the J grid.
+    p is taken on the 2K-point grid, where it is exact: |s(t)|^2 is a
+    real trigonometric polynomial with frequencies -(K-1) .. K-1, so the
+    first K bins of the 2K-point real FFT of p are its whole spectrum
+    (bin K is zero) and a J K-point inverse real FFT of them gives the
+    power on the J grid.
 
     Works through the codewords in chunks of about ``_CHUNK_SAMPLES``
     J-grid samples, so memory stays bounded whatever the batch size.
@@ -129,9 +126,10 @@ def codebook_pmeprs(
     unitaries=None,
     oversampling: int = PMEPR_OVERSAMPLING_DEFAULT,
 ) -> np.ndarray:
-    """PMEPR of every (optionally transformed) codeword, in codebook order."""
-    blocks = transformed_subsets(codebook, unitaries)
-    return np.concatenate([pmepr(block, codebook.p_av, oversampling) for block in blocks])
+    """PMEPR of every (optionally transformed) codeword, in codebook order,
+    taken at unit mean symbol power (``core.unit_power``): it is scale-free."""
+    book = unit_power(codebook)[1]
+    return np.concatenate([pmepr(block, book.p_av, oversampling) for block in transformed_subsets(book, unitaries)])
 
 
 def empirical_ccdf(

@@ -276,9 +276,10 @@ def test_non_finite_config_never_runs(tmp_path, capsys):
     # Infinity must stop at the config, in every subcommand: in the
     # optimizer it yields an all-NaN unitaries.bin, in the gamma grid a
     # float-to-int overflow.  So must a finite gamma grid whose point
-    # count overflows or is huge, a QAM scale or gamma grid at which a
-    # bound under- or overflows, and a Rapp backoff whose squared clip
-    # level overflows or underflows.  Warnings count as stderr lines.
+    # count overflows or is huge, a gamma grid past +-600 dB, a QAM scale
+    # whose codeword powers are not normal floats, and a Rapp backoff
+    # whose 10^(dB/10) overflows or underflows.  Warnings count as stderr
+    # lines.
     cfg_path = small_config(tmp_path)
     out = tmp_path / "run"
     assert run_cli("gen", "--config", cfg_path) == EXIT_OK
@@ -293,19 +294,14 @@ def test_non_finite_config_never_runs(tmp_path, capsys):
         ({"gamma_grid_db": {"start": 1e6, "stop": 1e6 + 1, "step": 1}}, "gamma_grid_db"),
         ({"gamma_grid_db": {"start": -1e6, "stop": -1e6 + 1, "step": 1}}, "gamma_grid_db"),
         ({"gamma_grid_db": {"start": 0, "stop": 1e-12, "step": 2e-17}}, "gamma_grid_db"),
-        ({"qam_scale": 1e150}, "qam_scale"),
-        ({"qam_scale": 1e200}, "qam_scale"),
         ({"rapp": {"backoff_db": 1e6}}, "rapp.backoff_db"),
         ({"rapp": {"backoff_db": -1e6}}, "rapp.backoff_db"),
-        # p_av^2 underflows to 0 (1e-155, 1e-100), or Hoeffding's (b^2 - a^2)^2 does (1e-60, 1e-45)
+        # The largest codeword power overflows (1e200; the constellation's
+        # points too at 1.8e308), or the smallest underflows (1e-155).
+        ({"qam_scale": 1e200}, "qam_scale"),
         ({"qam_scale": 1e-155}, "qam_scale"),
-        ({"qam_scale": 1e-100}, "qam_scale"),
-        ({"qam_scale": 1e-60}, "qam_scale"),
-        ({"qam_scale": 1e-45}, "qam_scale"),
-        # Hoeffding's (b^2 - a^2)^2 and excess^2 overflow; the constellation's points overflow
-        ({"qam_scale": 1e37}, "qam_scale"),
         ({"qam_scale": 1.7976931348623157e308}, "qam_scale"),
-        # P_av^2 gamma^2 squared overflows, or R / (P_av^2 gamma^2) does
+        # P_av^2 gamma^2 squared would overflow, or R / (P_av^2 gamma^2) would
         ({"gamma_grid_db": {"start": 4.0, "stop": 1000.0, "step": 1.0}}, "gamma_grid_db"),
         ({"gamma_grid_db": {"start": -1540.0, "stop": -1530.0, "step": 1.0}}, "gamma_grid_db"),
     ):
@@ -319,6 +315,24 @@ def test_non_finite_config_never_runs(tmp_path, capsys):
     assert sorted(path.name for path in out.iterdir()) == ["codebook.bin", "gen.manifest.json"]
 
 
+@pytest.mark.parametrize("scale", [1e150, 1e-100, 1e-60, 1e-45, 1e37])
+def test_config_scales_run_where_the_reports_fit(tmp_path, scale):
+    # Every command works at unit mean symbol power, so a config whose
+    # codeword powers are normal floats runs everywhere.  Only bounds and
+    # optimize report R, which scales with the fourth power of the symbols:
+    # where it leaves float64's normal range (R overflows at 1e150 and
+    # underflows at 1e-100) they exit 2 with one line.
+    cfg_path = small_config(tmp_path, qam_scale=scale)
+    book = tmp_path / "run" / "codebook.bin"
+    for command in ("gen", "bounds", "optimize", "ccdf", "ber", "verify"):
+        code, err = run_recording(command, "--config", cfg_path, *([] if command == "gen" else [book]))
+        if command in ("bounds", "optimize") and scale in (1e150, 1e-100):
+            r_value = "inf" if scale > 1 else "0.0"
+            assert code == EXIT_VALIDATION and len(err) == 1 and f"R is {r_value}" in err[0], (command, err)
+        else:
+            assert (code, err) == (EXIT_OK, []), (command, err)
+
+
 @pytest.mark.parametrize("scale, command, overrides, field", [
     (1e60, "ber", {"rapp": {"enabled": True, "backoff_db": 3000.0}}, "qam_scale"),
     (1e30, "ber", {"rapp": {"enabled": True, "backoff_db": 3000.0}}, "rapp.backoff_db"),
@@ -328,13 +342,19 @@ def test_non_finite_config_never_runs(tmp_path, capsys):
     (1e37, "bounds", {}, "qam_scale"),
 ])
 def test_codebook_powers_fail_closed(tmp_path, scale, command, overrides, field):
-    # A codebook drawn at another scale, read under a default-scale config:
-    # bounds and ber check the codebook's own powers with the config's rule,
-    # so they exit 2 with one line, not 3 or 0 after a RuntimeWarning.
+    # A codebook drawn at another scale, read under a default-scale config.
+    # bounds and ber work at unit mean symbol power, so ber (which reports
+    # only bit counts) runs at every scale, and bounds wherever the R, a
+    # and b it reports fit float64.  At 1e-155 R underflows: bounds exits
+    # 2 with one line naming the file and the field, not 3 or 0 after a
+    # RuntimeWarning, and writes nothing.
     book = tmp_path / "foreign.bin"
     save_codebook(generate_codebook(QamConstellation.square(16, scale), 8, 40, 2, seed=3), book)
     out = tmp_path / "run"
     code, err = run_recording(command, "--config", small_config(tmp_path, **overrides), book)
+    if command == "ber" or scale > 1e-100:
+        assert (code, err) == (EXIT_OK, []), err
+        return
     assert code == EXIT_VALIDATION and len(err) == 1 and field in err[0] and str(book) in err[0], err
     assert not out.exists() or not any(out.iterdir())
 
@@ -386,6 +406,119 @@ def test_optimize_refuses_an_overflowing_r(tmp_path, scale):
     code, err = run_recording("optimize", "--config", small_config(tmp_path), book)
     assert code == EXIT_VALIDATION and err == ["error: R is inf at iteration 0: the codeword powers overflow float64"]
     assert not out.exists() or not any(out.iterdir())
+
+
+D0 = QamConstellation.square(16).scale  # the default 16-QAM scale, unit mean symbol power
+
+
+def read_trace(path) -> list[list[str]]:
+    """The rows of an optimize_trace.csv, header dropped, as text cells."""
+    return [row.split(",") for row in path.read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("k", [-60, -20, 20, 60, 120])
+def test_power_of_two_scales_give_the_same_bytes(tmp_path, k):
+    # A codebook drawn at qam_scale D0 2^k is worked on at unit mean symbol
+    # power: its symbols are exactly 2^k times the D0 codebook's, bounds.csv,
+    # ccdf.csv, ber.csv (Rapp on) and unitaries.bin are the D0 run's bytes,
+    # and R is exactly 2^(4k) times the D0 run's, a, b and p_av 2^(2k) times.
+    # Only gen reads the config's qam_scale, so the other commands share
+    # one default-scale config.
+    runs = []
+    for exponent in (0, k):
+        root = tmp_path / f"scale{exponent}"
+        (root / "gen").mkdir(parents=True)
+        cfg_path = small_config(root, rapp={"enabled": True}, out_dir="unused")  # one config_hash
+        gen_cfg = small_config(root / "gen", qam_scale=D0 * 2.0**exponent)
+        out = root / "run"
+        book, unit = out / "codebook.bin", out / "unitaries.bin"
+        for argv in (("gen", "--config", gen_cfg), ("bounds", "--config", cfg_path, book),
+                     ("optimize", "--config", cfg_path, book),
+                     ("ccdf", "--config", cfg_path, "--unitaries", unit, book),
+                     ("ber", "--config", cfg_path, "--unitaries", unit, book)):
+            assert run_recording(*argv, "--out", out) == (EXIT_OK, []), argv
+        runs.append(out)
+    base, scaled = runs
+    for name in ("bounds.csv", "ccdf.csv", "ber.csv", "unitaries.bin"):
+        assert (scaled / name).read_bytes() == (base / name).read_bytes(), name
+    assert np.array_equal(load_codebook(scaled / "codebook.bin").symbols,
+                          load_codebook(base / "codebook.bin").symbols * 2.0**k)
+    stats, stats0 = (json.loads((out / "bounds.json").read_text()) for out in (scaled, base))
+    assert stats["R"] == stats0["R"] * 2.0 ** (4 * k)
+    assert all(stats[key] == stats0[key] * 2.0 ** (2 * k) for key in ("a", "b", "p_av"))
+    trace, trace0 = read_trace(scaled / "optimize_trace.csv"), read_trace(base / "optimize_trace.csv")
+    assert [float(row[1]) for row in trace] == [float(row[1]) * 2.0 ** (4 * k) for row in trace0]
+    assert [(row[0], row[2]) for row in trace] == [(row[0], row[2]) for row in trace0]
+
+
+def test_resume_at_a_scaled_codebook(tmp_path):
+    # At qam_scale D0 2^20, optimize and then optimize --resume give the W
+    # bytes and trace rows of one uninterrupted run: the rescale is taken
+    # from the codebook each time and keeps no state in the unitary-set file.
+    cfg_path = small_config(tmp_path, qam_scale=D0 * 2.0**20)
+    (tmp_path / "half").mkdir()
+    cfg_half = small_config(tmp_path / "half", qam_scale=D0 * 2.0**20, max_iters=20)
+    out = tmp_path / "run"
+    book = out / "codebook.bin"
+    assert run_recording("gen", "--config", cfg_path) == (EXIT_OK, [])
+    assert run_recording("optimize", "--config", cfg_path, book) == (EXIT_OK, [])
+    half, resumed = tmp_path / "first", tmp_path / "resumed"
+    assert run_recording("optimize", "--config", cfg_half, "--out", half, book) == (EXIT_OK, [])
+    assert run_recording("optimize", "--config", cfg_half, "--out", resumed,
+                         "--resume", half / "unitaries.bin", book) == (EXIT_OK, [])
+
+    def payload(path):
+        header, matrices = path.read_bytes().split(b"\n", 1)
+        fields = json.loads(header)
+        return {key: fields[key] for key in fields if key != "config_hash"}, matrices
+
+    assert payload(resumed / "unitaries.bin") == payload(out / "unitaries.bin")
+    whole = read_trace(out / "optimize_trace.csv")
+    assert read_trace(half / "optimize_trace.csv") + read_trace(resumed / "optimize_trace.csv")[1:] == whole
+
+
+def test_optimize_step_is_scale_free(tmp_path):
+    # epsilon is taken at unit mean symbol power.  At qam_scale 1e10, not a
+    # power-of-two multiple of D0, 200 steps of 1e-3 lower R as they do at
+    # D0 (with the same W up to rounding); before, they raised it
+    # (1.67798e45 -> 2.0409e45).  A codebook drawn at 1e60 and optimized
+    # under a default-scale config runs too (its first step's ||h||
+    # overflowed, exit 3).
+    out = tmp_path / "run"
+    for scale in (None, 1e10):
+        cfg_path = small_config(tmp_path, max_iters=200, **({} if scale is None else {"qam_scale": scale}))
+        assert run_recording("gen", "--config", cfg_path) == (EXIT_OK, [])
+        assert run_recording("optimize", "--config", cfg_path, out / "codebook.bin") == (EXIT_OK, [])
+        r_values = [float(row[1]) for row in read_trace(out / "optimize_trace.csv")]
+        assert r_values[-1] < r_values[0] * 0.95
+        matrices = load_unitaries(out / "unitaries.bin").matrices
+        if scale is None:
+            reference = matrices
+    np.testing.assert_allclose(matrices, reference, rtol=0, atol=1e-9)
+    book = tmp_path / "foreign.bin"
+    save_codebook(generate_codebook(QamConstellation.square(16, 1e60), 8, 64, 4, seed=3), book)
+    assert run_recording("optimize", "--config", small_config(tmp_path), book) == (EXIT_OK, [])
+
+
+@pytest.mark.parametrize("field, value", [("k_carriers", 10**400), ("codebook_size", 10**400),
+                                          ("k_carriers", 2**62)], ids=["k-1e400", "count-1e400", "k-2e62"])
+def test_huge_size_fields_fail_closed(tmp_path, field, value):
+    # A size field past 2^53 exits 2 with one line naming it, before any
+    # float conversion (10^400 exited 3) or numpy's array-size errors,
+    # which named no field.
+    code, err = run_recording("gen", "--config", small_config(tmp_path, **{field: value}))
+    low = 2 if field == "k_carriers" else 1
+    assert code == EXIT_VALIDATION and err == [f"error: config field '{field}': must be from {low} to 2^53"], err
+
+
+@pytest.mark.parametrize("backoff_db", [3080.0, -3080.0])
+def test_extreme_backoff_runs_clean(tmp_path, backoff_db):
+    # 10^(dB/10) is finite and positive, but the squared clip level
+    # overflows (+3080 dB: no clipping, where it exited 2) or |x|^2 / r^2
+    # does (-3080 dB: full clipping, where it printed RuntimeWarnings).
+    cfg_path = small_config(tmp_path, rapp={"enabled": True, "backoff_db": backoff_db})
+    assert run_recording("gen", "--config", cfg_path) == (EXIT_OK, [])
+    assert run_recording("ber", "--config", cfg_path, tmp_path / "run" / "codebook.bin") == (EXIT_OK, [])
 
 
 @pytest.mark.parametrize("qam_scale", [1e-30, 1e10, 1e30])

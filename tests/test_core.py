@@ -10,8 +10,45 @@ from paprbound.core import (
     generate_codebook,
     load_codebook,
     save_codebook,
+    scale_back,
+    scale_ratio,
     subset_gram,
+    unit_power,
 )
+
+
+@pytest.mark.parametrize("order", [4, 16, 256, 65536])
+def test_unit_power_is_the_identity_at_the_default_scale(order):
+    # Whatever the order and however small the draw, a default-scale
+    # codebook has e = 0 and comes back as the same object.  Without QAM
+    # metadata e comes from the mean symbol power p_av / K instead.
+    for k, count in ((2, 1), (8, 64)):
+        book = generate_codebook(QamConstellation.square(order), k, count, 1, seed=order + k)
+        assert unit_power(book) == (0, book) and unit_power(book)[1] is book
+    bare = Codebook.from_symbols(np.ones((3, 4)), 1)
+    assert scale_ratio(bare) == 1.0 and unit_power(bare) == (0, bare)
+    e, unit = unit_power(Codebook.from_symbols(np.ones((3, 4)) * 2.0**300, 1))
+    assert e == 300 and unit.symbols.tobytes() == bare.symbols.tobytes() and unit.qam_scale is None
+
+
+@pytest.mark.parametrize("k", [-400, -60, -1, 1, 60, 400])
+def test_unit_power_rescales_by_an_exact_power_of_two(k):
+    # At qam_scale D0 2^k the rule takes e = k and returns the default-scale
+    # codebook's symbols, bit for bit; p_av and R are exactly 2^(-2e) and
+    # 2^(-4e) of the scaled book's, and scale_back restores them.
+    const = QamConstellation.square(16)
+    base = generate_codebook(const, 8, 40, 2, seed=5)
+    scaled = generate_codebook(QamConstellation.square(16, const.scale * 2.0**k), 8, 40, 2, seed=5)
+    assert np.array_equal(scaled.symbols, np.ldexp(base.symbols.real, k) + 1j * np.ldexp(base.symbols.imag, k))
+    e, unit = unit_power(scaled)
+    assert e == k and unit.symbols.tobytes() == base.symbols.tobytes() and scale_ratio(unit) == 1.0
+    assert unit.p_av == base.p_av and scale_back(unit.p_av, 2 * e) == scaled.p_av
+    assert scaled.symbols.tobytes() != base.symbols.tobytes()  # the input is left alone
+
+
+def test_scale_back_is_exact_and_saturates():
+    assert scale_back(1.5, 3) == 12.0 and scale_back(1.5, -1) == 0.75
+    assert scale_back(1.5, 2000) == np.inf and scale_back(1.5, -2000) == 0.0
 
 
 def test_default_scale_normalizes_mean_power():
