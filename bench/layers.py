@@ -26,7 +26,14 @@ one untimed warm-up call per tree:
 * ``ber_sweep_block``: one 256-codeword block of the BER sweep on the
   README link (J = 1, Rapp p = 2 at 2 dB backoff, E_b/N_0 = 8 dB);
 * ``ber_sweep_block_identity``: the same block with the identity set,
-  the untransformed baseline of every BER comparison.
+  the untransformed baseline of every BER comparison;
+* ``pipeline_cli``: the README pipeline ``gen -> bounds -> optimize ->
+  ccdf -> ber -> verify`` end to end through the tree's ``cli.main``,
+  with the settings of perfbench's ``pipeline-k64`` (``max_iters`` 200,
+  ``checkpoint_every`` 100) at this K, into a fresh temporary directory
+  per sample.  Its output is the sha256 of every artifact and manifest
+  and of the lines printed to stdout and stderr (the temporary path
+  masked), so the comparison is byte-equality only.
 
 The trees' samples alternate layer by layer, and so does which tree goes
 first, so drift of the host between processes does not enter the
@@ -47,12 +54,16 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = str(THREADS)
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
 import importlib.util  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
+from io import StringIO  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
@@ -71,6 +82,13 @@ N_SUBSETS = 5
 QAM_ORDER = 16
 CHAIN = 256  # stochastic steps per sample: one block of draws
 BLOCK_CODEWORDS = 256
+# The README config with perfbench pipeline-k64's run length; K and the seed are the sweep's.
+PIPELINE_CONFIG = {
+    "version": 1, "qam_order": QAM_ORDER, "codebook_size": CODEWORDS, "n_subsets": N_SUBSETS, "epsilon": 1e-3,
+    "max_iters": 200, "checkpoint_every": 100, "gamma_grid_db": {"start": 4.0, "stop": 13.0, "step": 0.25},
+    "ebn0_grid_db": [4.0, 8.0, 12.0], "rapp": {"enabled": True, "p": 2.0, "backoff_db": 2.0}, "seed": SEED,
+    "out_dir": "runs/layers",  # unused: every command gets --out, so config_hash names no temporary path
+}
 
 
 # Calls per timed sample, for layers whose sample is a chain of calls.
@@ -101,6 +119,25 @@ def layer_calls(pb, k: int) -> dict:
             state, _ = pb.step_stochastic(state, book, stochastic)
         return state
 
+    cli = importlib.import_module(f"{pb.__name__}.cli")
+
+    def pipeline():
+        with tempfile.TemporaryDirectory() as tmp:
+            config, out = Path(tmp) / "config.json", Path(tmp) / "out"
+            config.write_text(json.dumps({**PIPELINE_CONFIG, "k_carriers": k}))
+            codebook, unitaries = out / "codebook.bin", out / "unitaries.bin"
+            printed = StringIO()
+            for argv in (["gen"], ["bounds", codebook], ["optimize", codebook],
+                         ["ccdf", "--unitaries", unitaries, codebook], ["ber", "--unitaries", unitaries, codebook],
+                         ["verify", "--unitaries", unitaries, codebook]):
+                with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+                    code = cli.main([argv[0], "--config", str(config), "--out", str(out), *map(str, argv[1:])])
+                if code != 0:
+                    raise RuntimeError(f"{pb.__name__} {argv[0]} exited with {code}")
+            files = [printed.getvalue().replace(tmp, "<tmp>").encode()]
+            files += [path.read_bytes() for path in sorted(out.iterdir())]
+            return np.array([hashlib.sha256(data).digest() for data in files])
+
     return {
         "build_basis": lambda: pb.build_basis(k),
         "step_stochastic": chain,
@@ -110,6 +147,7 @@ def layer_calls(pb, k: int) -> dict:
         "codebook_pmeprs_j16": lambda: pb.codebook_pmeprs(book, haar, 16),
         "ber_sweep_block": lambda: ber_block(haar),
         "ber_sweep_block_identity": lambda: ber_block(identity),
+        "pipeline_cli": pipeline,
     }
 
 

@@ -24,10 +24,7 @@ from .channel import (
     ber_sweep,
     noise_sigma,
     qam_awgn_ber,
-    qam_awgn_ser,
     rapp_apply,
-    receive,
-    transmit,
 )
 from .core import (
     Codebook,

@@ -3,8 +3,8 @@
 A codeword in subset i is sent as W_i c over an AWGN channel, with an
 optional memoryless solid-state amplifier on the oversampled time
 samples; the receiver applies W_i* (side information is the subset
-index) and demaps per symbol.  Includes closed-form Gray-mapped square
-QAM error rates as independent oracles for the Monte Carlo path.
+index) and demaps per symbol.  Includes the closed-form QAM BER of
+Gray-mapped square M-QAM in AWGN.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import Codebook, QamConstellation, subset_transforms, unit_power, write_table
-from .optimizer import UnitarySet
 from .waveform import baseband_samples
 
 RAPP_VARIANTS = ("standard", "p_inner")
@@ -151,43 +150,6 @@ def _transmit_rows(
     return np.fft.fft(s, axis=-1, norm="forward")[..., :k]
 
 
-def transmit(
-    c: np.ndarray,
-    subset_index: int,
-    unitaries: UnitarySet,
-    link: LinkConfig,
-    noise_sigma: float,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, int]:
-    """Send one codeword through its subset transform and the channel.
-
-    Returns the received frequency-domain vector and the side
-    information (the subset index).
-    """
-    if not 0 <= subset_index < unitaries.n_subsets:
-        raise ValueError(f"subset index {subset_index} out of range")
-    x = np.asarray(c, dtype=np.complex128)
-    if x.shape[-1] != unitaries.k_carriers:
-        raise ValueError("codeword length does not match the unitary size")
-    if rng is None:
-        rng = np.random.default_rng(link.seed % (1 << 63))
-    y = _transmit_rows(x[np.newaxis, :], unitaries.matrices[subset_index], link, noise_sigma, rng)
-    return y[0], subset_index
-
-
-def receive(
-    y: np.ndarray,
-    side_index: int,
-    unitaries: UnitarySet,
-    constellation: QamConstellation,
-) -> np.ndarray:
-    """Invert the subset transform and demap to bits (MSB first)."""
-    if not 0 <= side_index < unitaries.n_subsets:
-        raise ValueError(f"subset index {side_index} out of range")
-    c_hat = np.asarray(y) @ unitaries.matrices[side_index].conj()
-    return constellation.indices_to_bits(constellation.demap(c_hat)).reshape(-1)
-
-
 @dataclass(frozen=True)
 class BerCurve:
     """Monte Carlo bit error rates with Wilson 95% intervals."""
@@ -291,15 +253,6 @@ _erfc_elementwise = np.vectorize(math.erfc, otypes=[float])
 def _erfc(x):
     """Complementary error function, elementwise; a scalar for a scalar."""
     return _erfc_elementwise(x)[()]
-
-
-def qam_awgn_ser(order: int, esn0_db):
-    """Exact symbol error rate of square M-QAM in AWGN (unit mean
-    symbol energy, E_s/N_0 in dB)."""
-    esn0 = 10.0 ** (np.asarray(esn0_db, dtype=float) / 10.0)
-    m = np.sqrt(order)
-    p_axis = (1.0 - 1.0 / m) * _erfc(np.sqrt(1.5 * esn0 / (order - 1)))
-    return 1.0 - (1.0 - p_axis) ** 2
 
 
 def qam_awgn_ber(order: int, ebn0_db):

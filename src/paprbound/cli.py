@@ -426,8 +426,8 @@ def cmd_verify(args) -> int:
     except ArithmeticError:
         report(f"basis build K={cfg.k_carriers}", False)
 
-    if args.codebook is not None:
-        codebook = load_codebook(args.codebook)
+    codebook = None if args.codebook is None else load_codebook(args.codebook)
+    if codebook is not None:
         report("codebook invariants", True)  # load_codebook validates
         sample = unit_power(codebook)[1].symbols[:100]  # tolerances at unit mean symbol power
         peaks = peak_envelope_power(sample, 16)
@@ -435,10 +435,12 @@ def cmd_verify(args) -> int:
         l1sq = np.abs(sample).sum(axis=1) ** 2
         report("envelope norm sandwich", bool(np.all(peaks >= l2 - 1e-9) and np.all(peaks <= l1sq + 1e-9)
                and np.all(l1sq <= codebook.k_carriers * l2 + 1e-9)))
-        if args.unitaries is not None:
-            state = load_unitaries(args.unitaries)
+    if args.unitaries is not None:  # checked with or without a codebook; the roundtrip needs one
+        state = load_unitaries(args.unitaries)
+        if codebook is not None:
             subset_transforms(codebook, state)
-            report("unitarity of loaded set", state.unitarity_error() <= UNITARITY_TOL)
+        report("unitarity of loaded set", state.unitarity_error() <= UNITARITY_TOL)
+        if codebook is not None:
             w, c = state.matrices[0], sample[0]
             report("receiver roundtrip", np.abs(w.conj().T @ (w @ c) - c).max() <= 1e-10)
 

@@ -119,12 +119,6 @@ class QamConstellation:
         # Clipped before the cast: a level past the int64 range would not convert.
         return np.clip(np.rint((value / self.scale + self.side - 1) / 2.0), 0, self.side - 1).astype(np.int64)
 
-    def indices_to_bits(self, indices: np.ndarray) -> np.ndarray:
-        """Unpack symbol indices to bits, MSB first, shape (..., bits)."""
-        idx = np.asarray(indices)
-        shifts = np.arange(self.bits_per_symbol - 1, -1, -1)
-        return (idx[..., None] >> shifts) & 1
-
 
 @dataclass(frozen=True)
 class Codebook:
@@ -432,4 +426,11 @@ def load_codebook(path: str | Path) -> Codebook:
     book = Codebook(symbols, tuple(header["subset_sizes"]), **meta)
     if not abs(header["p_av"] - book.p_av) <= 1e-12 * book.p_av:
         raise _bad_field(path, header, "p_av", f"{book.p_av!r} to 1e-12 relative, the codewords' average power")
+    if book.qam_scale is not None and is_qam_order(book.qam_order):
+        # Points at scale D have powers 2D^2 to 2D^2 (sqrt(M) - 1)^2; divided by D twice, no D^2 overflows.
+        mean = book.p_av / book.k_carriers
+        if not 2 * (1 - 1e-12) <= mean / book.qam_scale / book.qam_scale <= (
+                2 * (math.isqrt(book.qam_order) - 1) ** 2 * (1 + 1e-12)):
+            raise _bad_field(path, header, "qam_scale", f"the symbols' scale D, with their mean power {mean!r} "
+                             "from 2D^2 to 2D^2 (sqrt(M) - 1)^2")
     return book

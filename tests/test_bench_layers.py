@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 LAYERS = {
     "build_basis", "step_stochastic", "step_batch_symmetric", "step_batch_gram_schmidt",
-    "r_statistic", "codebook_pmeprs_j16", "ber_sweep_block", "ber_sweep_block_identity",
+    "r_statistic", "codebook_pmeprs_j16", "ber_sweep_block", "ber_sweep_block_identity", "pipeline_cli",
 }
 
 # A fresh interpreter, so that the bench pins BLAS to one thread before
@@ -79,3 +79,16 @@ def test_sign_test_p(monkeypatch):
     assert layers.sign_test_p(11, 4) == pytest.approx(0.1185, abs=1e-4)
     assert layers.sign_test_p(15, 0) == pytest.approx(6.1e-5, rel=1e-2)
     assert layers.sign_test_p(0, 0) == layers.sign_test_p(7, 7) == 1.0
+
+
+def test_pipeline_entry_hashes_every_artifact(monkeypatch):
+    # The printed lines (temporary paths masked) and the 12 files the six
+    # commands write: 7 artifacts and 5 manifests, the same on every sample.
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import layers
+
+    pipeline = layers.layer_calls(layers.paprbound, 16)["pipeline_cli"]
+    first = pipeline()
+    assert first.shape == (13,) and len(set(first.tolist())) == 13
+    assert first.tobytes() == pipeline().tobytes()

@@ -538,6 +538,40 @@ def test_verify_is_scale_free(tmp_path, capsys, qam_scale):
     assert "ok   envelope norm sandwich" in lines and "ok   receiver roundtrip" in lines, lines
 
 
+def test_verify_checks_a_set_without_a_codebook(tmp_path, capsys):
+    # --unitaries alone is loaded and checked; only the receiver round trip
+    # needs a codebook.  A set scaled by 3 exits 2 with or without one.
+    cfg_path = small_config(tmp_path, max_iters=5)
+    out = tmp_path / "run"
+    assert run_cli("gen", "--config", cfg_path) == EXIT_OK
+    assert run_cli("optimize", "--config", cfg_path, out / "codebook.bin") == EXIT_OK
+    capsys.readouterr()
+    assert run_cli("verify", "--config", cfg_path, "--unitaries", out / "unitaries.bin") == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "ok   unitarity of loaded set" in lines and not any("roundtrip" in line for line in lines), lines
+    header, payload = (out / "unitaries.bin").read_bytes().split(b"\n", 1)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(header + b"\n" + (np.frombuffer(payload, "<c16") * 3).tobytes())
+    for codebook in ((), (out / "codebook.bin",)):
+        code, err = run_recording("verify", "--config", cfg_path, "--unitaries", bad, *codebook)
+        assert code == EXIT_VALIDATION and len(err) == 1 and err[0].startswith("error: unitarity violated"), err
+
+
+@pytest.mark.parametrize("qam_scale", [1.7e308, D0 * 2.0**-1000])
+def test_header_qam_scale_must_fit_the_symbols(tmp_path, qam_scale):
+    # A header qam_scale whose QAM points cannot have the codewords' mean
+    # symbol power is refused at load, naming the file and the field, with
+    # no warning on the way (ber used to print two RuntimeWarnings).
+    cfg_path = small_config(tmp_path)
+    book = tmp_path / "run" / "codebook.bin"
+    assert run_recording("gen", "--config", cfg_path) == (EXIT_OK, [])
+    rewrite_header(book, lambda fields: {**fields, "qam_scale": qam_scale})
+    for command in ("bounds", "optimize", "ccdf", "ber", "verify"):
+        code, err = run_recording(command, "--config", cfg_path, book)
+        assert code == EXIT_VALIDATION and len(err) == 1, (command, err)
+        assert err[0].startswith(f"error: {book}: header field 'qam_scale' must be the symbols' scale D"), err
+
+
 @pytest.mark.parametrize("command, overrides", [
     ("gen", {"codebook_size": 10**13}),
     ("ccdf", {"j_ccdf": 10**14}),

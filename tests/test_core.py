@@ -71,22 +71,23 @@ def test_rejects_non_square_orders():
 
 
 def test_gray_neighbours_differ_in_one_bit():
+    # A symbol index is the point's bits, so neighbours' indices differ in one bit.
     const = QamConstellation.square(16)
-    bits = const.indices_to_bits(np.arange(16))
     for i in range(16):
         for j in range(16):
             dist = abs(const.points[i] - const.points[j])
             if abs(dist - 2 * const.scale) < 1e-12:  # grid neighbours
-                assert int(np.abs(bits[i] - bits[j]).sum()) == 1
+                assert bin(i ^ j).count("1") == 1
 
 
 def test_bit_roundtrip_and_demap_oracle():
+    # The indices are the bits_per_symbol-bit words: each names one point,
+    # and demapping that point gives the word back.
     const = QamConstellation.square(64)
+    assert const.bits_per_symbol == 6 and len(set(np.round(const.points, 12))) == 64
+    assert np.array_equal(const.demap(const.points), np.arange(64))
     rng = np.random.default_rng(0)
     idx = rng.integers(0, 64, 500)
-    bits = const.indices_to_bits(idx)
-    assert bits.shape == (500, 6)
-    assert np.array_equal(bits @ (1 << np.arange(5, -1, -1)), idx)  # MSB first
     noisy = const.points[idx] + 0.3 * const.scale * (
         rng.standard_normal(500) + 1j * rng.standard_normal(500)
     )

@@ -1,17 +1,15 @@
 """The exported surface: every name ``paprbound/__init__.py`` imports is
 used by code in the package, the demos or the benchmarks, or is one of
-the paper's formulas and the link's references that only tests call."""
+the paper's formulas that only tests call."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The paper's formulas (the Chernoff exponent and its optimum, the QAM
-# envelope endpoints) and criterion 9's references (the closed-form
-# symbol error rate and the per-codeword link).
-FORMULAS_AND_REFERENCES = {"chernoff_objective", "optimal_chernoff_s", "qam_endpoints", "qam_awgn_ser",
-                           "transmit", "receive"}
+# The paper's formulas: the Chernoff exponent and its optimum, and the
+# QAM envelope endpoints.
+FORMULAS = {"chernoff_objective", "optimal_chernoff_s", "qam_endpoints"}
 
 
 def exported_names() -> set[str]:
@@ -37,5 +35,5 @@ def code_uses() -> set[str]:
 
 def test_every_export_has_a_caller_or_is_a_named_formula():
     exports = exported_names()
-    assert FORMULAS_AND_REFERENCES <= exports
-    assert exports - code_uses() <= FORMULAS_AND_REFERENCES, sorted(exports - code_uses())
+    assert FORMULAS <= exports
+    assert exports - code_uses() <= FORMULAS, sorted(exports - code_uses())
