@@ -33,7 +33,17 @@ one untimed warm-up call per tree:
   ``checkpoint_every`` 100) at this K, into a fresh temporary directory
   per sample.  Its output is the sha256 of every artifact and manifest
   and of the lines printed to stdout and stderr (the temporary path
-  masked), so the comparison is byte-equality only.
+  masked), so the comparison is byte-equality only;
+* ``batch_gs_workload``: perfbench's ``batch-gs-k128`` at this K: ``run``
+  with 10 batch Gram-Schmidt steps (2000 codewords, N = 5, epsilon
+  K^-3/2 / 100), then the J = 16 CCDF and the BER sweep on the README
+  link (E_b/N_0 = 4, 8, 12 dB) with the optimized set, one block per
+  point.  The trace enters the comparison without its wall-clock field;
+* ``link_workload``: perfbench's ``link-k128`` at this K (8000 codewords,
+  N = 8): ``bound_report`` and the J = 16 CCDF without a set and with
+  the Haar set, the Gaussian bound of subset 0, and the BER sweep of the
+  identity and the Haar set (J = 4, Rapp p = 2 at 6 dB backoff,
+  E_b/N_0 = 6, 10, 14 dB), capped at LINK_BER_BLOCKS blocks per point.
 
 The trees' samples alternate layer by layer, and so does which tree goes
 first, so drift of the host between processes does not enter the
@@ -89,6 +99,13 @@ PIPELINE_CONFIG = {
     "ebn0_grid_db": [4.0, 8.0, 12.0], "rapp": {"enabled": True, "p": 2.0, "backoff_db": 2.0}, "seed": SEED,
     "out_dir": "runs/layers",  # unused: every command gets --out, so config_hash names no temporary path
 }
+# Sizes of perfbench's two library workloads; the link's BER stops after
+# LINK_BER_BLOCKS blocks per point.
+BATCH_GS_CODEWORDS = 2000
+BATCH_GS_STEPS = 10
+LINK_CODEWORDS = 8000
+LINK_SUBSETS = 8
+LINK_BER_BLOCKS = 4
 
 
 # Calls per timed sample, for layers whose sample is a chain of calls.
@@ -138,6 +155,38 @@ def layer_calls(pb, k: int) -> dict:
             files += [path.read_bytes() for path in sorted(out.iterdir())]
             return np.array([hashlib.sha256(data).digest() for data in files])
 
+    basis = pb.build_basis(k)
+    grid = pb.db_to_linear(pb.default_gamma_grid_db())
+    gs_book = pb.generate_codebook(const, k, BATCH_GS_CODEWORDS, N_SUBSETS, seed=SEED)
+    gs_config = pb.OptimizerConfig(epsilon=epsilon, max_iters=BATCH_GS_STEPS, mode="batch",
+                                   projection="gram_schmidt", seed=SEED, checkpoint_every=BATCH_GS_STEPS)
+    gs_link = pb.LinkConfig(ebn0_db=(4.0, 8.0, 12.0), amplifier=pb.RappModel.from_backoff(gs_book.p_av, 2.0, 2.0),
+                            seed=SEED)
+
+    def batch_gs_workload():
+        state, trace = pb.run(gs_book, basis, gs_config)
+        curve = pb.empirical_ccdf(gs_book, grid, state, 16)
+        ber = pb.ber_sweep(gs_book, const, state, gs_link, target_errors=1 << 62,
+                           max_symbols=BLOCK_CODEWORDS * k, block_codewords=BLOCK_CODEWORDS)
+        return state, np.array([(p.iteration, p.r_value, p.max_step_norm) for p in trace]), curve, ber
+
+    link_book = pb.generate_codebook(const, k, LINK_CODEWORDS, LINK_SUBSETS, seed=SEED)
+    link_haar = pb.UnitarySet.random(LINK_SUBSETS, k, np.random.default_rng([SEED, 1]))
+    link_sets = (pb.UnitarySet.identity(LINK_SUBSETS, k), link_haar)
+    wide_link = pb.LinkConfig(ebn0_db=(6.0, 10.0, 14.0), oversampling=4,
+                              amplifier=pb.RappModel.from_backoff(link_book.p_av, 6.0, 2.0), seed=SEED)
+
+    def link_workload():
+        outputs = [pb.gaussian_ccdf_bound(pb.subset_gram(link_book, 0), basis, grid)]
+        for unitaries in (None, link_haar):  # None: the untransformed whole-codebook path
+            outputs += [pb.bound_report(link_book, basis, grid, unitaries),
+                        pb.empirical_ccdf(link_book, grid, unitaries, 16)]
+        for unitaries in link_sets:
+            outputs.append(pb.ber_sweep(link_book, const, unitaries, wide_link, target_errors=20_000,
+                                        max_symbols=LINK_BER_BLOCKS * BLOCK_CODEWORDS * k,
+                                        block_codewords=BLOCK_CODEWORDS))
+        return outputs
+
     return {
         "build_basis": lambda: pb.build_basis(k),
         "step_stochastic": chain,
@@ -148,6 +197,8 @@ def layer_calls(pb, k: int) -> dict:
         "ber_sweep_block": lambda: ber_block(haar),
         "ber_sweep_block_identity": lambda: ber_block(identity),
         "pipeline_cli": pipeline,
+        "batch_gs_workload": batch_gs_workload,
+        "link_workload": link_workload,
     }
 
 
@@ -185,7 +236,8 @@ def compare(got: list[np.ndarray], ref: list[np.ndarray]) -> tuple[bool, float]:
     equal = all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, ref))
     worst = 0.0
     for a, b in zip(got, ref):
-        if a.size and a.dtype.kind in "iufc" and b.dtype.kind in "iufc":
+        # A byte-equal array adds nothing, though it may hold NaN (an invalid Hoeffding bound).
+        if a.size and a.dtype.kind in "iufc" and b.dtype.kind in "iufc" and a.tobytes() != b.tobytes():
             diff = float(np.abs(a.astype(np.complex128) - b).max())
             scale = float(np.abs(b).max())
             worst = max(worst, diff / scale if scale > 0 else (0.0 if diff == 0 else float("inf")))

@@ -46,7 +46,7 @@ from .optimizer import (
     step_batch,
     step_stochastic,
 )
-from .spectral import SpectralBasis, aperiodic_corr, build_basis, quartic_sum
+from .spectral import SpectralBasis, build_basis, quartic_sum
 from .waveform import (
     CcdfCurve,
     baseband_samples,

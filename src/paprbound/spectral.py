@@ -1,4 +1,4 @@
-"""Shift correlations and the 2K-point envelope grid.
+"""The 2K-point envelope grid and the quartic statistics on it.
 
 The squared envelope of a length-K multicarrier signal is controlled by
 the aperiodic shift correlations rho(k) of its codeword.  Splitting the
@@ -17,17 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .waveform import baseband_samples
-
-
-def aperiodic_corr(c: np.ndarray) -> np.ndarray:
-    """Aperiodic shift correlation rho(k) = sum_l c[l] * conj(c[l + k]).
-
-    Returns the K values rho(0) ... rho(K-1); rho(0) is the codeword
-    power (real).
-    """
-    x = np.asarray(c, dtype=np.complex128)
-    k = x.shape[0]
-    return np.conj(np.correlate(x, x, mode="full")[k - 1 :])
 
 
 class SpectralBasis:

@@ -2,10 +2,11 @@
 
 The package evaluates every quartic statistic on the 2K-point envelope
 grid.  This module keeps the paper's exposition that the grid replaced:
-the cyclic spectrum alpha = V u (the unitary DFT) and the negacyclic
-spectrum beta = V_hat u with V_hat = V diag(half_phase), the
-(nega)cyclic shift matrices B_s they diagonalize with eigenvalues
-``d_phase(s)``, and the dense rank-one operators C_k, C_hat_k.  Tests
+the aperiodic shift correlations rho(k) of a codeword, the cyclic
+spectrum alpha = V u (the unitary DFT) and the negacyclic spectrum
+beta = V_hat u with V_hat = V diag(half_phase), the (nega)cyclic shift
+matrices B_s they diagonalize with eigenvalues ``d_phase(s)``, and the
+dense rank-one operators C_k, C_hat_k.  Tests
 check the pair against closed forms and the dense rebuild
 V* D_s V = B_s, then check the package's grid paths against the pair.
 """
@@ -13,6 +14,17 @@ V* D_s V = B_s, then check the package's grid paths against the pair.
 from functools import cached_property
 
 import numpy as np
+
+
+def aperiodic_corr(c: np.ndarray) -> np.ndarray:
+    """Aperiodic shift correlation rho(k) = sum_l c[l] * conj(c[l + k]).
+
+    Returns the K values rho(0) ... rho(K-1); rho(0) is the codeword
+    power (real).
+    """
+    x = np.asarray(c, dtype=np.complex128)
+    k = x.shape[0]
+    return np.conj(np.correlate(x, x, mode="full")[k - 1 :])
 
 
 def b_matrix(k_carriers: int, shift: int, sign: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-from kpoint_oracle import KPointPair, b_matrix
+from kpoint_oracle import KPointPair, aperiodic_corr, b_matrix
 from polar_oracle import delta_w, project_symmetric
 
 import paprbound as pb
@@ -43,7 +43,7 @@ from paprbound.optimizer import (
     random_unitary,
     run,
 )
-from paprbound.spectral import aperiodic_corr, build_basis, quartic_sum
+from paprbound.spectral import build_basis, quartic_sum
 from paprbound.waveform import codebook_pmeprs, db_to_linear, default_gamma_grid_db
 
 

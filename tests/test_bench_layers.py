@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 LAYERS = {
     "build_basis", "step_stochastic", "step_batch_symmetric", "step_batch_gram_schmidt",
     "r_statistic", "codebook_pmeprs_j16", "ber_sweep_block", "ber_sweep_block_identity", "pipeline_cli",
+    "batch_gs_workload", "link_workload",
 }
 
 # A fresh interpreter, so that the bench pins BLAS to one thread before

@@ -1,11 +1,12 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import warnings
-from dataclasses import is_dataclass
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,6 @@ from paprbound.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     config_hash,
-    config_to_dict,
     load_config,
     main,
     parse_config,
@@ -62,8 +62,8 @@ def small_config(tmp_path, **overrides):
 def test_config_round_trip_and_hash(tmp_path):
     path = small_config(tmp_path)
     cfg = load_config(path)
-    assert parse_config(config_to_dict(cfg)) == cfg
-    assert config_hash(cfg) == config_hash(parse_config(config_to_dict(cfg)))
+    assert parse_config(asdict(cfg)) == cfg
+    assert config_hash(cfg) == config_hash(parse_config(asdict(cfg)))
 
 
 def test_config_rejects_unknown_and_bad_fields(tmp_path, capsys):
@@ -129,7 +129,7 @@ def readme_config() -> dict:
 def test_readme_config_matches_the_schema():
     data = readme_config()
     cfg = parse_config(data)
-    out = json.loads(json.dumps(config_to_dict(cfg)))  # as hashed and written
+    out = json.loads(json.dumps(asdict(cfg)))  # as hashed and written
     for key, value in data.items():
         if isinstance(value, dict):  # nested: the keys the README sets
             assert {name: out[key][name] for name in value} == value
@@ -160,7 +160,7 @@ GOLDEN_HASHES = [
 def test_config_hash_is_pinned(data, digest):
     cfg = parse_config(readme_config() if data is None else data)
     assert config_hash(cfg) == digest
-    assert config_hash(parse_config(config_to_dict(cfg))) == digest
+    assert config_hash(parse_config(asdict(cfg))) == digest
 
 
 def run_cli(*argv):
@@ -539,8 +539,9 @@ def test_verify_is_scale_free(tmp_path, capsys, qam_scale):
 
 
 def test_verify_checks_a_set_without_a_codebook(tmp_path, capsys):
-    # --unitaries alone is loaded and checked; only the receiver round trip
-    # needs a codebook.  A set scaled by 3 exits 2 with or without one.
+    # --unitaries alone is loaded, and the loader refuses a set that is not
+    # unitary; only the receiver round trip needs a codebook.  A set scaled
+    # by 3 exits 2 with or without one.
     cfg_path = small_config(tmp_path, max_iters=5)
     out = tmp_path / "run"
     assert run_cli("gen", "--config", cfg_path) == EXIT_OK
@@ -548,13 +549,66 @@ def test_verify_checks_a_set_without_a_codebook(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("verify", "--config", cfg_path, "--unitaries", out / "unitaries.bin") == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
-    assert "ok   unitarity of loaded set" in lines and not any("roundtrip" in line for line in lines), lines
+    assert not any("roundtrip" in line for line in lines), lines
     header, payload = (out / "unitaries.bin").read_bytes().split(b"\n", 1)
     bad = tmp_path / "bad.bin"
     bad.write_bytes(header + b"\n" + (np.frombuffer(payload, "<c16") * 3).tobytes())
     for codebook in ((), (out / "codebook.bin",)):
         code, err = run_recording("verify", "--config", cfg_path, "--unitaries", bad, *codebook)
         assert code == EXIT_VALIDATION and len(err) == 1 and err[0].startswith("error: unitarity violated"), err
+
+
+def test_verify_prints_only_checks_of_its_artifacts(tmp_path, capsys):
+    # The grid check at the config's K, the two checks on the given codebook
+    # and set, then one checksum line per file each manifest lists.
+    cfg_path = small_config(tmp_path, max_iters=5)
+    out = tmp_path / "run"
+    assert run_cli("gen", "--config", cfg_path) == EXIT_OK
+    assert run_cli("optimize", "--config", cfg_path, out / "codebook.bin") == EXIT_OK
+    capsys.readouterr()
+    assert run_cli("verify", "--config", cfg_path, "--unitaries", out / "unitaries.bin",
+                   out / "codebook.bin") == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "ok   basis build K=8",
+        "ok   envelope norm sandwich",
+        "ok   receiver roundtrip",
+        "ok   checksum gen.manifest.json:codebook.bin",
+        "ok   checksum optimize.manifest.json:optimize_trace.csv",
+        "ok   checksum optimize.manifest.json:unitaries.bin",
+    ]
+
+
+def test_manifest_names_only_files_in_its_directory(tmp_path, capsys):
+    # A listed name with a directory part is refused even when its checksum
+    # matches, so a manifest cannot make verify read outside its directory;
+    # a listed name that is not a regular file reads FAIL.
+    cfg_path = small_config(tmp_path)
+    out = tmp_path / "run"
+    assert run_cli("gen", "--config", cfg_path) == EXIT_OK
+    manifest = out / "evil.manifest.json"
+    entry = {"sha256": hashlib.sha256(cfg_path.read_bytes()).hexdigest(), "bytes": cfg_path.stat().st_size}
+    for name in ("../config.json", str(cfg_path), "", ".", ".."):
+        manifest.write_text(json.dumps({"format": "paprbound/manifest", "files": {name: entry}}))
+        code, err = run_recording("verify", "--config", cfg_path)
+        assert code == EXIT_VALIDATION and len(err) == 1, (name, err)
+        assert err[0].startswith(f"error: {manifest}: 'files' must map each plain file name"), (name, err)
+    (out / "sub").mkdir()
+    manifest.write_text(json.dumps({"format": "paprbound/manifest",
+                                    "files": {"sub": {"sha256": "0" * 64, "bytes": (out / "sub").stat().st_size}}}))
+    capsys.readouterr()
+    assert run_cli("verify", "--config", cfg_path) == EXIT_VALIDATION
+    assert "FAIL checksum evil.manifest.json:sub" in capsys.readouterr().out.splitlines()
+
+
+def test_verify_does_not_create_its_directory(tmp_path):
+    # The artifact commands make their output directory; verify only reads
+    # one, so a missing directory is refused by name.
+    cfg_path = small_config(tmp_path)
+    missing = tmp_path / "missing"
+    code, err = run_recording("verify", "--config", cfg_path, "--out", missing)
+    assert code == EXIT_VALIDATION and err == [f"error: {missing}: no such directory"], err
+    assert not missing.exists()
+    assert run_cli("gen", "--config", cfg_path, "--out", missing) == EXIT_OK
 
 
 @pytest.mark.parametrize("qam_scale", [1.7e308, D0 * 2.0**-1000])

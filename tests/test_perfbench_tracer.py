@@ -30,8 +30,9 @@ def test_tracer_finds_every_call_site_but_the_stale_one():
         optimizer.run(book, build_basis(8), cfg)
     finally:
         tracer.restore()
-    # delta_w moved into the tests' polar oracle; the tracer still lists it.
-    assert tracer.missing == ["paprbound.optimizer.delta_w"]
+    # aperiodic_corr moved into the tests' K-point oracle, out of verify,
+    # and delta_w into the tests' polar oracle; the tracer still lists both.
+    assert tracer.missing == ["paprbound.cli.aperiodic_corr", "paprbound.optimizer.delta_w"]
     assert (optimizer.step_batch, optimizer._PROJECTORS) == original
     calls = {name: entry["calls"] for name, entry in tracer.totals().items()}
     # A batch step makes one projector call per subset: 2 steps x 2 subsets.

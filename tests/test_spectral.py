@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from kpoint_oracle import KPointPair, b_matrix
+from kpoint_oracle import KPointPair, aperiodic_corr, b_matrix
 from polar_oracle import delta_w
 
 from paprbound import spectral
 from paprbound.bounds import gaussian_ccdf_bound
 from paprbound.optimizer import random_unitary
-from paprbound.spectral import aperiodic_corr, build_basis, quartic_sum
+from paprbound.spectral import build_basis, quartic_sum
 from paprbound.waveform import baseband_samples
 
 
