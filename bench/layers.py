@@ -230,17 +230,20 @@ def arrays(output) -> list[np.ndarray]:
 def compare(got: list[np.ndarray], ref: list[np.ndarray]) -> tuple[bool, float]:
     """Whether two outputs are byte-equal, and the largest
     max|got - ref| / max|ref| over their numeric arrays (inf when the
-    structures differ)."""
+    structures differ, or a non-numeric array such as a digest does)."""
     if len(got) != len(ref) or any(a.shape != b.shape for a, b in zip(got, ref)):
         return False, float("inf")
-    equal = all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, ref))
     worst = 0.0
     for a, b in zip(got, ref):
         # A byte-equal array adds nothing, though it may hold NaN (an invalid Hoeffding bound).
-        if a.size and a.dtype.kind in "iufc" and b.dtype.kind in "iufc" and a.tobytes() != b.tobytes():
-            diff = float(np.abs(a.astype(np.complex128) - b).max())
-            scale = float(np.abs(b).max())
-            worst = max(worst, diff / scale if scale > 0 else (0.0 if diff == 0 else float("inf")))
+        if not a.size or a.dtype == b.dtype and a.tobytes() == b.tobytes():
+            continue
+        if a.dtype.kind not in "iufc" or b.dtype.kind not in "iufc":
+            return False, float("inf")
+        diff = float(np.abs(a.astype(np.complex128) - b).max())
+        scale = float(np.abs(b).max())
+        worst = max(worst, diff / scale if scale > 0 else (0.0 if diff == 0 else float("inf")))
+    equal = all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, ref))
     return equal, worst
 
 

@@ -199,7 +199,7 @@ def ber_sweep(
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     e, codebook = unit_power(codebook)
-    constellation = QamConstellation.square(constellation.order, math.ldexp(constellation.scale, -e))
+    constellation = QamConstellation(constellation.order, math.ldexp(constellation.scale, -e))
     if link.amplifier is not None:
         link = replace(link, amplifier=replace(link.amplifier, clip_level=math.ldexp(link.amplifier.clip_level, -e)))
     # Per subset: the transmit transform and the receiver W_n*, None for W_n = I.
@@ -207,9 +207,9 @@ def ber_sweep(
     receivers = [None if w is None else w.conj() for w in senders]
     tx_indices = constellation.demap(codebook.symbols)
     exact = constellation.points[tx_indices]
-    # Exact equality, the usual case, is cheap; allclose at the points' scale only when it fails.
+    # Exact equality, the usual case, is cheap; within 1e-9 D of the points only when it fails.
     if not (np.array_equal(exact, codebook.symbols)
-            or np.allclose(exact, codebook.symbols, atol=1e-9 * constellation.scale)):
+            or np.allclose(exact, codebook.symbols, rtol=0, atol=1e-9 * constellation.scale)):
         raise ValueError("codebook symbols are not points of the given constellation")
     popcount = np.array([bin(x).count("1") for x in range(constellation.order)])
     subset_of = np.repeat(np.arange(codebook.n_subsets), codebook.subset_sizes)

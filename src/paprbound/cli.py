@@ -164,9 +164,6 @@ class ExperimentConfig(OptimizerConfig):
                " that are normal floats")
         super().__post_init__()
 
-    def constellation(self) -> QamConstellation:
-        return QamConstellation.square(self.qam_order, self.qam_scale)
-
 
 # Per field annotation: what a JSON value must be, the test, and the
 # conversion to the stored value.  ``float | None`` stores the value as
@@ -318,9 +315,8 @@ def _finish(args, cfg: ExperimentConfig, out_dir: Path, started: float, files: l
 
 def cmd_gen(args) -> int:
     cfg, out_dir, started = _prepare(args)
-    codebook = generate_codebook(
-        cfg.constellation(), cfg.k_carriers, cfg.codebook_size, cfg.n_subsets, cfg.seed
-    )
+    codebook = generate_codebook(QamConstellation(cfg.qam_order, cfg.qam_scale), cfg.k_carriers,
+                                 cfg.codebook_size, cfg.n_subsets, cfg.seed)
     target = out_dir / "codebook.bin"
     save_codebook(codebook, target)
     return _finish(args, cfg, out_dir, started, [target],
@@ -379,7 +375,7 @@ def cmd_ber(args) -> int:
     codebook = load_codebook(args.codebook)
     if codebook.qam_order is None:
         raise ValueError("codebook carries no constellation metadata; BER needs a QAM codebook")
-    constellation = QamConstellation.square(codebook.qam_order, codebook.qam_scale)
+    constellation = QamConstellation(codebook.qam_order, codebook.qam_scale)
     unitaries = load_unitaries(args.unitaries) if args.unitaries is not None else None
     amplifier = (RappModel.from_backoff(codebook.p_av, cfg.rapp.backoff_db, cfg.rapp.p, cfg.rapp.variant)
                  if cfg.rapp.enabled else None)
@@ -401,13 +397,17 @@ def cmd_verify(args) -> int:
         print(f"{'ok  ' if ok else 'FAIL'} {name}")
         failures += 0 if ok else 1
 
-    try:
-        build_basis(cfg.k_carriers)
-        report(f"basis build K={cfg.k_carriers}", True)
-    except ArithmeticError:
-        report(f"basis build K={cfg.k_carriers}", False)
-
     codebook = None if args.codebook is None else load_codebook(args.codebook)
+    state = None if args.unitaries is None else load_unitaries(args.unitaries)  # refuses a set not unitary
+    if codebook is not None and state is not None:
+        subset_transforms(codebook, state)
+    k = (codebook or state or cfg).k_carriers  # the grid at the K of what was read
+    try:
+        build_basis(k)
+        report(f"basis build K={k}", True)
+    except ArithmeticError:
+        report(f"basis build K={k}", False)
+
     if codebook is not None:
         sample = unit_power(codebook)[1].symbols[:100]  # tolerances at unit mean symbol power
         peaks = peak_envelope_power(sample, 16)
@@ -415,10 +415,7 @@ def cmd_verify(args) -> int:
         l1sq = np.abs(sample).sum(axis=1) ** 2
         report("envelope norm sandwich", bool(np.all(peaks >= l2 - 1e-9) and np.all(peaks <= l1sq + 1e-9)
                and np.all(l1sq <= codebook.k_carriers * l2 + 1e-9)))
-    if args.unitaries is not None:  # the loader refuses a set that is not unitary
-        state = load_unitaries(args.unitaries)
-        if codebook is not None:
-            subset_transforms(codebook, state)
+        if state is not None:
             w, c = state.matrices[0], sample[0]
             report("receiver roundtrip", np.abs(w.conj().T @ (w @ c) - c).max() <= 1e-10)
 

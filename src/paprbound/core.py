@@ -67,41 +67,39 @@ class QamConstellation:
     order : int
         Constellation size M; a power of 4 from 4 to 65536.
     scale : float
-        Half the minimum distance between points.  The default
-        ``sqrt(3 / (2*(M - 1)))`` normalizes the mean symbol power to 1.
+        Half the minimum distance between points; None gives the order's
+        ``default_qam_scale``, at which the mean symbol power is 1.
     points : np.ndarray
-        (M,) complex points indexed by symbol index.
+        (M,) complex points indexed by symbol index (read-only), derived
+        from ``order`` and ``scale`` like ``side`` and ``bits_per_symbol``.
     """
 
     order: int
-    scale: float
-    points: np.ndarray = field(repr=False)
-    side: int
-    bits_per_symbol: int
+    scale: float | None = None
+    points: np.ndarray = field(init=False, repr=False, compare=False)
+    side: int = field(init=False)
+    bits_per_symbol: int = field(init=False)
 
-    @classmethod
-    def square(cls, order: int, scale: float | None = None) -> "QamConstellation":
-        if not is_qam_order(order):
-            raise ValueError(f"order {QAM_ORDER_RULE}, got {order}")
-        side = math.isqrt(order)
-        if scale is None:
-            scale = default_qam_scale(order)
-        if scale <= 0:
+    def __post_init__(self):
+        if not is_qam_order(self.order):
+            raise ValueError(f"order {QAM_ORDER_RULE}, got {self.order}")
+        scale = default_qam_scale(self.order) if self.scale is None else self.scale
+        if not scale > 0:
             raise ValueError("scale must be positive")
+        side = math.isqrt(self.order)
         axis_bits = side.bit_length() - 1
         levels = scale * (2.0 * np.arange(side) - side + 1)  # ascending odd multiples
         pos = _inverse_gray(side)
-        idx = np.arange(order)
-        i_level = levels[pos[idx >> axis_bits]]
-        q_level = levels[pos[idx & (side - 1)]]
-        points = i_level + 1j * q_level
-        return cls(
-            order=order,
-            scale=float(scale),
-            points=points,
-            side=side,
-            bits_per_symbol=2 * axis_bits,
-        )
+        idx = np.arange(self.order)
+        points = levels[pos[idx >> axis_bits]] + 1j * levels[pos[idx & (side - 1)]]
+        points.flags.writeable = False  # hash and == leave it out: it follows order and scale
+        for name, value in (("scale", float(scale)), ("points", points), ("side", side),
+                            ("bits_per_symbol", 2 * axis_bits)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def square(cls, order: int, scale: float | None = None) -> "QamConstellation":
+        return cls(order, scale)
 
     def demap(self, symbols: np.ndarray) -> np.ndarray:
         """Nearest-point decision, returning symbol indices.

@@ -424,20 +424,22 @@ _PROJECTORS = {
 }
 
 
-def _descend(state: UnitarySet, chunks, epsilon: float, projection: str):
+def _descend(state: UnitarySet, chunks, codebook: Codebook, config: OptimizerConfig):
     """Move each subset's W against the gradient of its codeword rows.
 
     ``chunks`` yields (subset slice, (n, m, K) rows) pairs, one per
     stack of n subsets of m rows each.  Each pair reads a view of the
-    old stack and writes into a view of the new one.  Returns the new
-    state and the per-subset step norms ||W(l+1) - W(l)||_F.
+    old stack and writes into a view of the new one.  The step size is
+    the config's epsilon taken at unit mean symbol power (``OptimizerConfig``).
+    Returns the new state and the per-subset step norms ||W(l+1) - W(l)||_F.
     """
+    epsilon = config.resolved_epsilon(codebook.k_carriers) / scale_ratio(codebook) ** 4
     new = np.empty_like(state.matrices)
     norms = np.empty(state.n_subsets)
     for chunk, rows in chunks:
         w = state.matrices[chunk]
         grads, wc = _gradient_rows(rows, w)
-        norms[chunk] = _PROJECTORS[projection](w, rows, grads, epsilon, new[chunk], wc)
+        norms[chunk] = _PROJECTORS[config.projection](w, rows, grads, epsilon, new[chunk], wc)
     return UnitarySet(matrices=new, iteration=state.iteration + 1), norms
 
 
@@ -451,8 +453,7 @@ def step_batch(state: UnitarySet, codebook: Codebook,
     rule.
     """
     chunks = ((slice(n, n + 1), block[np.newaxis]) for n, block in enumerate(codebook.subsets()))
-    epsilon = config.resolved_epsilon(codebook.k_carriers) / scale_ratio(codebook) ** 4
-    return _descend(state, chunks, epsilon, config.projection)
+    return _descend(state, chunks, codebook, config)
 
 
 def step_stochastic(state: UnitarySet, codebook: Codebook,
@@ -469,8 +470,7 @@ def step_stochastic(state: UnitarySet, codebook: Codebook,
     block, row = divmod(state.iteration, _DRAW_BLOCK)
     picks = _draw_block(config.seed, codebook.subset_sizes, block)[row]
     rows = codebook.symbols[codebook.subset_starts[:-1] + picks][:, np.newaxis, :]
-    epsilon = config.resolved_epsilon(codebook.k_carriers) / scale_ratio(codebook) ** 4
-    return _descend(state, [(slice(None), rows)], epsilon, config.projection)
+    return _descend(state, [(slice(None), rows)], codebook, config)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,6 +81,24 @@ def test_sign_test_p(monkeypatch):
     assert layers.sign_test_p(11, 4) == pytest.approx(0.1185, abs=1e-4)
     assert layers.sign_test_p(15, 0) == pytest.approx(6.1e-5, rel=1e-2)
     assert layers.sign_test_p(0, 0) == layers.sign_test_p(7, 7) == 1.0
+
+
+def test_compare_reports_every_differing_array(monkeypatch):
+    # Byte-equal outputs give (True, 0.0), NaN included; a numeric array
+    # gives its relative difference; a differing digest (a non-numeric
+    # array) or structure gives inf, never a difference of 0.
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import layers
+
+    numbers = np.array([1.0, np.nan, -4.0])
+    digests = np.array([bytes(32), b"\x01" * 32])
+    assert layers.compare([numbers, digests], [numbers.copy(), digests.copy()]) == (True, 0.0)
+    assert layers.compare([np.array([1.0, 2.0, 4.5])], [np.array([1.0, 2.0, 4.0])]) == (False, 0.125)
+    other = np.array([bytes(32), b"\x02" * 32])
+    assert layers.compare([numbers, other], [numbers, digests]) == (False, float("inf"))
+    assert layers.compare([numbers], [numbers, digests]) == (False, float("inf"))
+    assert layers.compare([numbers[:2]], [numbers]) == (False, float("inf"))
 
 
 def test_pipeline_entry_hashes_every_artifact(monkeypatch):

@@ -434,8 +434,9 @@ def test_link_config_validation():
 
 
 def test_ber_sweep_accepts_symbols_near_the_points_only():
-    # Symbols 1e-12 off the constellation are accepted, 1e-3 off are not.
-    # The tolerance scales with the constellation, so a codebook drawn at
+    # Symbols 1e-12 off the constellation are accepted; 1e-3 off, or 1e-6
+    # off relative to each point, are not: the bound is 1e-9 D alone.  The
+    # tolerance scales with the constellation, so a codebook drawn at
     # scale 1e-20 does not pass for points of a 2e-20 constellation.
     const = QamConstellation.square(16)
     book = generate_codebook(const, 8, 16, 2, seed=1)
@@ -444,6 +445,7 @@ def test_ber_sweep_accepts_symbols_near_the_points_only():
     for shifted, constellation, accepted in (
         (Codebook(book.symbols + 1e-12, book.subset_sizes), const, True),
         (Codebook(book.symbols + 1e-3, book.subset_sizes), const, False),
+        (Codebook(book.symbols * (1 + 1e-6), book.subset_sizes), const, False),
         (tiny, QamConstellation.square(16, 2e-20), False),
     ):
         if accepted:

@@ -559,8 +559,8 @@ def test_verify_checks_a_set_without_a_codebook(tmp_path, capsys):
 
 
 def test_verify_prints_only_checks_of_its_artifacts(tmp_path, capsys):
-    # The grid check at the config's K, the two checks on the given codebook
-    # and set, then one checksum line per file each manifest lists.
+    # The grid check at the K of the files read, the two checks on the given
+    # codebook and set, then one checksum line per file each manifest lists.
     cfg_path = small_config(tmp_path, max_iters=5)
     out = tmp_path / "run"
     assert run_cli("gen", "--config", cfg_path) == EXIT_OK
@@ -576,6 +576,29 @@ def test_verify_prints_only_checks_of_its_artifacts(tmp_path, capsys):
         "ok   checksum optimize.manifest.json:optimize_trace.csv",
         "ok   checksum optimize.manifest.json:unitaries.bin",
     ]
+
+
+def test_verify_checks_the_grid_at_the_k_it_reads(tmp_path, capsys):
+    # A K=16 codebook and set under a K=8 config: the grid is built at the
+    # codebook's K, else the set's; the config's K only with neither file.
+    # A refused file ends the run before any line.
+    cfg_path = small_config(tmp_path, k_carriers=16, max_iters=5)
+    out = tmp_path / "run"
+    assert run_cli("gen", "--config", cfg_path) == EXIT_OK
+    assert run_cli("optimize", "--config", cfg_path, out / "codebook.bin") == EXIT_OK
+    cfg_path = small_config(tmp_path, k_carriers=8)
+    book, unit = out / "codebook.bin", out / "unitaries.bin"
+    for files, k in (((book,), 16), (("--unitaries", unit), 16), (("--unitaries", unit, book), 16), ((), 8)):
+        capsys.readouterr()
+        assert run_cli("verify", "--config", cfg_path, *files) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == f"ok   basis build K={k}", files
+    wrong_k = tmp_path / "k8.bin"
+    save_unitaries(UnitarySet.identity(4, 8), wrong_k)
+    for files in ((tmp_path / "missing.bin",), ("--unitaries", wrong_k, book)):
+        capsys.readouterr()
+        assert run_cli("verify", "--config", cfg_path, *files) == EXIT_VALIDATION
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err.startswith("error: ") and printed.err.count("\n") == 1, files
 
 
 def test_manifest_names_only_files_in_its_directory(tmp_path, capsys):

@@ -1,12 +1,15 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
 from paprbound.core import (
+    QAM_ORDERS,
     Codebook,
     QamConstellation,
+    default_qam_scale,
     generate_codebook,
     load_codebook,
     save_codebook,
@@ -66,8 +69,48 @@ def test_points_closed_under_negation():
 
 def test_rejects_non_square_orders():
     for order in (2, 8, 9, 32, 0, -4, 36, 100, 4**9, 2**40):
-        with pytest.raises(ValueError, match=f"^order must be a power of 4 from 4 to 65536, got {order}$"):
-            QamConstellation.square(order)
+        for make in (QamConstellation, QamConstellation.square):
+            with pytest.raises(ValueError, match=f"^order must be a power of 4 from 4 to 65536, got {order}$"):
+                make(order)
+
+
+def test_rejects_scales_that_are_not_positive():
+    for scale in (0.0, -1.0, -np.inf, np.nan):
+        for make in (QamConstellation, QamConstellation.square):
+            with pytest.raises(ValueError, match="^scale must be positive$"):
+                make(16, scale)
+
+
+@pytest.mark.parametrize("order", sorted(QAM_ORDERS))
+def test_constellation_is_derived_from_order_and_scale(order):
+    # The constructor takes the order and the scale (None: the default) and
+    # derives the rest: index (gray(a) << b) | gray(c) is the point at level
+    # positions a (in-phase) and c (quadrature), b = log2(side) bits per axis.
+    side = math.isqrt(order)
+    for scale in (None, 1e-30, 1e30):
+        const = QamConstellation(order, scale)
+        same = QamConstellation.square(order, scale)
+        assert const.points.tobytes() == same.points.tobytes() and const == same
+        assert (const.side, const.bits_per_symbol) == (same.side, same.bits_per_symbol)
+        assert (const.side, const.bits_per_symbol) == (side, order.bit_length() - 1)
+        d = default_qam_scale(order) if scale is None else scale
+        levels = d * (2.0 * np.arange(side) - side + 1)
+        a, c = np.divmod(np.arange(order), side)
+        expected = np.empty(order, dtype=np.complex128)
+        expected[((a ^ a >> 1) << (side.bit_length() - 1)) | (c ^ c >> 1)] = levels[a] + 1j * levels[c]
+        assert const.scale == d and const.points.tobytes() == expected.tobytes()
+        assert not const.points.flags.writeable
+
+
+def test_constellation_equality_and_hash_follow_order_and_scale():
+    default = QamConstellation(16)
+    assert default == QamConstellation.square(16) == QamConstellation(16, default_qam_scale(16))
+    assert hash(default) == hash(QamConstellation.square(16, None))
+    assert len({default, QamConstellation(16), QamConstellation(16, 1.0), QamConstellation(64)}) == 3
+    assert default != QamConstellation(16, 1.0) and default != QamConstellation(64)
+    for derived in ("points", "side", "bits_per_symbol"):
+        with pytest.raises(TypeError):
+            QamConstellation(16, **{derived: default.__dict__[derived]})
 
 
 def test_gray_neighbours_differ_in_one_bit():
