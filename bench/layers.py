@@ -1,5 +1,5 @@
-"""Per-layer timings of paprbound over a sweep of carrier counts K: an
-A/B of two source trees in one process.
+"""Per-layer and end-to-end timings of paprbound: an A/B of two source
+trees in one process.
 
 Run from the root of a paprbound source checkout:
 
@@ -8,7 +8,9 @@ Run from the root of a paprbound source checkout:
 It imports the other tree's ``paprbound`` as ``paprbound_parent`` next
 to this checkout's; without ``--ab`` that is this checkout's own
 ``src``, a self-A/B whose win counts and p-values show the host's noise
-floor.  For each K in K_VALUES each tree builds one 16-QAM codebook
+floor.
+
+Layers.  For each K in K_VALUES each tree builds one 16-QAM codebook
 (1000 codewords in N = 5 subsets, so m = 200 per subset) and a Haar
 unitary set from SEED, and each layer is timed in REPEATS pairs after
 one untimed warm-up call per tree:
@@ -26,34 +28,29 @@ one untimed warm-up call per tree:
 * ``ber_sweep_block``: one 256-codeword block of the BER sweep on the
   README link (J = 1, Rapp p = 2 at 2 dB backoff, E_b/N_0 = 8 dB);
 * ``ber_sweep_block_identity``: the same block with the identity set,
-  the untransformed baseline of every BER comparison;
-* ``pipeline_cli``: the README pipeline ``gen -> bounds -> optimize ->
-  ccdf -> ber -> verify`` end to end through the tree's ``cli.main``,
-  with the settings of perfbench's ``pipeline-k64`` (``max_iters`` 200,
-  ``checkpoint_every`` 100) at this K, into a fresh temporary directory
-  per sample.  Its output is the sha256 of every artifact and manifest
-  and of the lines printed to stdout and stderr (the temporary path
-  masked), so the comparison is byte-equality only;
-* ``batch_gs_workload``: perfbench's ``batch-gs-k128`` at this K: ``run``
-  with 10 batch Gram-Schmidt steps (2000 codewords, N = 5, epsilon
-  K^-3/2 / 100), then the J = 16 CCDF and the BER sweep on the README
-  link (E_b/N_0 = 4, 8, 12 dB) with the optimized set, one block per
-  point.  The trace enters the comparison without its wall-clock field;
-* ``link_workload``: perfbench's ``link-k128`` at this K (8000 codewords,
-  N = 8): ``bound_report`` and the J = 16 CCDF without a set and with
-  the Haar set, the Gaussian bound of subset 0, and the BER sweep of the
-  identity and the Haar set (J = 4, Rapp p = 2 at 6 dB backoff,
-  E_b/N_0 = 6, 10, 14 dB), capped at LINK_BER_BLOCKS blocks per point.
+  the untransformed baseline of every BER comparison.
 
-The trees' samples alternate layer by layer, and so does which tree goes
-first, so drift of the host between processes does not enter the
-comparison.  Per layer one line is printed, and the JSON file named by
-``--out`` gives both medians and quartiles in ms, how many pairs this
-checkout ("change") won, the two-sided sign-test p-value of that count,
-and whether every pair of outputs was byte-equal (otherwise the largest
-relative difference), with the machine, ``nproc``, the BLAS thread
-count and the versions.  BLAS/OpenMP threads are pinned to one before
-numpy is imported, as in ``perfbench/run.py``.
+End to end.  ``perfbench/workloads.py`` is executed once per tree, with
+``paprbound`` naming that tree, and each workload in its ``WORKLOADS``
+runs at perfbench's ``full`` size from SEED: the passes the benchmark
+gates.  Per tree, one set-up and one untimed first pass through the
+workload's ``result``, ``health`` and ``check`` (and ``reference.json``
+at the full size), then REPEATS timed pairs of ``run_pass``.  A sample
+is ``wall_s`` and perfbench's ``pass_rates``; ``setup_s`` and
+``peak_rss_mb`` measure a whole process, which both trees share here,
+so they are left out.  Passes compare by ``digest`` and, for the
+pipeline, the printed lines with the work directory masked.  A change
+median worse than the parent's by more than the metric's ``bound`` in
+``BENCHMARK.json`` is flagged.
+
+Samples alternate entry by entry, and so does which tree goes first, so
+host drift between processes cancels.  One line is printed per layer,
+per end-to-end metric and per workload (its differing outputs and each
+tree's failed checks); ``--out`` gets both medians and quartiles
+(layers in ms), the pairs this checkout ("change") won, their two-sided
+sign-test p-value and the output comparison, with the machine,
+``nproc``, the BLAS threads (pinned to one before numpy is imported, as
+in ``perfbench/run.py``) and the versions.
 """
 
 import os
@@ -64,8 +61,6 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = str(THREADS)
 
 import argparse  # noqa: E402
-import contextlib  # noqa: E402
-import hashlib  # noqa: E402
 import importlib.util  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
@@ -73,11 +68,11 @@ import math  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
-from io import StringIO  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
@@ -92,20 +87,6 @@ N_SUBSETS = 5
 QAM_ORDER = 16
 CHAIN = 256  # stochastic steps per sample: one block of draws
 BLOCK_CODEWORDS = 256
-# The README config with perfbench pipeline-k64's run length; K and the seed are the sweep's.
-PIPELINE_CONFIG = {
-    "version": 1, "qam_order": QAM_ORDER, "codebook_size": CODEWORDS, "n_subsets": N_SUBSETS, "epsilon": 1e-3,
-    "max_iters": 200, "checkpoint_every": 100, "gamma_grid_db": {"start": 4.0, "stop": 13.0, "step": 0.25},
-    "ebn0_grid_db": [4.0, 8.0, 12.0], "rapp": {"enabled": True, "p": 2.0, "backoff_db": 2.0}, "seed": SEED,
-    "out_dir": "runs/layers",  # unused: every command gets --out, so config_hash names no temporary path
-}
-# Sizes of perfbench's two library workloads; the link's BER stops after
-# LINK_BER_BLOCKS blocks per point.
-BATCH_GS_CODEWORDS = 2000
-BATCH_GS_STEPS = 10
-LINK_CODEWORDS = 8000
-LINK_SUBSETS = 8
-LINK_BER_BLOCKS = 4
 
 
 # Calls per timed sample, for layers whose sample is a chain of calls.
@@ -136,57 +117,6 @@ def layer_calls(pb, k: int) -> dict:
             state, _ = pb.step_stochastic(state, book, stochastic)
         return state
 
-    cli = importlib.import_module(f"{pb.__name__}.cli")
-
-    def pipeline():
-        with tempfile.TemporaryDirectory() as tmp:
-            config, out = Path(tmp) / "config.json", Path(tmp) / "out"
-            config.write_text(json.dumps({**PIPELINE_CONFIG, "k_carriers": k}))
-            codebook, unitaries = out / "codebook.bin", out / "unitaries.bin"
-            printed = StringIO()
-            for argv in (["gen"], ["bounds", codebook], ["optimize", codebook],
-                         ["ccdf", "--unitaries", unitaries, codebook], ["ber", "--unitaries", unitaries, codebook],
-                         ["verify", "--unitaries", unitaries, codebook]):
-                with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
-                    code = cli.main([argv[0], "--config", str(config), "--out", str(out), *map(str, argv[1:])])
-                if code != 0:
-                    raise RuntimeError(f"{pb.__name__} {argv[0]} exited with {code}")
-            files = [printed.getvalue().replace(tmp, "<tmp>").encode()]
-            files += [path.read_bytes() for path in sorted(out.iterdir())]
-            return np.array([hashlib.sha256(data).digest() for data in files])
-
-    basis = pb.build_basis(k)
-    grid = pb.db_to_linear(pb.default_gamma_grid_db())
-    gs_book = pb.generate_codebook(const, k, BATCH_GS_CODEWORDS, N_SUBSETS, seed=SEED)
-    gs_config = pb.OptimizerConfig(epsilon=epsilon, max_iters=BATCH_GS_STEPS, mode="batch",
-                                   projection="gram_schmidt", seed=SEED, checkpoint_every=BATCH_GS_STEPS)
-    gs_link = pb.LinkConfig(ebn0_db=(4.0, 8.0, 12.0), amplifier=pb.RappModel.from_backoff(gs_book.p_av, 2.0, 2.0),
-                            seed=SEED)
-
-    def batch_gs_workload():
-        state, trace = pb.run(gs_book, basis, gs_config)
-        curve = pb.empirical_ccdf(gs_book, grid, state, 16)
-        ber = pb.ber_sweep(gs_book, const, state, gs_link, target_errors=1 << 62,
-                           max_symbols=BLOCK_CODEWORDS * k, block_codewords=BLOCK_CODEWORDS)
-        return state, np.array([(p.iteration, p.r_value, p.max_step_norm) for p in trace]), curve, ber
-
-    link_book = pb.generate_codebook(const, k, LINK_CODEWORDS, LINK_SUBSETS, seed=SEED)
-    link_haar = pb.UnitarySet.random(LINK_SUBSETS, k, np.random.default_rng([SEED, 1]))
-    link_sets = (pb.UnitarySet.identity(LINK_SUBSETS, k), link_haar)
-    wide_link = pb.LinkConfig(ebn0_db=(6.0, 10.0, 14.0), oversampling=4,
-                              amplifier=pb.RappModel.from_backoff(link_book.p_av, 6.0, 2.0), seed=SEED)
-
-    def link_workload():
-        outputs = [pb.gaussian_ccdf_bound(pb.subset_gram(link_book, 0), basis, grid)]
-        for unitaries in (None, link_haar):  # None: the untransformed whole-codebook path
-            outputs += [pb.bound_report(link_book, basis, grid, unitaries),
-                        pb.empirical_ccdf(link_book, grid, unitaries, 16)]
-        for unitaries in link_sets:
-            outputs.append(pb.ber_sweep(link_book, const, unitaries, wide_link, target_errors=20_000,
-                                        max_symbols=LINK_BER_BLOCKS * BLOCK_CODEWORDS * k,
-                                        block_codewords=BLOCK_CODEWORDS))
-        return outputs
-
     return {
         "build_basis": lambda: pb.build_basis(k),
         "step_stochastic": chain,
@@ -196,22 +126,22 @@ def layer_calls(pb, k: int) -> dict:
         "codebook_pmeprs_j16": lambda: pb.codebook_pmeprs(book, haar, 16),
         "ber_sweep_block": lambda: ber_block(haar),
         "ber_sweep_block_identity": lambda: ber_block(identity),
-        "pipeline_cli": pipeline,
-        "batch_gs_workload": batch_gs_workload,
-        "link_workload": link_workload,
     }
 
 
-def load_tree(src, name: str = "paprbound_parent"):
-    """Import the ``paprbound`` package of another source tree as
-    ``name`` (its modules import each other relatively)."""
-    pkg = Path(src) / "paprbound"
-    spec = importlib.util.spec_from_file_location(
-        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
-    )
+def exec_file(name: str, path: Path, binds_paprbound=None, **location):
+    """Execute ``path`` as the module ``name``, registered in ``sys.modules``
+    first (a dataclass looks its module up there); while it executes,
+    ``paprbound`` names the package ``binds_paprbound``, if one is given."""
+    spec = importlib.util.spec_from_file_location(name, path, **location)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
-    spec.loader.exec_module(module)
+    saved = sys.modules["paprbound"]
+    sys.modules["paprbound"] = binds_paprbound or saved
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.modules["paprbound"] = saved
     return module
 
 
@@ -263,20 +193,76 @@ def ab_layers(parent, k: int, repeats: int) -> dict:
             for side in ("change", "parent") if i % 2 == 0 else ("parent", "change"):
                 started = perf_counter()
                 outputs[side] = fns[side]()
-                times[side].append((perf_counter() - started) / PER_SAMPLE.get(name, 1))
+                times[side].append((perf_counter() - started) * 1e3 / PER_SAMPLE.get(name, 1))
             same, diff = compare(arrays(outputs["change"]), arrays(outputs["parent"]))
             equal, worst = equal and same, max(worst, diff)
-        wins = sum(a < b for a, b in zip(times["change"], times["parent"]))
-        losses = sum(a > b for a, b in zip(times["change"], times["parent"]))
-        rows[name] = {
-            **{side: summary(times[side]) for side in fns},
-            "change_wins": wins,
-            "pairs": repeats,
-            "sign_test_p": sign_test_p(wins, losses),
-            "outputs_byte_equal": equal,
-            "max_rel_diff": worst,
-        }
+        rows[name] = {"unit": "ms", **ab_row(times["change"], times["parent"], "lower"),
+                      "outputs_byte_equal": equal, "max_rel_diff": worst}
     return rows
+
+
+def compared_outputs(wl, inputs, outputs) -> dict:
+    """What a workload pass is compared by: its digest and the lines each
+    command printed, with the tree's work directory masked."""
+    return {"digest": wl.digest(inputs, outputs),
+            **{f"stdout {step}": text.replace(str(inputs.work_dir), "<work>")
+               for step, text in outputs.get("stdout", {}).items()}}
+
+
+def ab_workloads(parent, size: str, repeats: int) -> dict:
+    """Alternating passes of every perfbench workload on this checkout
+    and on ``parent``: each tree's first pass checked, then the metrics
+    of ``repeats`` timed pairs against their bounds in BENCHMARK.json."""
+    run = exec_file("perfbench_run", PERFBENCH / "run.py")
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    trees = {}
+    for side, pb in (("change", paprbound), ("parent", parent)):
+        importlib.import_module(f"{pb.__name__}.cli")  # so that ``from paprbound import cli`` finds this tree's
+        trees[side] = exec_file(f"workloads_{pb.__name__}", PERFBENCH / "workloads.py", pb)
+    rows = {}
+    with tempfile.TemporaryDirectory() as tmp:  # every set-up's files, removed at the end
+        for name in trees["change"].WORKLOADS:
+            wls = {side: tree.WORKLOADS[name] for side, tree in trees.items()}
+            inputs = {side: wl.setup(SEED, size, Path(tmp)) for side, wl in wls.items()}
+            reference = run.load_reference(argparse.Namespace(workload=name, seed=SEED, smoke=size == "smoke"))
+            samples, failed, differing = {side: [] for side in trees}, {}, set()
+            for i in range(repeats + 1):  # pair 0: the untimed, checked first passes
+                compared = {}
+                for side in ("change", "parent") if i % 2 == 0 else ("parent", "change"):
+                    wl, ops = wls[side], trees[side].Ops()
+                    started = perf_counter()
+                    outputs = wl.run_pass(inputs[side], ops)
+                    wall = perf_counter() - started
+                    result = wl.result(inputs[side], outputs)
+                    if i == 0:
+                        wl.check(inputs[side], outputs, result, wl.health(inputs[side], outputs, result), ops)
+                        if reference is not None:
+                            trees[side].compare_with_reference(ops, result, reference)
+                        failed[side] = ops.failures
+                    else:
+                        samples[side].append({"wall_s": wall, **run.pass_rates(result, ops.stages)})
+                    compared[side] = compared_outputs(wl, inputs[side], outputs)
+                    wl.cleanup(outputs)
+                differing |= {key for key, value in compared["change"].items() if compared["parent"].get(key) != value}
+            rows[name] = {"size": size, "metrics": {}, "outputs_byte_equal": not differing,
+                          "differing_outputs": sorted(differing), "failed_checks": failed}
+            for m in (m for m in metrics if m["name"] in samples["change"][0]):
+                row = ab_row(*([s[m["name"]] for s in samples[side]] for side in ("change", "parent")), m["better"])
+                rows[name]["metrics"][m["name"]] = {**m, **row, "beyond_bound": row["worse_by"] > m["bound"]}
+    return rows
+
+
+def ab_row(change: list[float], parent: list[float], better: str) -> dict:
+    """Both sides' medians and quartiles, the pairs the change won in the
+    ``better`` direction ("lower" or "higher"), the sign-test p-value of
+    that count, and how much worse the change's median is than the
+    parent's, as a fraction of the parent's."""
+    sign = 1 if better == "lower" else -1
+    gains = [sign * (p - c) for c, p in zip(change, parent)]
+    wins, losses = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
+    row = {"parent": summary(parent), "change": summary(change), "change_wins": wins, "pairs": len(gains),
+           "sign_test_p": sign_test_p(wins, losses)}
+    return {**row, "worse_by": sign * (row["change"]["median"] / row["parent"]["median"] - 1)}
 
 
 def sign_test_p(wins: int, losses: int) -> float:
@@ -288,8 +274,14 @@ def sign_test_p(wins: int, losses: int) -> float:
 
 
 def summary(samples: list[float]) -> dict:
-    q1, median, q3 = np.percentile(np.asarray(samples) * 1e3, [25, 50, 75])
-    return {"median_ms": median, "q1_ms": q1, "q3_ms": q3, "samples": len(samples)}
+    q1, median, q3 = map(float, np.percentile(samples, [25, 50, 75]))
+    return {"median": median, "q1": q1, "q3": q3, "samples": len(samples)}
+
+
+def ab_line(label: str, row: dict, digits: str) -> str:
+    return (f"{label:<38s} " + "  ".join(f"{side} {row[side]['median']:{digits}} [{row[side]['q1']:{digits}}, "
+                                         f"{row[side]['q3']:{digits}}]" for side in ("parent", "change"))
+            + f" {row['unit']}  change won {row['change_wins']}/{row['pairs']} (p {row['sign_test_p']:.3g})")
 
 
 def machine() -> dict:
@@ -302,7 +294,7 @@ def machine() -> dict:
     return {"platform": platform.platform(), "machine": platform.machine(), "cpu": cpu}
 
 
-def header(repeats: int) -> dict:
+def header(repeats: int, size: str) -> dict:
     return {
         "machine": machine(),
         "nproc": os.cpu_count(),
@@ -310,27 +302,33 @@ def header(repeats: int) -> dict:
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "paprbound": paprbound.__version__},
         "setup": {"codewords": CODEWORDS, "n_subsets": N_SUBSETS, "qam_order": QAM_ORDER,
-                  "repeats": repeats, "seed": SEED, "stochastic_chain": CHAIN},
+                  "repeats": repeats, "seed": SEED, "stochastic_chain": CHAIN, "workload_size": size},
     }
 
 
-def report(parent_src=ROOT / "src", k_values=K_VALUES, repeats: int = REPEATS) -> dict:
+def report(parent_src=ROOT / "src", k_values=K_VALUES, repeats: int = REPEATS, size: str = "full") -> dict:
     """A/B of this checkout against the tree at ``parent_src`` (by
-    default itself): print one line per layer and return the JSON
-    document."""
-    parent = load_tree(parent_src)
+    default itself): print one line per layer, end-to-end metric and
+    workload, and return the JSON document."""
+    pkg = Path(parent_src) / "paprbound"  # its modules import each other relatively
+    parent = exec_file("paprbound_parent", pkg / "__init__.py", submodule_search_locations=[str(pkg)])
     layers = {}
     for k in k_values:
         layers[str(k)] = ab_layers(parent, k, repeats)
         for name, row in layers[str(k)].items():
-            outputs = ("outputs byte-equal" if row["outputs_byte_equal"]
-                       else f"max rel diff {row['max_rel_diff']:.2e}")
-            print(f"K={k:<4d} {name:<24s} "
-                  + "  ".join(f"{side} {row[side]['median_ms']:.3f} [{row[side]['q1_ms']:.3f}, "
-                              f"{row[side]['q3_ms']:.3f}]" for side in ("parent", "change"))
-                  + f" ms  change won {row['change_wins']}/{row['pairs']} (p {row['sign_test_p']:.3g})  {outputs}")
-    return {**header(repeats), "ab": {"columns": ["parent", "change"], "parent_version": parent.__version__},
-            "layers": layers}
+            outputs = "outputs byte-equal" if row["outputs_byte_equal"] else f"max rel diff {row['max_rel_diff']:.2e}"
+            print(ab_line(f"K={k:<4d} {name}", row, ".3f") + f"  {outputs}")
+    end_to_end = ab_workloads(parent, size, repeats)
+    for name, workload in end_to_end.items():
+        for metric, row in workload["metrics"].items():
+            verdict = "BEYOND" if row["beyond_bound"] else "within"
+            print(ab_line(f"{name} {metric}", row, ".4g") + f"  worse by {row['worse_by']:+.1%}: {verdict} "
+                  f"its bound {row['bound']:.0%}")
+        failed = "; ".join(f"{side} {', '.join(names) or 'none'}" for side, names in workload["failed_checks"].items())
+        differing = ", ".join(workload["differing_outputs"]) or "none"
+        print(f"{name} outputs differing: {differing}; failed checks: {failed}")
+    return {**header(repeats, size), "ab": {"columns": ["parent", "change"], "parent_version": parent.__version__},
+            "layers": layers, "end_to_end": end_to_end}
 
 
 def main(argv=None) -> int:

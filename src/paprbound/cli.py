@@ -415,9 +415,6 @@ def cmd_verify(args) -> int:
         l1sq = np.abs(sample).sum(axis=1) ** 2
         report("envelope norm sandwich", bool(np.all(peaks >= l2 - 1e-9) and np.all(peaks <= l1sq + 1e-9)
                and np.all(l1sq <= codebook.k_carriers * l2 + 1e-9)))
-        if state is not None:
-            w, c = state.matrices[0], sample[0]
-            report("receiver roundtrip", np.abs(w.conj().T @ (w @ c) - c).max() <= 1e-10)
 
     for manifest in sorted(out_dir.glob("*.manifest.json")):
         for name, ok in verify_manifest(manifest):

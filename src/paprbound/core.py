@@ -87,6 +87,8 @@ class QamConstellation:
         if not scale > 0:
             raise ValueError("scale must be positive")
         side = math.isqrt(self.order)
+        if not math.isfinite(float(scale) * (side - 1)):  # Python floats: overflow is inf, not a warning
+            raise ValueError(f"scale {scale!r} puts the outer level scale * (side - 1) out of float range")
         axis_bits = side.bit_length() - 1
         levels = scale * (2.0 * np.arange(side) - side + 1)  # ascending odd multiples
         pos = _inverse_gray(side)

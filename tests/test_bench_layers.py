@@ -1,4 +1,5 @@
-"""The per-layer bench, ``bench/layers.py``: K=16 smoke runs, self and A/B, and its sign test."""
+"""The A/B bench, ``bench/layers.py``: K=16 layers and perfbench's smoke
+workloads, self and A/B, its sign test and its win and bound rule."""
 
 import json
 import os
@@ -14,68 +15,131 @@ ROOT = Path(__file__).resolve().parent.parent
 
 LAYERS = {
     "build_basis", "step_stochastic", "step_batch_symmetric", "step_batch_gram_schmidt",
-    "r_statistic", "codebook_pmeprs_j16", "ber_sweep_block", "ber_sweep_block_identity", "pipeline_cli",
-    "batch_gs_workload", "link_workload",
+    "r_statistic", "codebook_pmeprs_j16", "ber_sweep_block", "ber_sweep_block_identity",
 }
+WORKLOADS = {"pipeline-k64", "batch-gs-k128", "link-k128"}
+METRICS = {"wall_s", "pmepr_codewords_per_s", "ber_bits_per_s"}  # BENCHMARK.json's per-pass metrics
 
 # A fresh interpreter, so that the bench pins BLAS to one thread before
 # numpy is imported; the report goes to stderr after the bench's lines.
-# The optional third argument is the tree to compare against.
+# The second argument holds the keyword arguments of ``report``.
 SMOKE = (
     "import json, sys; sys.path.insert(0, sys.argv[1]); import layers; "
-    "kw = {'parent_src': sys.argv[2]} if len(sys.argv) > 2 else {}; "
-    "print(json.dumps(layers.report(k_values=(16,), repeats=2, **kw)), file=sys.stderr)"
+    "doc = layers.report(repeats=2, size='smoke', **json.loads(sys.argv[2])); "
+    "assert sys.modules['paprbound'] is layers.paprbound, 'paprbound left bound to another tree'; "
+    "print(json.dumps(doc), file=sys.stderr)"
 )
 
 
-def run_smoke(*parent_src) -> tuple[dict, list[str]]:
+def run_smoke(parent_src=None, k_values=(16,)) -> tuple[dict, list[str]]:
+    kwargs = {"k_values": list(k_values), **({} if parent_src is None else {"parent_src": str(parent_src)})}
     done = subprocess.run(
-        [sys.executable, "-c", SMOKE, str(ROOT / "bench"), *map(str, parent_src)],
+        [sys.executable, "-c", SMOKE, str(ROOT / "bench"), json.dumps(kwargs)],
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stderr), done.stdout.splitlines()
 
 
+def copy_tree(tmp_path, module=None, old=None, new=None) -> Path:
+    """A copy of this checkout's package, with one edit to ``module``."""
+    shutil.copytree(ROOT / "src" / "paprbound", tmp_path / "paprbound", ignore=shutil.ignore_patterns("__pycache__"))
+    if module is not None:
+        path = tmp_path / "paprbound" / module
+        source = path.read_text()
+        assert source.count(old) == 1
+        path.write_text(source.replace(old, new))
+    return tmp_path
+
+
+def assert_end_to_end_equal(result):
+    # One row per perfbench workload at the smoke size, every pair of
+    # outputs byte-equal and no check failed on either tree.
+    bounds = {m["name"]: m["bound"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    assert set(result["end_to_end"]) == WORKLOADS
+    for workload in result["end_to_end"].values():
+        assert workload["size"] == "smoke" and set(workload["metrics"]) == METRICS
+        assert workload["outputs_byte_equal"] and workload["differing_outputs"] == []
+        assert workload["failed_checks"] == {"change": [], "parent": []}
+        for name, row in workload["metrics"].items():
+            for side in ("parent", "change"):
+                assert row[side]["samples"] == 2 and 0 < row[side]["q1"] <= row[side]["median"] <= row[side]["q3"]
+            assert row["pairs"] == 2 and 0 <= row["change_wins"] <= 2 and 0 <= row["sign_test_p"] <= 1
+            assert row["bound"] == bounds[name] and row["beyond_bound"] == (row["worse_by"] > bounds[name])
+
+
 def test_layer_bench_smoke():
-    # The default run: a self-A/B of this checkout, one line per layer.
+    # The default run: a self-A/B of this checkout, one line per layer,
+    # per end-to-end metric and per workload.
     result, lines = run_smoke()
     assert result["threads"] == 1 and result["nproc"] >= 1
     assert {"python", "numpy", "paprbound"} <= set(result["versions"])
     assert result["setup"]["seed"] == 0 and result["setup"]["repeats"] == 2
+    assert result["setup"]["workload_size"] == "smoke"
     assert result["ab"]["parent_version"] == result["versions"]["paprbound"]
     assert set(result["layers"]) == {"16"}
     assert set(result["layers"]["16"]) == LAYERS
-    assert len(lines) == len(LAYERS)
+    assert_end_to_end_equal(result)
+    assert len(lines) == len(LAYERS) + len(WORKLOADS) * (len(METRICS) + 1)
 
 
 def test_layer_bench_ab_structure(tmp_path):
     # This checkout against a second copy of its own source tree: both
-    # columns per layer, and every pair of outputs byte-equal.
-    shutil.copytree(ROOT / "src" / "paprbound", tmp_path / "paprbound",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    result, lines = run_smoke(tmp_path)
+    # columns per layer and per workload, and every pair of outputs
+    # byte-equal.
+    result, lines = run_smoke(copy_tree(tmp_path))
     assert result["ab"]["columns"] == ["parent", "change"]
     assert set(result["layers"]) == {"16"}
     rows = result["layers"]["16"]
     assert set(rows) == LAYERS
     for row in rows.values():
+        assert row["unit"] == "ms"
         for side in ("parent", "change"):
             assert row[side]["samples"] == 2
-            assert 0 < row[side]["q1_ms"] <= row[side]["median_ms"] <= row[side]["q3_ms"]
+            assert 0 < row[side]["q1"] <= row[side]["median"] <= row[side]["q3"]
         assert row["pairs"] == 2 and 0 <= row["change_wins"] <= 2
         assert 0 <= row["sign_test_p"] <= 1
         assert row["outputs_byte_equal"] and row["max_rel_diff"] == 0.0
-    assert len(lines) == len(LAYERS) and all("outputs byte-equal" in line for line in lines)
+    assert_end_to_end_equal(result)
+    assert sum("outputs byte-equal" in line for line in lines) == len(LAYERS)
+    assert sum("outputs differing: none; failed checks: change none; parent none" in line
+               for line in lines) == len(WORKLOADS)
 
 
-def test_sign_test_p(monkeypatch):
+def test_workload_outputs_compare_across_trees(tmp_path):
+    # Another stochastic draw stream changes the pipeline's unitaries and so
+    # its artifacts, but no batch or link output; each tree's outputs still
+    # pass their checks.
+    parent = copy_tree(tmp_path, "optimizer.py", "[int(p) % (1 << 63)", "[(int(p) + 1) % (1 << 63)")
+    rows = run_smoke(parent, k_values=())[0]["end_to_end"]
+    assert not rows["pipeline-k64"]["outputs_byte_equal"] and "digest" in rows["pipeline-k64"]["differing_outputs"]
+    assert rows["batch-gs-k128"]["outputs_byte_equal"] and rows["link-k128"]["outputs_byte_equal"]
+    assert all(row["failed_checks"] == {"change": [], "parent": []} for row in rows.values())
+
+
+def test_workload_checks_name_a_wrong_tree(tmp_path):
+    # PMEPRs off by 1e-9 relative fail perfbench's oracle check (1e-12) on
+    # that tree alone, in every workload that samples them.
+    parent = copy_tree(tmp_path, "waveform.py", "for block in transformed_subsets(book, unitaries)])",
+                       "for block in transformed_subsets(book, unitaries)]) * (1 + 1e-9)")
+    rows = run_smoke(parent, k_values=())[0]["end_to_end"]
+    for row in rows.values():
+        assert "pmepr sample matches oracle" in row["failed_checks"]["parent"]
+        assert row["failed_checks"]["change"] == []
+
+
+@pytest.fixture
+def layers(monkeypatch):
     # Importing the bench pins the BLAS thread variables; a copy of the
     # environment keeps them out of this process's later subprocesses.
     monkeypatch.setattr(os, "environ", dict(os.environ))
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import layers
 
+    return layers
+
+
+def test_sign_test_p(layers):
     assert layers.sign_test_p(12, 3) == pytest.approx(0.0352, abs=1e-4)
     assert layers.sign_test_p(3, 12) == layers.sign_test_p(12, 3)
     assert layers.sign_test_p(11, 4) == pytest.approx(0.1185, abs=1e-4)
@@ -83,14 +147,21 @@ def test_sign_test_p(monkeypatch):
     assert layers.sign_test_p(0, 0) == layers.sign_test_p(7, 7) == 1.0
 
 
-def test_compare_reports_every_differing_array(monkeypatch):
+def test_ab_row_counts_in_the_better_direction(layers):
+    # A pair is won by the lower value of a time and by the higher value of
+    # a rate; worse_by is the change's median's loss relative to the parent's.
+    slower = layers.ab_row([2.0, 3.0, 1.0], [1.0, 2.0, 1.0], "lower")
+    assert (slower["change_wins"], slower["pairs"], slower["worse_by"]) == (0, 3, 1.0)
+    assert slower["sign_test_p"] == layers.sign_test_p(0, 2) == 0.5
+    lower_rate = layers.ab_row([1.0, 1.0], [4.0, 4.0], "higher")
+    assert (lower_rate["change_wins"], lower_rate["worse_by"]) == (0, 0.75)
+    assert layers.ab_row([4.0, 4.0], [1.0, 1.0], "higher")["change_wins"] == 2
+
+
+def test_compare_reports_every_differing_array(layers):
     # Byte-equal outputs give (True, 0.0), NaN included; a numeric array
     # gives its relative difference; a differing digest (a non-numeric
     # array) or structure gives inf, never a difference of 0.
-    monkeypatch.setattr(os, "environ", dict(os.environ))
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    import layers
-
     numbers = np.array([1.0, np.nan, -4.0])
     digests = np.array([bytes(32), b"\x01" * 32])
     assert layers.compare([numbers, digests], [numbers.copy(), digests.copy()]) == (True, 0.0)
@@ -99,16 +170,3 @@ def test_compare_reports_every_differing_array(monkeypatch):
     assert layers.compare([numbers, other], [numbers, digests]) == (False, float("inf"))
     assert layers.compare([numbers], [numbers, digests]) == (False, float("inf"))
     assert layers.compare([numbers[:2]], [numbers]) == (False, float("inf"))
-
-
-def test_pipeline_entry_hashes_every_artifact(monkeypatch):
-    # The printed lines (temporary paths masked) and the 12 files the six
-    # commands write: 7 artifacts and 5 manifests, the same on every sample.
-    monkeypatch.setattr(os, "environ", dict(os.environ))
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    import layers
-
-    pipeline = layers.layer_calls(layers.paprbound, 16)["pipeline_cli"]
-    first = pipeline()
-    assert first.shape == (13,) and len(set(first.tolist())) == 13
-    assert first.tobytes() == pipeline().tobytes()

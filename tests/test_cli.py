@@ -523,9 +523,9 @@ def test_extreme_backoff_runs_clean(tmp_path, backoff_db):
 
 @pytest.mark.parametrize("qam_scale", [1e-30, 1e10, 1e30])
 def test_verify_is_scale_free(tmp_path, capsys, qam_scale):
-    # The envelope sandwich and the receiver round trip are homogeneous in
-    # the symbol scale; verify checks them at unit power, so their absolute
-    # tolerances hold at any scale a config allows.
+    # The envelope sandwich is homogeneous in the symbol scale; verify
+    # checks it at unit power, so its absolute tolerances hold at any scale
+    # a config allows.
     cfg_path = small_config(tmp_path, qam_scale=qam_scale, max_iters=5)
     out = tmp_path / "run"
     for command in ("gen", "optimize"):
@@ -535,13 +535,29 @@ def test_verify_is_scale_free(tmp_path, capsys, qam_scale):
     assert run_cli("verify", "--config", cfg_path, "--unitaries", out / "unitaries.bin",
                    out / "codebook.bin") == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
-    assert "ok   envelope norm sandwich" in lines and "ok   receiver roundtrip" in lines, lines
+    assert "ok   envelope norm sandwich" in lines, lines
+
+
+def test_verify_passes_every_set_its_loader_accepts(tmp_path, capsys):
+    # A set scaled by 1 + 6e-10 has a unitarity error of about 3.4e-9, within
+    # UNITARITY_TOL = 1e-8: it loads, so verify has no line that refuses it.
+    cfg_path = small_config(tmp_path, max_iters=5)
+    out = tmp_path / "run"
+    assert run_cli("gen", "--config", cfg_path) == EXIT_OK
+    assert run_cli("optimize", "--config", cfg_path, out / "codebook.bin") == EXIT_OK
+    header, payload = (out / "unitaries.bin").read_bytes().split(b"\n", 1)
+    loose = tmp_path / "loose.bin"
+    loose.write_bytes(header + b"\n" + (np.frombuffer(payload, "<c16") * (1 + 6e-10)).tobytes())
+    assert 1e-9 < load_unitaries(loose).unitarity_error() < 1e-8
+    capsys.readouterr()
+    assert run_cli("verify", "--config", cfg_path, "--unitaries", loose, out / "codebook.bin") == EXIT_OK
+    assert not any(line.startswith("FAIL") for line in capsys.readouterr().out.splitlines())
 
 
 def test_verify_checks_a_set_without_a_codebook(tmp_path, capsys):
     # --unitaries alone is loaded, and the loader refuses a set that is not
-    # unitary; only the receiver round trip needs a codebook.  A set scaled
-    # by 3 exits 2 with or without one.
+    # unitary; the envelope sandwich needs a codebook.  A set scaled by 3
+    # exits 2 with or without one.
     cfg_path = small_config(tmp_path, max_iters=5)
     out = tmp_path / "run"
     assert run_cli("gen", "--config", cfg_path) == EXIT_OK
@@ -549,7 +565,7 @@ def test_verify_checks_a_set_without_a_codebook(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("verify", "--config", cfg_path, "--unitaries", out / "unitaries.bin") == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
-    assert not any("roundtrip" in line for line in lines), lines
+    assert lines[0] == "ok   basis build K=8" and not any("sandwich" in line for line in lines), lines
     header, payload = (out / "unitaries.bin").read_bytes().split(b"\n", 1)
     bad = tmp_path / "bad.bin"
     bad.write_bytes(header + b"\n" + (np.frombuffer(payload, "<c16") * 3).tobytes())
@@ -559,8 +575,8 @@ def test_verify_checks_a_set_without_a_codebook(tmp_path, capsys):
 
 
 def test_verify_prints_only_checks_of_its_artifacts(tmp_path, capsys):
-    # The grid check at the K of the files read, the two checks on the given
-    # codebook and set, then one checksum line per file each manifest lists.
+    # The grid check at the K of the files read, the check on the given
+    # codebook, then one checksum line per file each manifest lists.
     cfg_path = small_config(tmp_path, max_iters=5)
     out = tmp_path / "run"
     assert run_cli("gen", "--config", cfg_path) == EXIT_OK
@@ -571,7 +587,6 @@ def test_verify_prints_only_checks_of_its_artifacts(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "ok   basis build K=8",
         "ok   envelope norm sandwich",
-        "ok   receiver roundtrip",
         "ok   checksum gen.manifest.json:codebook.bin",
         "ok   checksum optimize.manifest.json:optimize_trace.csv",
         "ok   checksum optimize.manifest.json:unitaries.bin",
@@ -725,7 +740,7 @@ def test_verify_subcommand(tmp_path, capsys):
     assert code == EXIT_OK
     text = capsys.readouterr().out
     assert "FAIL" not in text
-    assert "receiver roundtrip" in text
+    assert "ok   envelope norm sandwich" in text
 
     raw = bytearray((out / "codebook.bin").read_bytes())
     raw[200] ^= 0x04

@@ -81,6 +81,16 @@ def test_rejects_scales_that_are_not_positive():
                 make(16, scale)
 
 
+def test_rejects_scales_whose_outer_level_overflows():
+    # 16-QAM's outer level is 3 * scale: inf and 1e308 are refused before
+    # any level is formed (a RuntimeWarning is an error here), 1e307 builds.
+    for scale in (np.inf, 1e308):
+        for make in (QamConstellation, QamConstellation.square):
+            with pytest.raises(ValueError, match="out of float range$"):
+                make(16, scale)
+    assert np.all(np.isfinite(QamConstellation(16, 1e307).points))
+
+
 @pytest.mark.parametrize("order", sorted(QAM_ORDERS))
 def test_constellation_is_derived_from_order_and_scale(order):
     # The constructor takes the order and the scale (None: the default) and
