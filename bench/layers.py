@@ -48,9 +48,16 @@ host drift between processes cancels.  One line is printed per layer,
 per end-to-end metric and per workload (its differing outputs and each
 tree's failed checks); ``--out`` gets both medians and quartiles
 (layers in ms), the pairs this checkout ("change") won, their two-sided
-sign-test p-value and the output comparison, with the machine,
-``nproc``, the BLAS threads (pinned to one before numpy is imported, as
-in ``perfbench/run.py``) and the versions.
+sign-test p-value, the median and quartiles of the per-pair ratio
+change/parent and the output comparison, with the machine, ``nproc``,
+the BLAS threads (pinned to one before numpy is imported, as in
+``perfbench/run.py``) and the versions.
+
+The claim rule.  A row supports a claimed gain (``meets_claim_rule``)
+when the change won at least 90% of its pairs and its median beats the
+parent's by more than the parent's interquartile range.  The sign-test
+p-values are per row and uncorrected for the ~40 rows of a report, so
+one of them below 0.05 on unchanged code is no finding.
 """
 
 import os
@@ -87,6 +94,7 @@ N_SUBSETS = 5
 QAM_ORDER = 16
 CHAIN = 256  # stochastic steps per sample: one block of draws
 BLOCK_CODEWORDS = 256
+CLAIM_WINS = 0.9  # share of pairs a claimed gain must win
 
 
 # Calls per timed sample, for layers whose sample is a chain of calls.
@@ -255,14 +263,20 @@ def ab_workloads(parent, size: str, repeats: int) -> dict:
 def ab_row(change: list[float], parent: list[float], better: str) -> dict:
     """Both sides' medians and quartiles, the pairs the change won in the
     ``better`` direction ("lower" or "higher"), the sign-test p-value of
-    that count, and how much worse the change's median is than the
-    parent's, as a fraction of the parent's."""
+    that count, how much worse the change's median is than the parent's,
+    as a fraction of the parent's, and the per-pair ratios change/parent.
+    ``meets_claim_rule``: the change won at least CLAIM_WINS of the pairs
+    and its median beats the parent's by more than the parent's
+    interquartile range."""
     sign = 1 if better == "lower" else -1
     gains = [sign * (p - c) for c, p in zip(change, parent)]
     wins, losses = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
     row = {"parent": summary(parent), "change": summary(change), "change_wins": wins, "pairs": len(gains),
-           "sign_test_p": sign_test_p(wins, losses)}
-    return {**row, "worse_by": sign * (row["change"]["median"] / row["parent"]["median"] - 1)}
+           "sign_test_p": sign_test_p(wins, losses), "ratio": summary([c / p for c, p in zip(change, parent)])}
+    parent_iqr = row["parent"]["q3"] - row["parent"]["q1"]
+    gain = sign * (row["parent"]["median"] - row["change"]["median"])
+    return {**row, "worse_by": sign * (row["change"]["median"] / row["parent"]["median"] - 1),
+            "meets_claim_rule": wins >= CLAIM_WINS * len(gains) and gain > parent_iqr}
 
 
 def sign_test_p(wins: int, losses: int) -> float:
@@ -279,9 +293,12 @@ def summary(samples: list[float]) -> dict:
 
 
 def ab_line(label: str, row: dict, digits: str) -> str:
+    ratio = row["ratio"]
     return (f"{label:<38s} " + "  ".join(f"{side} {row[side]['median']:{digits}} [{row[side]['q1']:{digits}}, "
                                          f"{row[side]['q3']:{digits}}]" for side in ("parent", "change"))
-            + f" {row['unit']}  change won {row['change_wins']}/{row['pairs']} (p {row['sign_test_p']:.3g})")
+            + f" {row['unit']}  change won {row['change_wins']}/{row['pairs']} (p {row['sign_test_p']:.3g})"
+            + f"  ratio {ratio['median']:.3f} [{ratio['q1']:.3f}, {ratio['q3']:.3f}]"
+            + ("  meets the claim rule" if row["meets_claim_rule"] else ""))
 
 
 def machine() -> dict:

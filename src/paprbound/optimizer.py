@@ -10,16 +10,18 @@ batch step sums the gradient over a whole subset; a stochastic step
 draws one codeword per subset and iteration from a stream keyed by
 (seed, subset, iteration) (``_draw_block``, numpy 2.4's stream replayed
 for 256 iterations at once), so trajectories are reproducible and
-resumable.  ``run`` works at unit mean symbol power and checks the
-unitarity error at every checkpoint, failing closed past
-``UNITARITY_TOL``.
+resumable.  ``run`` works at unit mean symbol power, reuses one
+``_StepPlan`` of step buffers, and checks the unitarity error at every
+checkpoint, failing closed past ``UNITARITY_TOL``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import sys
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,6 +63,7 @@ _PCG_MULT_HI, _PCG_MULT_LO = np.uint64(2549297995355413924), np.uint64(486554059
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _DRAW_BLOCK = 256  # iterations per memoized block of stochastic draws
+_GATHER_BYTES = 1 << 22  # drawn rows and conjugates a run gathers ahead, at most one block
 
 
 def _seed_sequence_state(words: np.ndarray, length: np.ndarray) -> list[np.ndarray]:
@@ -277,7 +280,14 @@ class OptimizerConfig:
         return float(self.epsilon) if self.epsilon is not None else k_carriers ** -1.5
 
 
-def _gradient_rows(rows: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gradient_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_gradient_rows``'s buffers for rows of ``shape`` (..., m, K): the zero-padded
+    rows and the envelope, (..., m, 2K) complex, and the envelope power."""
+    padded = shape[:-1] + (2 * shape[-1],)
+    return np.zeros(padded, dtype=np.complex128), np.empty(padded, dtype=np.complex128), np.empty(padded)
+
+
+def _gradient_rows(rows: np.ndarray, w: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Per-codeword gradient rows V*(|alpha|^2 alpha) + V_hat*(|beta|^2 beta)
     with alpha = V W c, beta = V_hat W c, and the products W c.
 
@@ -285,13 +295,17 @@ def _gradient_rows(rows: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndar
     s of W c.  ``rows`` holds codewords as rows, shape (..., m, K), and
     ``w`` the matching transforms, shape (..., K, K).  W c is formed
     here once, into the zero-padded buffer of the inverse FFT, and the
-    returned ``wc`` is a view of it.  Both have the shape of ``rows``.
+    FFTs and powers run in place, in ``out`` (from ``_gradient_buffers``,
+    whose padding stays zero) or in fresh buffers.  Both returned arrays
+    are views of them, with the shape of ``rows``.
     """
     k = rows.shape[-1]
-    padded = np.zeros(rows.shape[:-1] + (2 * k,), dtype=np.complex128)
+    padded, s, power = _gradient_buffers(rows.shape) if out is None else out
     wc = np.matmul(rows, np.swapaxes(w, -1, -2), out=padded[..., :k])
-    s = np.fft.ifft(padded, axis=-1, norm="forward")
-    return np.fft.fft(np.abs(s) ** 2 * s, axis=-1)[..., :k] / k**2, wc
+    np.fft.ifft(padded, axis=-1, norm="forward", out=s)
+    np.square(np.abs(s, out=power), out=power)
+    np.fft.fft(np.multiply(power, s, out=s), axis=-1, out=s)
+    return np.divide(s[..., :k], k**2, out=s[..., :k]), wc
 
 
 def project_gram_schmidt(w: np.ndarray) -> np.ndarray:
@@ -314,21 +328,22 @@ def project_gram_schmidt(w: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(q * (diag / np.abs(diag))[..., np.newaxis, :], -1, -2))
 
 
-def _require_nonsingular(lam: np.ndarray) -> None:
-    if not lam.min() > 1e-12:
+def _require_nonsingular(lam_min: float) -> None:
+    if not lam_min > 1e-12:
         raise RankDeficientUpdate(
-            f"updated matrix is near singular (min eigenvalue {lam.min():.3e}); "
+            f"updated matrix is near singular (min eigenvalue {lam_min:.3e}); "
             "reduce the step size epsilon"
         )
 
 
 def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: float, out: np.ndarray,
-                  wc: np.ndarray):
+                  wc: np.ndarray, rows_conj: np.ndarray | None = None):
     """Symmetric decorrelation of W - epsilon G C* for a stack of subsets.
 
     ``w`` is (N, K, K); ``rows`` and ``grads`` are (N, m, K) codeword
     and gradient rows, so G C* is the unscaled descent direction of the
-    m codewords, and ``wc`` is ``rows @ W^T`` from ``_gradient_rows``.
+    m codewords, ``wc`` is ``rows @ W^T`` from ``_gradient_rows`` and
+    ``rows_conj``, if given, is ``rows.conj()``.
     With H = W* G the update is W A with A = I - epsilon H C*, and its
     polar factor is W U V* for the SVD A = U S V* (N. J. Higham,
     "Computing the polar decomposition -- with applications", SIAM J.
@@ -341,23 +356,25 @@ def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: f
     on W* being the exact inverse of W and lets drift grow until the
     update turns singular.)
 
-    Writes the new stack into ``out`` (same shape as ``w``, not
-    overlapping it) and returns the step norms ||W' - W||_F.
+    Writes the new stack into ``out`` (same shape as ``w``, rows
+    contiguous, not overlapping it) and returns the step norms
+    ||W' - W||_F.
     """
+    rows_conj = rows.conj() if rows_conj is None else rows_conj
     if rows.shape[-2] == 1:
-        return _rank_one_polar(w, rows, grads, epsilon, out, wc)
+        return _rank_one_polar(w, rows, grads, epsilon, out, wc, rows_conj)
     h = np.conj(np.swapaxes(grads.conj() @ w, -1, -2))
-    a = np.eye(w.shape[-1]) - epsilon * (h @ rows.conj())
+    a = np.eye(w.shape[-1]) - epsilon * (h @ rows_conj)
     if not np.isfinite(a).all():  # the SVD would fail on it; the step is far too large
         raise RankDeficientUpdate(f"update overflows at epsilon = {epsilon:.3g}; reduce the step size epsilon")
     u, s, vh = np.linalg.svd(a)
-    _require_nonsingular(s**2)
+    _require_nonsingular((s**2).min())
     np.matmul(w, u @ vh, out=out)
     return np.linalg.norm(out - w, axis=(1, 2))
 
 
 def _rank_one_polar(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: float, out: np.ndarray,
-                    wc: np.ndarray):
+                    wc: np.ndarray, rows_conj: np.ndarray):
     """``_polar_update`` for one codeword c per subset, in closed form.
 
     With h = W* g, q1 = h / ||h||, r12 = q1* c, the residual
@@ -379,85 +396,157 @@ def _rank_one_polar(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon:
     gives a zero step, both without a division by zero.  W [q1, p]
     takes one matrix-vector product: W q1 = W h / ||h||, and
     W p = W c - r12 W q1 reuses ``wc``.  The step norm is ||Z||_F.
+
+    Three stacked products give ||h||^2, h* c and ||p||^2; the 2 x 2
+    algebra and the nonsingular check run per subset on Python scalars
+    (``epsilon`` as a float, whatever type it came as, so that every
+    caller rounds alike).  The step W [q1, p] Z' [q1, p]* is one real
+    product: the complex (K, 2) [W q1, W p] read as real (K, 4), times
+    the real (4, 2K) reading of the rows x and i x of each row x of
+    Z' [q1, p]*, is the complex (K, K) step read as real (K, 2K).
     """
-    # Per subset, shapes (N, 1, K) for rows, (N, K, 1) for columns and
-    # (N, 1, 1) for scalars; inner products are stacked matmuls.
+    epsilon = float(epsilon)
+    n, k = w.shape[0], w.shape[-1]
     h_adj = grads.conj() @ w  # h* = g* W
-    h_norm = np.sqrt((h_adj @ np.conj(np.swapaxes(h_adj, -1, -2))).real)
-    inv_norm = np.divide(1.0, h_norm, out=np.zeros_like(h_norm), where=h_norm > 0)
-    q1_adj = h_adj * inv_norm
-    r12 = q1_adj @ np.swapaxes(rows, -1, -2)
-    p_adj = rows.conj() - r12.conj() * q1_adj
-    r22_sq = (p_adj @ np.conj(np.swapaxes(p_adj, -1, -2))).real
-    eps_h = epsilon * h_norm
-    alpha = 1 - eps_h * r12.conj()
-    mod = np.abs(alpha)
-    beta = eps_h * np.sqrt(r22_sq)  # |beta|
-    d = np.hypot(1 + mod, beta)
-    _require_nonsingular((2 * mod / (d + np.hypot(1 - mod, beta))) ** 2)
-    phi = alpha / mod
-    e = eps_h / d
-    z11 = (1 + mod) * phi / d - 1
-    z22 = -e * e * d / (1 + mod + d)  # ((1 + |alpha|) / d - 1) / r22^2
-    wq1 = w @ np.conj(np.swapaxes(h_adj, -1, -2)) * inv_norm
-    wp = np.swapaxes(wc, -1, -2) - r12 * wq1
-    step = np.concatenate([z11 * wq1 + e * phi * wp, z22 * wp - e * wq1], axis=-1)  # W [q1, p] Z'
-    np.matmul(step, np.concatenate([q1_adj, p_adj], axis=-2), out=out)
+    h_sq, h_c = _row_products(h_adj.view(np.float64)), _row_products(h_adj, rows)  # ||h||^2, h* c
+    inv_norm = [1.0 / math.sqrt(s) if s > 0 else 0.0 for s in h_sq]
+    r12 = [hc * inv for hc, inv in zip(h_c, inv_norm)]
+    inv, r12_conj, r12 = np.array([inv_norm, [r.conjugate() for r in r12], r12]).reshape(3, n, 1, 1)
+    basis, cols = np.empty((n, 2, k), dtype=np.complex128), np.empty((n, k, 2), dtype=np.complex128)
+    q1_adj, p_adj, wq1, wp = basis[:, :1], basis[:, 1:], cols[..., :1], cols[..., 1:]
+    np.multiply(h_adj, inv, out=q1_adj)
+    np.subtract(rows_conj, np.multiply(r12_conj, q1_adj, out=p_adj), out=p_adj)  # p* = c* - conj(r12) q1*
+    r22_sq = _row_products(p_adj.view(np.float64))
+    np.multiply(w @ np.conj(np.swapaxes(h_adj, -1, -2)), inv, out=wq1)
+    np.subtract(np.swapaxes(wc, -1, -2), np.multiply(r12, wq1, out=wp), out=wp)  # W p = W c - r12 W q1
+    z, norms = [], []
+    for hs, hc, rsq in zip(h_sq, h_c, r22_sq):
+        eps_h = epsilon * math.sqrt(hs)
+        alpha = 1 - epsilon * hc.conjugate()
+        mod = math.hypot(alpha.real, alpha.imag)
+        beta = eps_h * math.sqrt(rsq)  # |beta|
+        d = math.hypot(1 + mod, beta)
+        lam = 2 * mod / (d + math.hypot(1 - mod, beta))
+        _require_nonsingular(lam * lam)
+        phi = alpha / mod
+        e = eps_h / d
+        z11 = (1 + mod) * phi / d - 1
+        z22 = -e * e * d / (1 + mod + d)  # ((1 + |alpha|) / d - 1) / r22^2
+        z += (z11, -e, 1j * z11, -1j * e, e * phi, z22, 1j * e * phi, 1j * z22)  # rows of Z', each then times i
+        norms.append(math.sqrt(z11.real * z11.real + z11.imag * z11.imag + rsq * (2 * e * e + rsq * z22 * z22)))
+    rotated = np.array(z).reshape(n, 4, 2) @ basis
+    np.matmul(cols.view(np.float64), rotated.view(np.float64), out=out.view(np.float64))
     out += w
-    return np.sqrt(z11.real**2 + z11.imag**2 + r22_sq * (2 * e * e + r22_sq * z22 * z22)).ravel()
+    return np.array(norms)
+
+
+def _row_products(a: np.ndarray, b: np.ndarray | None = None) -> list:
+    """x y^T of each row x of an (N, 1, L) stack ``a`` and the matching row
+    y of ``b`` (default ``a``), as Python scalars."""
+    return (a @ np.swapaxes(a if b is None else b, -1, -2)).ravel().tolist()
 
 
 def _gram_schmidt_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: float, out: np.ndarray,
-                         wc: np.ndarray):
+                         wc: np.ndarray, rows_conj: np.ndarray | None = None):
     """``_polar_update`` with row-wise Gram-Schmidt: project_gram_schmidt(W - epsilon G C*).
 
     ``wc`` is part of the shared ``_PROJECTORS`` signature and unused here.
     """
-    out[...] = project_gram_schmidt(w - epsilon * (np.swapaxes(grads, -1, -2) @ rows.conj()))
+    rows_conj = rows.conj() if rows_conj is None else rows_conj
+    out[...] = project_gram_schmidt(w - epsilon * (np.swapaxes(grads, -1, -2) @ rows_conj))
     return np.linalg.norm(out - w, axis=(1, 2))
 
 
-# The stacked update of each projection: (w, rows, grads, epsilon, out, wc) -> step norms.
+# The stacked update of each projection: (w, rows, grads, epsilon, out, wc[, rows_conj]) -> step norms.
 _PROJECTORS = {
     "symmetric_decorrelation": _polar_update,
     "gram_schmidt": _gram_schmidt_update,
 }
 
 
-def _descend(state: UnitarySet, chunks, codebook: Codebook, config: OptimizerConfig):
+class _StepPlan:
+    """What one ``run`` reuses from step to step, for its unit-power
+    codebook and config: two (N, K, K) W stacks that take turns as old
+    and new, and for stochastic steps the (N, 1, 2K) gradient buffers and
+    the rows drawn for the next iterations of the current draw block, up
+    to ``_GATHER_BYTES`` with their conjugates.  A stack is written only
+    while no ``UnitarySet`` it was handed out in is alive (a weak
+    reference tells; if both are, a step gets a fresh stack), so no step
+    writes the state it reads or one handed out before.
+    """
+
+    def __init__(self, codebook: Codebook, config: OptimizerConfig):
+        n, k = codebook.n_subsets, codebook.k_carriers
+        self.codebook, self.seed, self.gradient = codebook, config.seed, _gradient_buffers((n, 1, k))
+        self._stacks = [np.empty((n, k, k), dtype=np.complex128) for _ in range(2)]
+        self._holders = [lambda: None] * 2  # weak references to the states in the stacks
+        # Rows of the next iterations, at most _GATHER_BYTES with their conjugates: (first iteration, rows, conj).
+        self._span = max(1, min(_DRAW_BLOCK, _GATHER_BYTES // (32 * n * k)))
+        self._gathered = 0, np.empty((0, n, 1, k), dtype=np.complex128), None
+
+    def new_state(self, iteration: int) -> UnitarySet:
+        """A state to write a step into, in a stack no live state holds."""
+        for i, holder in enumerate(self._holders):
+            if holder() is None:
+                state = UnitarySet(matrices=self._stacks[i], iteration=iteration)
+                self._holders[i] = weakref.ref(state)
+                return state
+        return UnitarySet(matrices=np.empty_like(self._stacks[0]), iteration=iteration)
+
+    def drawn_rows(self, iteration: int) -> tuple[np.ndarray, np.ndarray]:
+        first, rows, rows_conj = self._gathered
+        if not 0 <= iteration - first < len(rows):
+            block, row = divmod(iteration, _DRAW_BLOCK)
+            rows = _drawn_rows(self.codebook, self.seed, block, slice(row, row + self._span))
+            first, rows_conj = iteration, rows.conj()
+            self._gathered = first, rows, rows_conj
+        return rows[iteration - first], rows_conj[iteration - first]
+
+
+def _descend(state: UnitarySet, chunks, codebook: Codebook, config: OptimizerConfig, plan: _StepPlan | None):
     """Move each subset's W against the gradient of its codeword rows.
 
-    ``chunks`` yields (subset slice, (n, m, K) rows) pairs, one per
-    stack of n subsets of m rows each.  Each pair reads a view of the
-    old stack and writes into a view of the new one.  The step size is
-    the config's epsilon taken at unit mean symbol power (``OptimizerConfig``).
-    Returns the new state and the per-subset step norms ||W(l+1) - W(l)||_F.
+    ``chunks`` yields (subset slice, (n, m, K) rows, their conjugates,
+    gradient buffers) tuples, the last two None to make them here, one
+    per stack of n subsets of m rows each.  Each reads a view of the old
+    stack and writes into a view of the new one (the plan's, if given).
+    The step size is the config's epsilon taken at unit mean symbol power
+    (``OptimizerConfig``).  Returns the new state and the per-subset step
+    norms ||W(l+1) - W(l)||_F.
     """
     epsilon = config.resolved_epsilon(codebook.k_carriers) / scale_ratio(codebook) ** 4
-    new = np.empty_like(state.matrices)
+    iteration = state.iteration + 1
+    new = UnitarySet(np.empty_like(state.matrices), iteration) if plan is None else plan.new_state(iteration)
     norms = np.empty(state.n_subsets)
-    for chunk, rows in chunks:
+    for chunk, rows, rows_conj, buffers in chunks:
         w = state.matrices[chunk]
-        grads, wc = _gradient_rows(rows, w)
-        norms[chunk] = _PROJECTORS[config.projection](w, rows, grads, epsilon, new[chunk], wc)
-    return UnitarySet(matrices=new, iteration=state.iteration + 1), norms
+        grads, wc = _gradient_rows(rows, w, buffers)
+        norms[chunk] = _PROJECTORS[config.projection](w, rows, grads, epsilon, new.matrices[chunk], wc, rows_conj)
+    return new, norms
 
 
-def step_batch(state: UnitarySet, codebook: Codebook,
-               config: OptimizerConfig) -> tuple[UnitarySet, np.ndarray]:
+def step_batch(state: UnitarySet, codebook: Codebook, config: OptimizerConfig,
+               plan: _StepPlan | None = None) -> tuple[UnitarySet, np.ndarray]:
     """One full-subset gradient step for every subset.
 
     Each subset moves on its own: one gradient and one update per
     subset, on a view of its codebook rows.  Returns the new state and
     the per-subset step norms ||W(l+1) - W(l)||_F used by the stopping
-    rule.
+    rule.  ``run`` passes its ``_StepPlan``.
     """
-    chunks = ((slice(n, n + 1), block[np.newaxis]) for n, block in enumerate(codebook.subsets()))
-    return _descend(state, chunks, codebook, config)
+    chunks = ((slice(n, n + 1), block[np.newaxis], None, None) for n, block in enumerate(codebook.subsets()))
+    return _descend(state, chunks, codebook, config, plan)
 
 
-def step_stochastic(state: UnitarySet, codebook: Codebook,
-                    config: OptimizerConfig) -> tuple[UnitarySet, np.ndarray]:
+def _drawn_rows(codebook: Codebook, seed: int, block: int, row=slice(None)) -> np.ndarray:
+    """The rows that stochastic steps draw in draw block ``block``, one per
+    subset: (N, 1, K) at one ``row``, (rows, N, 1, K) for a slice of them."""
+    picks = _draw_block(seed, codebook.subset_sizes, block)[row]
+    return codebook.symbols[codebook.subset_starts[:-1] + picks][..., np.newaxis, :]
+
+
+def step_stochastic(state: UnitarySet, codebook: Codebook, config: OptimizerConfig,
+                    plan: _StepPlan | None = None) -> tuple[UnitarySet, np.ndarray]:
     """One single-codeword gradient step per subset.
 
     Each subset draws one codeword uniformly from its own stream,
@@ -465,12 +554,15 @@ def step_stochastic(state: UnitarySet, codebook: Codebook,
     therefore reproduces the trajectory exactly.  The draws come from
     ``_draw_block``, 256 iterations at a time.  All subsets move
     together, as one stack: one 2K-point FFT pair for the gradients and
-    one update (the rank-one polar form, or a stacked QR).
+    one update (the rank-one polar form, or a stacked QR).  ``run``
+    passes its ``_StepPlan``, which holds the block's rows and buffers.
     """
-    block, row = divmod(state.iteration, _DRAW_BLOCK)
-    picks = _draw_block(config.seed, codebook.subset_sizes, block)[row]
-    rows = codebook.symbols[codebook.subset_starts[:-1] + picks][:, np.newaxis, :]
-    return _descend(state, [(slice(None), rows)], codebook, config)
+    if plan is None:
+        rows = _drawn_rows(codebook, config.seed, *divmod(state.iteration, _DRAW_BLOCK))
+        chunk = slice(None), rows, None, None
+    else:
+        chunk = slice(None), *plan.drawn_rows(state.iteration), plan.gradient
+    return _descend(state, [chunk], codebook, config, plan)
 
 
 @dataclass(frozen=True)
@@ -508,6 +600,7 @@ def run(
         state = initial
     step = step_batch if config.mode == "batch" else step_stochastic
     e, book = unit_power(codebook)
+    plan = _StepPlan(book, config)
     started = time.perf_counter()
     trace = []
 
@@ -529,7 +622,7 @@ def run(
     with np.errstate(over="ignore", invalid="ignore"):
         checkpoint(0.0)
         for _ in range(config.max_iters):
-            state, norms = step(state, book, config)
+            state, norms = step(state, book, config, plan)
             if state.iteration % config.checkpoint_every == 0:
                 checkpoint(float(norms.max()))
             if norms.max() <= config.stop_tol:

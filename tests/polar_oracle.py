@@ -44,7 +44,7 @@ def project_symmetric(w: np.ndarray) -> np.ndarray:
     """
     h = w @ np.conj(np.swapaxes(w, -1, -2))
     lam, f = np.linalg.eigh(h)
-    _require_nonsingular(lam)
+    _require_nonsingular(lam.min())
     return (f * lam[..., np.newaxis, :] ** -0.5) @ np.conj(np.swapaxes(f, -1, -2)) @ w
 
 

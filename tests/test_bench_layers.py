@@ -66,6 +66,7 @@ def assert_end_to_end_equal(result):
                 assert row[side]["samples"] == 2 and 0 < row[side]["q1"] <= row[side]["median"] <= row[side]["q3"]
             assert row["pairs"] == 2 and 0 <= row["change_wins"] <= 2 and 0 <= row["sign_test_p"] <= 1
             assert row["bound"] == bounds[name] and row["beyond_bound"] == (row["worse_by"] > bounds[name])
+            assert row["ratio"]["samples"] == 2 and isinstance(row["meets_claim_rule"], bool)
 
 
 def test_layer_bench_smoke():
@@ -99,6 +100,7 @@ def test_layer_bench_ab_structure(tmp_path):
             assert 0 < row[side]["q1"] <= row[side]["median"] <= row[side]["q3"]
         assert row["pairs"] == 2 and 0 <= row["change_wins"] <= 2
         assert 0 <= row["sign_test_p"] <= 1
+        assert row["ratio"]["samples"] == 2 and isinstance(row["meets_claim_rule"], bool)
         assert row["outputs_byte_equal"] and row["max_rel_diff"] == 0.0
     assert_end_to_end_equal(result)
     assert sum("outputs byte-equal" in line for line in lines) == len(LAYERS)
@@ -170,3 +172,28 @@ def test_compare_reports_every_differing_array(layers):
     assert layers.compare([numbers, other], [numbers, digests]) == (False, float("inf"))
     assert layers.compare([numbers], [numbers, digests]) == (False, float("inf"))
     assert layers.compare([numbers[:2]], [numbers]) == (False, float("inf"))
+
+
+def test_claim_rule_on_fixed_samples(layers):
+    # A claimed gain must win at least 90% of the pairs and move the median
+    # by more than the parent's interquartile range, in the metric's
+    # better direction; every row carries the per-pair ratio change/parent.
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+    faster = [0.90, 0.91, 0.89, 0.92, 0.88, 0.93, 0.87, 0.90, 0.91, 0.89]
+    row = layers.ab_row(faster, parent, "lower")
+    assert row["change_wins"] == 10 and row["meets_claim_rule"]
+    assert row["ratio"]["median"] == pytest.approx(0.9, abs=0.005)
+    assert row["ratio"]["q1"] <= row["ratio"]["median"] <= row["ratio"]["q3"] < 1
+    # 9 of 10 pairs won still meets it; 8 of 10 does not.
+    assert layers.ab_row(faster[:9] + [1.2], parent, "lower")["meets_claim_rule"]
+    assert not layers.ab_row(faster[:8] + [1.2, 1.2], parent, "lower")["meets_claim_rule"]
+    # Every pair won, but by less than the parent's spread (IQR 0.02).
+    slightly = [p - 0.005 for p in parent]
+    assert layers.ab_row(slightly, parent, "lower")["change_wins"] == 10
+    assert not layers.ab_row(slightly, parent, "lower")["meets_claim_rule"]
+    # Rates gain upward: the same samples are a claimed loss, not a gain.
+    assert not layers.ab_row(faster, parent, "higher")["meets_claim_rule"]
+    assert layers.ab_row(parent, faster, "higher")["meets_claim_rule"]
+    # Equal samples: ratio 1, no claim.
+    same = layers.ab_row(parent, parent, "lower")
+    assert same["ratio"]["median"] == 1.0 and not same["meets_claim_rule"]

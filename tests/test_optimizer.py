@@ -23,6 +23,7 @@ from paprbound.optimizer import (
     _gradient_rows,
     _polar_update,
     _seed_key,
+    _StepPlan,
     load_unitaries,
     project_gram_schmidt,
     random_unitary,
@@ -683,6 +684,80 @@ def test_steps_leave_their_input_alone(mode, projection, sizes):
     assert (state.matrices.tobytes(), book.symbols.tobytes()) == before and state.iteration == 0
     assert new.iteration == 1 and not np.shares_memory(new.matrices, state.matrices)
     assert new.matrices.flags.writeable
+
+
+@pytest.mark.parametrize("mode, projection, sizes", STEP_CASES)
+def test_returned_states_keep_their_bytes(mode, projection, sizes):
+    # A chain of steps with and without ``run``'s plan: each returned
+    # state keeps its bytes through every later step, the plan's steps
+    # give the plan-less bits, and neither chain writes its start.  A plan
+    # reuses its two W stacks only while no state handed out in them is
+    # alive, so a held state is never written over.
+    const = QamConstellation.square(16)
+    rng = np.random.default_rng(33)
+    book = Codebook(symbols=const.points[rng.integers(0, 16, (sum(sizes), 8))], subset_sizes=sizes)
+    start = UnitarySet.random(book.n_subsets, 8, rng)
+    start.matrices.flags.writeable = False
+    cfg = OptimizerConfig(epsilon=1e-3, mode=mode, projection=projection, seed=4)
+    step = step_batch if mode == "batch" else step_stochastic
+    chains = {}
+    for plan in (None, _StepPlan(book, cfg)):
+        states, state = [], start
+        for _ in range(6):
+            state, _ = step(state, book, cfg, plan)
+            states.append((state, state.matrices.tobytes()))
+        assert all(s.matrices.tobytes() == saved for s, saved in states)
+        chains[plan is None] = [saved for _, saved in states]
+    assert chains[True] == chains[False]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_keeps_its_initial_set_and_its_results(mode):
+    # ``run`` reads ``initial`` and never writes it, and the set it
+    # returns keeps its bytes through later runs, also one resumed from it.
+    book, basis = desk_setup()
+    cfg = OptimizerConfig(epsilon=1e-3, max_iters=7, stop_tol=0.0, mode=mode)
+    initial = UnitarySet.random(book.n_subsets, book.k_carriers, np.random.default_rng(34))
+    before = initial.matrices.tobytes()
+    initial.matrices.flags.writeable = False  # any write into it raises
+    first, _ = run(book, basis, cfg, initial)
+    saved = first.matrices.tobytes()
+    resumed, _ = run(book, basis, cfg, first)
+    again, _ = run(book, basis, cfg, initial)
+    assert initial.matrices.tobytes() == before and first.matrices.tobytes() == saved
+    assert again.matrices.tobytes() == saved and resumed.iteration == 14
+
+
+def test_run_gathers_the_keyed_rows_in_any_span(monkeypatch):
+    # ``run``'s plan gathers the drawn rows of the next few iterations,
+    # cut at draw-block ends.  Started inside a block, with spans of 7
+    # iterations and of whole blocks, it gives the bits of plan-less steps.
+    book, basis = desk_setup()
+    cfg = OptimizerConfig(epsilon=1e-3, max_iters=300, stop_tol=0.0, seed=6)
+    start = UnitarySet(UnitarySet.identity(book.n_subsets, book.k_carriers).matrices, iteration=200)
+    expected = start
+    for _ in range(cfg.max_iters):
+        expected, _ = step_stochastic(expected, book, cfg)
+    for gather_bytes in (7 * 32 * book.n_subsets * book.k_carriers, 1 << 22):
+        monkeypatch.setattr("paprbound.optimizer._GATHER_BYTES", gather_bytes)
+        state, _ = run(book, basis, cfg, start)
+        assert state.iteration == 500 and state.matrices.tobytes() == expected.matrices.tobytes()
+
+
+def test_rank_one_update_rounds_alike_for_any_float_epsilon():
+    # The closed-form update does its 2 x 2 algebra on Python floats, so
+    # a step size given as a numpy float64 gives the bits of the same
+    # value given as a Python float.
+    rng = np.random.default_rng(35)
+    for k in (4, 16, 64):
+        w = np.stack([random_unitary(k, rng) for _ in range(5)])
+        rows = QamConstellation.square(16).points[rng.integers(0, 16, (5, 1, k))]
+        results = []
+        for eps in (0.7 * k**-1.5, np.float64(0.7 * k**-1.5)):
+            out = np.empty_like(w)
+            norms = polar_step(w, rows, eps, out)
+            results.append((out.tobytes(), norms.tobytes()))
+        assert results[0] == results[1]
 
 
 ORACLE_SIZES = [(6, 6, 6), (3, 6, 1, 6), (20, 20, 20, 20), (70, 70), (6, 6, 3, 6, 6),
