@@ -7,7 +7,7 @@ Run from the root of a paprbound source checkout:
 
 It imports the other tree's ``paprbound`` as ``paprbound_parent`` next
 to this checkout's; without ``--ab`` that is this checkout's own
-``src``, a self-A/B whose win counts and p-values show the host's noise
+``src``, a self-A/B whose win counts and ratios show the host's noise
 floor.
 
 Layers.  For each K in K_VALUES each tree builds one 16-QAM codebook
@@ -21,7 +21,8 @@ one untimed warm-up call per tree:
   multiple of 256 iterations, so it carries its share of the draws that
   are made 256 iterations at a time;
 * ``step_batch_symmetric`` and ``step_batch_gram_schmidt``: one batch
-  step with each projection;
+  step with each projection.  Each config's steps share one
+  ``optimizer._StepPlan`` built from the same book, as ``run``'s do;
 * ``r_statistic``: the quartic statistic of the transformed book;
 * ``codebook_pmeprs_j16``: the PMEPR of every transformed codeword at
   J = 16;
@@ -47,17 +48,18 @@ Samples alternate entry by entry, and so does which tree goes first, so
 host drift between processes cancels.  One line is printed per layer,
 per end-to-end metric and per workload (its differing outputs and each
 tree's failed checks); ``--out`` gets both medians and quartiles
-(layers in ms), the pairs this checkout ("change") won, their two-sided
-sign-test p-value, the median and quartiles of the per-pair ratio
-change/parent and the output comparison, with the machine, ``nproc``,
-the BLAS threads (pinned to one before numpy is imported, as in
-``perfbench/run.py``) and the versions.
+(layers in ms), the pairs each tree won, the per-pair ratio
+change/parent (median and quartiles), the claim rule's two flags and
+the output comparison, with the machine, ``nproc``, the BLAS threads
+(pinned to one before numpy is imported, as in ``perfbench/run.py``)
+and the versions.
 
-The claim rule.  A row supports a claimed gain (``meets_claim_rule``)
+The claim rule, both ways.  A row flags a gain (``meets_claim_rule``)
 when the change won at least 90% of its pairs and its median beats the
-parent's by more than the parent's interquartile range.  The sign-test
-p-values are per row and uncorrected for the ~40 rows of a report, so
-one of them below 0.05 on unchanged code is no finding.
+parent's by more than the parent's interquartile range, and a loss
+(``meets_loss_rule``) when the parent did.  At 15 pairs that is 14 wins,
+as strict as a Holm correction at 0.05 over ~40 rows; still, read a
+flag only on the row a change named beforehand.
 """
 
 import os
@@ -71,7 +73,6 @@ import argparse  # noqa: E402
 import importlib.util  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
-import math  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -94,11 +95,7 @@ N_SUBSETS = 5
 QAM_ORDER = 16
 CHAIN = 256  # stochastic steps per sample: one block of draws
 BLOCK_CODEWORDS = 256
-CLAIM_WINS = 0.9  # share of pairs a claimed gain must win
-
-
-# Calls per timed sample, for layers whose sample is a chain of calls.
-PER_SAMPLE = {"step_stochastic": CHAIN}
+CLAIM_WINS = 0.9  # share of pairs a flagged gain or loss must win
 
 
 def layer_calls(pb, k: int) -> dict:
@@ -108,9 +105,14 @@ def layer_calls(pb, k: int) -> dict:
     book = pb.generate_codebook(const, k, CODEWORDS, N_SUBSETS, seed=SEED)
     haar = pb.UnitarySet.random(N_SUBSETS, k, np.random.default_rng([SEED, 1]))
     identity = pb.UnitarySet.identity(N_SUBSETS, k)
-    epsilon = k**-1.5 / 100  # small enough that no step is refused
-    stochastic = pb.OptimizerConfig(epsilon=epsilon, seed=SEED)
-    batch = {p: pb.OptimizerConfig(epsilon=epsilon, mode="batch", projection=p)
+
+    def planned(step, **options):  # ``step`` as ``run`` takes it: with a plan for this book and config
+        config = pb.OptimizerConfig(epsilon=k**-1.5 / 100, seed=SEED, **options)  # small enough that no step is refused
+        plan = pb.optimizer._StepPlan(book, config)
+        return lambda state: step(state, book, config, plan)
+
+    stochastic = planned(pb.step_stochastic)
+    batch = {p: planned(pb.step_batch, mode="batch", projection=p)
              for p in ("symmetric_decorrelation", "gram_schmidt")}
     link = pb.LinkConfig(ebn0_db=(8.0,), amplifier=pb.RappModel.from_backoff(book.p_av, 2.0, 2.0), seed=SEED)
     next_block = itertools.count(1)
@@ -122,14 +124,14 @@ def layer_calls(pb, k: int) -> dict:
     def chain():
         state = pb.UnitarySet(haar.matrices, iteration=CHAIN * next(next_block))
         for _ in range(CHAIN):
-            state, _ = pb.step_stochastic(state, book, stochastic)
+            state, _ = stochastic(state)
         return state
 
     return {
         "build_basis": lambda: pb.build_basis(k),
         "step_stochastic": chain,
-        "step_batch_symmetric": lambda: pb.step_batch(haar, book, batch["symmetric_decorrelation"]),
-        "step_batch_gram_schmidt": lambda: pb.step_batch(haar, book, batch["gram_schmidt"]),
+        "step_batch_symmetric": lambda: batch["symmetric_decorrelation"](haar),
+        "step_batch_gram_schmidt": lambda: batch["gram_schmidt"](haar),
         "r_statistic": lambda: pb.r_statistic(book, haar),
         "codebook_pmeprs_j16": lambda: pb.codebook_pmeprs(book, haar, 16),
         "ber_sweep_block": lambda: ber_block(haar),
@@ -201,7 +203,7 @@ def ab_layers(parent, k: int, repeats: int) -> dict:
             for side in ("change", "parent") if i % 2 == 0 else ("parent", "change"):
                 started = perf_counter()
                 outputs[side] = fns[side]()
-                times[side].append((perf_counter() - started) * 1e3 / PER_SAMPLE.get(name, 1))
+                times[side].append((perf_counter() - started) * 1e3 / (CHAIN if name == "step_stochastic" else 1))
             same, diff = compare(arrays(outputs["change"]), arrays(outputs["parent"]))
             equal, worst = equal and same, max(worst, diff)
         rows[name] = {"unit": "ms", **ab_row(times["change"], times["parent"], "lower"),
@@ -261,30 +263,27 @@ def ab_workloads(parent, size: str, repeats: int) -> dict:
 
 
 def ab_row(change: list[float], parent: list[float], better: str) -> dict:
-    """Both sides' medians and quartiles, the pairs the change won in the
-    ``better`` direction ("lower" or "higher"), the sign-test p-value of
-    that count, how much worse the change's median is than the parent's,
-    as a fraction of the parent's, and the per-pair ratios change/parent.
-    ``meets_claim_rule``: the change won at least CLAIM_WINS of the pairs
-    and its median beats the parent's by more than the parent's
-    interquartile range."""
+    """Both sides' medians and quartiles, the pairs each side won in the
+    ``better`` direction ("lower" or "higher"), how much worse the
+    change's median is than the parent's, as a fraction of the parent's,
+    and the per-pair ratios change/parent.  A side meets the claim rule
+    when it won at least CLAIM_WINS of the pairs and its median beats the
+    other's by more than the parent's interquartile range:
+    ``meets_claim_rule`` for the change, ``meets_loss_rule`` for the parent."""
     sign = 1 if better == "lower" else -1
-    gains = [sign * (p - c) for c, p in zip(change, parent)]
-    wins, losses = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
-    row = {"parent": summary(parent), "change": summary(change), "change_wins": wins, "pairs": len(gains),
-           "sign_test_p": sign_test_p(wins, losses), "ratio": summary([c / p for c, p in zip(change, parent)])}
+    samples = {"change": change, "parent": parent}
+    row = {"parent": summary(parent), "change": summary(change), "pairs": len(change),
+           "ratio": summary([c / p for c, p in zip(change, parent)])}
     parent_iqr = row["parent"]["q3"] - row["parent"]["q1"]
-    gain = sign * (row["parent"]["median"] - row["change"]["median"])
-    return {**row, "worse_by": sign * (row["change"]["median"] / row["parent"]["median"] - 1),
-            "meets_claim_rule": wins >= CLAIM_WINS * len(gains) and gain > parent_iqr}
 
+    def rule(side, other):  # the pairs ``side`` won, and whether it meets the claim rule
+        wins = sum(sign * (o - s) > 0 for s, o in zip(samples[side], samples[other]))
+        gain = sign * (row[other]["median"] - row[side]["median"])
+        return wins, wins >= CLAIM_WINS * len(change) and gain > parent_iqr
 
-def sign_test_p(wins: int, losses: int) -> float:
-    """Two-sided sign-test p-value of ``wins`` against ``losses`` (ties
-    are counted for neither side)."""
-    n = wins + losses
-    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
-    return min(1.0, 2 * tail / 2**n)
+    row["change_wins"], row["meets_claim_rule"] = rule("change", "parent")
+    row["parent_wins"], row["meets_loss_rule"] = rule("parent", "change")
+    return {**row, "worse_by": sign * (row["change"]["median"] / row["parent"]["median"] - 1)}
 
 
 def summary(samples: list[float]) -> dict:
@@ -296,9 +295,10 @@ def ab_line(label: str, row: dict, digits: str) -> str:
     ratio = row["ratio"]
     return (f"{label:<38s} " + "  ".join(f"{side} {row[side]['median']:{digits}} [{row[side]['q1']:{digits}}, "
                                          f"{row[side]['q3']:{digits}}]" for side in ("parent", "change"))
-            + f" {row['unit']}  change won {row['change_wins']}/{row['pairs']} (p {row['sign_test_p']:.3g})"
+            + f" {row['unit']}  change won {row['change_wins']}/{row['pairs']}, lost {row['parent_wins']}"
             + f"  ratio {ratio['median']:.3f} [{ratio['q1']:.3f}, {ratio['q3']:.3f}]"
-            + ("  meets the claim rule" if row["meets_claim_rule"] else ""))
+            + ("  claim rule: GAIN" if row["meets_claim_rule"] else "")
+            + ("  claim rule: LOSS" if row["meets_loss_rule"] else ""))
 
 
 def machine() -> dict:
@@ -355,8 +355,7 @@ def main(argv=None) -> int:
                         help="directory holding the paprbound package to compare against "
                              "(default: this checkout's own src)")
     args = parser.parse_args(argv)
-    doc = report(args.ab)
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(args.out).write_text(json.dumps(report(args.ab), indent=2) + "\n")
     return 0
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .waveform import baseband_samples
+from .waveform import _CHUNK_SAMPLES, baseband_samples
 
 
 class SpectralBasis:
@@ -73,9 +73,15 @@ def quartic_sum(c: np.ndarray):
     Equals sum_k (c* C_k c)^2 + (c* C_hat_k c)^2, evaluated as
     sum_n |s_n|^4 / K^2 over the 2K-point envelope s of c, K = c.shape[-1].
     Accepts a single codeword or a (m, K) batch; returns a scalar or an
-    (m,) vector accordingly.
+    (m,) vector accordingly.  Works through the rows in chunks of at most
+    ``_CHUNK_SAMPLES`` grid samples, as ``peak_envelope_power`` does.
     """
     x = np.asarray(c, dtype=np.complex128)
-    power = np.abs(baseband_samples(x, 2)) ** 2
-    total = (power * power).sum(axis=-1) / x.shape[-1] ** 2
+    rows = x.reshape(-1, x.shape[-1])
+    total = np.empty(len(rows))
+    step = max(1, _CHUNK_SAMPLES // (2 * x.shape[-1]))
+    for start in range(0, len(rows), step):
+        power = np.abs(baseband_samples(rows[start : start + step], 2)) ** 2
+        (power * power).sum(axis=-1, out=total[start : start + step])
+    total = total.reshape(x.shape[:-1]) / x.shape[-1] ** 2
     return float(total) if x.ndim == 1 else total

@@ -14,9 +14,9 @@ import numpy as np
 from .core import Codebook, transformed_subsets, unit_power, write_table
 
 PMEPR_OVERSAMPLING_DEFAULT = 16
-# J-grid samples per chunk in ``peak_envelope_power``: one chunk's
-# buffers (1 MB of real J-grid power) stay in cache, and memory does
-# not grow with the batch.
+# Grid samples per chunk in ``peak_envelope_power`` (J grid) and
+# ``spectral.quartic_sum`` (2K grid): one chunk's buffers (1 MB of real
+# power) stay in cache, and memory does not grow with the batch.
 _CHUNK_SAMPLES = 1 << 17
 
 

@@ -1,5 +1,6 @@
 """The A/B bench, ``bench/layers.py``: K=16 layers and perfbench's smoke
-workloads, self and A/B, its sign test and its win and bound rule."""
+workloads, self and A/B, its step rows on ``run``'s path, and its claim
+and bound rules."""
 
 import json
 import os
@@ -64,9 +65,10 @@ def assert_end_to_end_equal(result):
         for name, row in workload["metrics"].items():
             for side in ("parent", "change"):
                 assert row[side]["samples"] == 2 and 0 < row[side]["q1"] <= row[side]["median"] <= row[side]["q3"]
-            assert row["pairs"] == 2 and 0 <= row["change_wins"] <= 2 and 0 <= row["sign_test_p"] <= 1
+            assert row["pairs"] == 2 and 0 <= row["change_wins"] + row["parent_wins"] <= 2
             assert row["bound"] == bounds[name] and row["beyond_bound"] == (row["worse_by"] > bounds[name])
-            assert row["ratio"]["samples"] == 2 and isinstance(row["meets_claim_rule"], bool)
+            assert row["ratio"]["samples"] == 2
+            assert isinstance(row["meets_claim_rule"], bool) and isinstance(row["meets_loss_rule"], bool)
 
 
 def test_layer_bench_smoke():
@@ -98,9 +100,9 @@ def test_layer_bench_ab_structure(tmp_path):
         for side in ("parent", "change"):
             assert row[side]["samples"] == 2
             assert 0 < row[side]["q1"] <= row[side]["median"] <= row[side]["q3"]
-        assert row["pairs"] == 2 and 0 <= row["change_wins"] <= 2
-        assert 0 <= row["sign_test_p"] <= 1
-        assert row["ratio"]["samples"] == 2 and isinstance(row["meets_claim_rule"], bool)
+        assert row["pairs"] == 2 and 0 <= row["change_wins"] + row["parent_wins"] <= 2
+        assert row["ratio"]["samples"] == 2
+        assert isinstance(row["meets_claim_rule"], bool) and isinstance(row["meets_loss_rule"], bool)
         assert row["outputs_byte_equal"] and row["max_rel_diff"] == 0.0
     assert_end_to_end_equal(result)
     assert sum("outputs byte-equal" in line for line in lines) == len(LAYERS)
@@ -141,20 +143,33 @@ def layers(monkeypatch):
     return layers
 
 
-def test_sign_test_p(layers):
-    assert layers.sign_test_p(12, 3) == pytest.approx(0.0352, abs=1e-4)
-    assert layers.sign_test_p(3, 12) == layers.sign_test_p(12, 3)
-    assert layers.sign_test_p(11, 4) == pytest.approx(0.1185, abs=1e-4)
-    assert layers.sign_test_p(15, 0) == pytest.approx(6.1e-5, rel=1e-2)
-    assert layers.sign_test_p(0, 0) == layers.sign_test_p(7, 7) == 1.0
+def test_step_rows_pass_the_plan(layers, monkeypatch):
+    # Each step row takes ``run``'s path: every step writes into a state
+    # handed out by its config's one step plan.
+    plan_class = layers.paprbound.optimizer._StepPlan
+    new_state, plans = plan_class.new_state, []
+
+    def counted(plan, iteration):
+        plans.append(plan)
+        return new_state(plan, iteration)
+
+    monkeypatch.setattr(plan_class, "new_state", counted)
+    calls = layers.layer_calls(layers.paprbound, 16)
+    used = []
+    for name, steps in (("step_stochastic", layers.CHAIN), ("step_batch_symmetric", 1), ("step_batch_gram_schmidt", 1)):
+        plans.clear()
+        calls[name]()
+        assert len(plans) == steps and len(set(map(id, plans))) == 1, name
+        used.append(plans[0])
+    assert len(set(map(id, used))) == 3
 
 
 def test_ab_row_counts_in_the_better_direction(layers):
     # A pair is won by the lower value of a time and by the higher value of
-    # a rate; worse_by is the change's median's loss relative to the parent's.
+    # a rate, a tie by neither side; worse_by is the change's median's loss
+    # relative to the parent's.
     slower = layers.ab_row([2.0, 3.0, 1.0], [1.0, 2.0, 1.0], "lower")
-    assert (slower["change_wins"], slower["pairs"], slower["worse_by"]) == (0, 3, 1.0)
-    assert slower["sign_test_p"] == layers.sign_test_p(0, 2) == 0.5
+    assert (slower["change_wins"], slower["parent_wins"], slower["pairs"], slower["worse_by"]) == (0, 2, 3, 1.0)
     lower_rate = layers.ab_row([1.0, 1.0], [4.0, 4.0], "higher")
     assert (lower_rate["change_wins"], lower_rate["worse_by"]) == (0, 0.75)
     assert layers.ab_row([4.0, 4.0], [1.0, 1.0], "higher")["change_wins"] == 2
@@ -197,3 +212,35 @@ def test_claim_rule_on_fixed_samples(layers):
     # Equal samples: ratio 1, no claim.
     same = layers.ab_row(parent, parent, "lower")
     assert same["ratio"]["median"] == 1.0 and not same["meets_claim_rule"]
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_claim_rule_flags_a_gain_a_loss_or_neither(layers, better):
+    # One rule both ways: the change is flagged as a gain when it wins at
+    # least 90% of the pairs by more than the parent's IQR (0.02 here), as
+    # a loss when the parent does, and neither when no side does.
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+    lower, higher = [p - 0.1 for p in parent], [p + 0.1 for p in parent]
+    gain, loss = (lower, higher) if better == "lower" else (higher, lower)
+
+    def flags(change):
+        row = layers.ab_row(change, parent, better)
+        return row["meets_claim_rule"], row["meets_loss_rule"]
+
+    assert flags(gain) == (True, False)
+    assert flags(loss) == (False, True)
+    assert flags(parent) == (False, False)
+    # 9 of 10 pairs lost still flags the loss; 8 of 10 flags nothing.
+    assert flags(loss[:9] + gain[9:]) == (False, True)
+    assert flags(loss[:8] + gain[8:]) == (False, False)
+    # Every pair lost, but by less than the parent's spread.
+    assert flags([(9 * p + l) / 10 for p, l in zip(parent, loss)]) == (False, False)
+    # The loss is measured against the parent's spread, not the change's:
+    # every pair lost, the medians a few hundredths apart, and the change's
+    # own IQR far wider.
+    sign = 1 if better == "lower" else -1
+    wide = [p + sign * d for p, d in zip(parent, [0.03] * 6 + [0.5] * 4)]
+    row = layers.ab_row(wide, parent, better)
+    assert row["parent_wins"] == 10 and row["change"]["q3"] - row["change"]["q1"] > 0.1
+    assert abs(row["change"]["median"] - row["parent"]["median"]) < 0.1
+    assert flags(wide) == (False, True)

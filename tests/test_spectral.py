@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -226,6 +228,27 @@ def test_quartic_sum_batch_matches_rows():
     batch = random_codewords(4, 5, 2)
     per_row = np.array([quartic_sum(row) for row in batch])
     np.testing.assert_allclose(quartic_sum(batch), per_row, rtol=1e-12)
+
+
+@pytest.mark.parametrize("count", [511, 512, 513, 1025])
+def test_quartic_sum_chunks_match_the_whole_grid(count):
+    # At K=128 a chunk is 512 rows; each row's sum is the whole-grid one, bit for bit.
+    batch = random_codewords(128, count, 5)
+    power = np.abs(baseband_samples(batch, 2)) ** 2
+    whole = (power * power).sum(axis=-1) / 128**2
+    assert quartic_sum(batch).tobytes() == whole.tobytes()
+
+
+def test_quartic_sum_memory_is_bounded_per_chunk():
+    # The whole-grid form peaks near 31 MB on this input.
+    c = random_codewords(128, 4000, 6)
+    tracemalloc.start()
+    try:
+        quartic_sum(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 @pytest.mark.parametrize("k", [2, 3, 8, 16])
