@@ -10,17 +10,15 @@ batch step sums the gradient over a whole subset; a stochastic step
 draws one codeword per subset and iteration from a stream keyed by
 (seed, subset, iteration) (``_draw_block``, numpy 2.4's stream replayed
 for 256 iterations at once), so trajectories are reproducible and
-resumable.  ``run`` works at unit mean symbol power, reuses one
-``_StepPlan`` of step buffers, and checks the unitarity error at every
-checkpoint, failing closed past ``UNITARITY_TOL``.
+resumable.  Every step runs on a ``_StepPlan``; ``run`` builds one at unit
+mean symbol power and checks the unitarity error at every checkpoint,
+failing closed past ``UNITARITY_TOL``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
-import time
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,8 +60,8 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT_HI, _PCG_MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-_DRAW_BLOCK = 256  # iterations per memoized block of stochastic draws
-_GATHER_BYTES = 1 << 22  # drawn rows and conjugates a run gathers ahead, at most one block
+_DRAW_BLOCK = 256  # iterations per block of stochastic draws
+_GATHER_BYTES = 1 << 22  # drawn rows and conjugates a plan gathers ahead, at most one block
 
 
 def _seed_sequence_state(words: np.ndarray, length: np.ndarray) -> list[np.ndarray]:
@@ -128,11 +126,10 @@ def _xsl_rr(hi, lo):
     return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
 
 
-@functools.lru_cache(maxsize=16)
 def _draw_block(seed: int, sizes: tuple[int, ...], block: int) -> np.ndarray:
     """Stochastic picks of iterations ``_DRAW_BLOCK * block`` onward.
 
-    Returns a read-only (_DRAW_BLOCK, N) int64 array whose row j, column n
+    Returns a (_DRAW_BLOCK, N) int64 array whose row j, column n
     is ``np.random.default_rng(_seed_key(seed, n, it)).integers(sizes[n])``
     with it = _DRAW_BLOCK * block + j.  It replays numpy's arithmetic for
     all lanes at once: the SeedSequence hash, PCG64 seeding and output
@@ -189,9 +186,7 @@ def _draw_block(seed: int, sizes: tuple[int, ...], block: int) -> np.ndarray:
         product[redraw] = x * size[redraw]
         redraw = redraw[(product[redraw] & _LOW32) < threshold[redraw]]
         word += 1
-    picks = (product >> _SHIFT32).astype(np.int64).reshape(_DRAW_BLOCK, n_sub)
-    picks.flags.writeable = False
-    return picks
+    return (product >> _SHIFT32).astype(np.int64).reshape(_DRAW_BLOCK, n_sub)
 
 
 def random_unitary(k: int, rng: np.random.Generator) -> np.ndarray:
@@ -287,7 +282,7 @@ def _gradient_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, n
     return np.zeros(padded, dtype=np.complex128), np.empty(padded, dtype=np.complex128), np.empty(padded)
 
 
-def _gradient_rows(rows: np.ndarray, w: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+def _gradient_rows(rows: np.ndarray, w: np.ndarray, out) -> tuple[np.ndarray, np.ndarray]:
     """Per-codeword gradient rows V*(|alpha|^2 alpha) + V_hat*(|beta|^2 beta)
     with alpha = V W c, beta = V_hat W c, and the products W c.
 
@@ -295,12 +290,11 @@ def _gradient_rows(rows: np.ndarray, w: np.ndarray, out=None) -> tuple[np.ndarra
     s of W c.  ``rows`` holds codewords as rows, shape (..., m, K), and
     ``w`` the matching transforms, shape (..., K, K).  W c is formed
     here once, into the zero-padded buffer of the inverse FFT, and the
-    FFTs and powers run in place, in ``out`` (from ``_gradient_buffers``,
-    whose padding stays zero) or in fresh buffers.  Both returned arrays
-    are views of them, with the shape of ``rows``.
+    FFTs and powers run in place, in ``out`` (``_gradient_buffers``, whose
+    padding stays zero); both returned arrays are views of it, shaped as ``rows``.
     """
     k = rows.shape[-1]
-    padded, s, power = _gradient_buffers(rows.shape) if out is None else out
+    padded, s, power = out
     wc = np.matmul(rows, np.swapaxes(w, -1, -2), out=padded[..., :k])
     np.fft.ifft(padded, axis=-1, norm="forward", out=s)
     np.square(np.abs(s, out=power), out=power)
@@ -337,13 +331,13 @@ def _require_nonsingular(lam_min: float) -> None:
 
 
 def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: float, out: np.ndarray,
-                  wc: np.ndarray, rows_conj: np.ndarray | None = None):
+                  wc: np.ndarray, rows_conj: np.ndarray):
     """Symmetric decorrelation of W - epsilon G C* for a stack of subsets.
 
     ``w`` is (N, K, K); ``rows`` and ``grads`` are (N, m, K) codeword
     and gradient rows, so G C* is the unscaled descent direction of the
     m codewords, ``wc`` is ``rows @ W^T`` from ``_gradient_rows`` and
-    ``rows_conj``, if given, is ``rows.conj()``.
+    ``rows_conj`` is ``rows.conj()``.
     With H = W* G the update is W A with A = I - epsilon H C*, and its
     polar factor is W U V* for the SVD A = U S V* (N. J. Higham,
     "Computing the polar decomposition -- with applications", SIAM J.
@@ -360,7 +354,6 @@ def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: f
     contiguous, not overlapping it) and returns the step norms
     ||W' - W||_F.
     """
-    rows_conj = rows.conj() if rows_conj is None else rows_conj
     if rows.shape[-2] == 1:
         return _rank_one_polar(w, rows, grads, epsilon, out, wc, rows_conj)
     h = np.conj(np.swapaxes(grads.conj() @ w, -1, -2))
@@ -447,17 +440,16 @@ def _row_products(a: np.ndarray, b: np.ndarray | None = None) -> list:
 
 
 def _gram_schmidt_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: float, out: np.ndarray,
-                         wc: np.ndarray, rows_conj: np.ndarray | None = None):
+                         wc: np.ndarray, rows_conj: np.ndarray):
     """``_polar_update`` with row-wise Gram-Schmidt: project_gram_schmidt(W - epsilon G C*).
 
     ``wc`` is part of the shared ``_PROJECTORS`` signature and unused here.
     """
-    rows_conj = rows.conj() if rows_conj is None else rows_conj
     out[...] = project_gram_schmidt(w - epsilon * (np.swapaxes(grads, -1, -2) @ rows_conj))
     return np.linalg.norm(out - w, axis=(1, 2))
 
 
-# The stacked update of each projection: (w, rows, grads, epsilon, out, wc[, rows_conj]) -> step norms.
+# The stacked update of each projection: (w, rows, grads, epsilon, out, wc, rows_conj) -> step norms.
 _PROJECTORS = {
     "symmetric_decorrelation": _polar_update,
     "gram_schmidt": _gram_schmidt_update,
@@ -465,19 +457,23 @@ _PROJECTORS = {
 
 
 class _StepPlan:
-    """What one ``run`` reuses from step to step, for its unit-power
-    codebook and config: two (N, K, K) W stacks that take turns as old
-    and new, and for stochastic steps the (N, 1, 2K) gradient buffers and
-    the rows drawn for the next iterations of the current draw block, up
-    to ``_GATHER_BYTES`` with their conjugates.  A stack is written only
-    while no ``UnitarySet`` it was handed out in is alive (a weak
-    reference tells; if both are, a step gets a fresh stack), so no step
-    writes the state it reads or one handed out before.
+    """What a step takes besides its state, for one codebook and config:
+    the step size (the config's epsilon at unit mean symbol power,
+    ``OptimizerConfig``) and projection; two (N, K, K) W stacks that take
+    turns as old and new; gradient buffers per row shape; and for
+    stochastic steps the rows drawn for the next iterations of the
+    current draw block, up to ``_GATHER_BYTES`` with their conjugates.
+    ``run`` reuses one; a step called without one builds a one-step plan.
+    A stack is written only while no ``UnitarySet`` it was handed out in
+    is alive (a weak reference tells; if both are, a step gets a fresh
+    stack), so no step writes the state it reads or one handed out before.
     """
 
     def __init__(self, codebook: Codebook, config: OptimizerConfig):
         n, k = codebook.n_subsets, codebook.k_carriers
-        self.codebook, self.seed, self.gradient = codebook, config.seed, _gradient_buffers((n, 1, k))
+        self.codebook, self.seed, self.projection = codebook, config.seed, config.projection
+        self.epsilon = config.resolved_epsilon(k) / scale_ratio(codebook) ** 4
+        self._buffers = {}  # row shape -> ``_gradient_buffers``
         self._stacks = [np.empty((n, k, k), dtype=np.complex128) for _ in range(2)]
         self._holders = [lambda: None] * 2  # weak references to the states in the stacks
         # Rows of the next iterations, at most _GATHER_BYTES with their conjugates: (first iteration, rows, conj).
@@ -493,35 +489,38 @@ class _StepPlan:
                 return state
         return UnitarySet(matrices=np.empty_like(self._stacks[0]), iteration=iteration)
 
+    def gradient_buffers(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if shape not in self._buffers:
+            self._buffers[shape] = _gradient_buffers(shape)
+        return self._buffers[shape]
+
     def drawn_rows(self, iteration: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows drawn at ``iteration``, (N, 1, K), and their conjugates."""
         first, rows, rows_conj = self._gathered
         if not 0 <= iteration - first < len(rows):
             block, row = divmod(iteration, _DRAW_BLOCK)
-            rows = _drawn_rows(self.codebook, self.seed, block, slice(row, row + self._span))
+            picks = _draw_block(self.seed, self.codebook.subset_sizes, block)[row : row + self._span]
+            rows = self.codebook.symbols[self.codebook.subset_starts[:-1] + picks][..., np.newaxis, :]
             first, rows_conj = iteration, rows.conj()
             self._gathered = first, rows, rows_conj
         return rows[iteration - first], rows_conj[iteration - first]
 
 
-def _descend(state: UnitarySet, chunks, codebook: Codebook, config: OptimizerConfig, plan: _StepPlan | None):
+def _descend(state: UnitarySet, chunks, plan: _StepPlan):
     """Move each subset's W against the gradient of its codeword rows.
 
-    ``chunks`` yields (subset slice, (n, m, K) rows, their conjugates,
-    gradient buffers) tuples, the last two None to make them here, one
-    per stack of n subsets of m rows each.  Each reads a view of the old
-    stack and writes into a view of the new one (the plan's, if given).
-    The step size is the config's epsilon taken at unit mean symbol power
-    (``OptimizerConfig``).  Returns the new state and the per-subset step
-    norms ||W(l+1) - W(l)||_F.
+    ``chunks`` yields (subset slice, (n, m, K) rows, their conjugates)
+    tuples, one per stack of n subsets of m rows each.  Each reads a view
+    of the old stack and writes into a view of the plan's new one, with
+    the plan's step size and buffers.  Returns the new state and the
+    per-subset step norms ||W(l+1) - W(l)||_F.
     """
-    epsilon = config.resolved_epsilon(codebook.k_carriers) / scale_ratio(codebook) ** 4
-    iteration = state.iteration + 1
-    new = UnitarySet(np.empty_like(state.matrices), iteration) if plan is None else plan.new_state(iteration)
+    new = plan.new_state(state.iteration + 1)
     norms = np.empty(state.n_subsets)
-    for chunk, rows, rows_conj, buffers in chunks:
+    for chunk, rows, rows_conj in chunks:
         w = state.matrices[chunk]
-        grads, wc = _gradient_rows(rows, w, buffers)
-        norms[chunk] = _PROJECTORS[config.projection](w, rows, grads, epsilon, new.matrices[chunk], wc, rows_conj)
+        grads, wc = _gradient_rows(rows, w, plan.gradient_buffers(rows.shape))
+        norms[chunk] = _PROJECTORS[plan.projection](w, rows, grads, plan.epsilon, new.matrices[chunk], wc, rows_conj)
     return new, norms
 
 
@@ -532,17 +531,13 @@ def step_batch(state: UnitarySet, codebook: Codebook, config: OptimizerConfig,
     Each subset moves on its own: one gradient and one update per
     subset, on a view of its codebook rows.  Returns the new state and
     the per-subset step norms ||W(l+1) - W(l)||_F used by the stopping
-    rule.  ``run`` passes its ``_StepPlan``.
+    rule.  ``run`` passes its ``_StepPlan``; without one, the step runs
+    on a one-step plan.
     """
-    chunks = ((slice(n, n + 1), block[np.newaxis], None, None) for n, block in enumerate(codebook.subsets()))
-    return _descend(state, chunks, codebook, config, plan)
-
-
-def _drawn_rows(codebook: Codebook, seed: int, block: int, row=slice(None)) -> np.ndarray:
-    """The rows that stochastic steps draw in draw block ``block``, one per
-    subset: (N, 1, K) at one ``row``, (rows, N, 1, K) for a slice of them."""
-    picks = _draw_block(seed, codebook.subset_sizes, block)[row]
-    return codebook.symbols[codebook.subset_starts[:-1] + picks][..., np.newaxis, :]
+    plan = plan or _StepPlan(codebook, config)
+    chunks = ((slice(n, n + 1), block[np.newaxis], block[np.newaxis].conj())
+              for n, block in enumerate(codebook.subsets()))
+    return _descend(state, chunks, plan)
 
 
 def step_stochastic(state: UnitarySet, codebook: Codebook, config: OptimizerConfig,
@@ -555,14 +550,11 @@ def step_stochastic(state: UnitarySet, codebook: Codebook, config: OptimizerConf
     ``_draw_block``, 256 iterations at a time.  All subsets move
     together, as one stack: one 2K-point FFT pair for the gradients and
     one update (the rank-one polar form, or a stacked QR).  ``run``
-    passes its ``_StepPlan``, which holds the block's rows and buffers.
+    passes its ``_StepPlan``, which holds the block's rows and buffers;
+    without one, the step runs on a one-step plan.
     """
-    if plan is None:
-        rows = _drawn_rows(codebook, config.seed, *divmod(state.iteration, _DRAW_BLOCK))
-        chunk = slice(None), rows, None, None
-    else:
-        chunk = slice(None), *plan.drawn_rows(state.iteration), plan.gradient
-    return _descend(state, [chunk], codebook, config, plan)
+    plan = plan or _StepPlan(codebook, config)
+    return _descend(state, [(slice(None), *plan.drawn_rows(state.iteration))], plan)
 
 
 @dataclass(frozen=True)
@@ -570,7 +562,6 @@ class TracePoint:
     iteration: int
     r_value: float
     max_step_norm: float
-    wall_s: float
 
 
 def run(
@@ -601,7 +592,6 @@ def run(
     step = step_batch if config.mode == "batch" else step_stochastic
     e, book = unit_power(codebook)
     plan = _StepPlan(book, config)
-    started = time.perf_counter()
     trace = []
 
     def checkpoint(max_step_norm: float) -> None:
@@ -616,7 +606,7 @@ def run(
         if not sys.float_info.min <= r_value < np.inf:
             raise ValueError(f"R is {r_value} at iteration {state.iteration}: the codeword powers "
                              f"{'overflow' if r_value > 1 else 'underflow'} float64")
-        trace.append(TracePoint(state.iteration, r_value, max_step_norm, time.perf_counter() - started))
+        trace.append(TracePoint(state.iteration, r_value, max_step_norm))
 
     # Overflow fails closed with no warning: a step's in the polar checks or drift guard.
     with np.errstate(over="ignore", invalid="ignore"):

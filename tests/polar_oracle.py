@@ -12,7 +12,7 @@ number), or ``project_gram_schmidt`` of the same matrix.
 
 import numpy as np
 
-from paprbound.optimizer import _gradient_rows, _require_nonsingular
+from paprbound.optimizer import _gradient_buffers, _gradient_rows, _require_nonsingular
 
 
 def delta_w(subset: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -31,7 +31,7 @@ def delta_w(subset: np.ndarray, w: np.ndarray) -> np.ndarray:
         return np.zeros((k, k), dtype=np.complex128)
     if block.shape[1] != k or w.shape != (k, k):
         raise ValueError("subset and transform must have the same K")
-    return _gradient_rows(block, w)[0].T @ block.conj()
+    return _gradient_rows(block, w, _gradient_buffers(block.shape))[0].T @ block.conj()
 
 
 def project_symmetric(w: np.ndarray) -> np.ndarray:

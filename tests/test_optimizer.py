@@ -20,6 +20,7 @@ from paprbound.optimizer import (
     RankDeficientUpdate,
     UnitarySet,
     _draw_block,
+    _gradient_buffers,
     _gradient_rows,
     _polar_update,
     _seed_key,
@@ -120,7 +121,7 @@ def test_gradient_rows_match_envelope_formula(shape):
     rng = np.random.default_rng(4)
     rows = QamConstellation.square(16).points[rng.integers(0, 16, shape)]
     w = UnitarySet.random(n, k, rng).matrices
-    grads, wc = _gradient_rows(rows, w)
+    grads, wc = _gradient_rows(rows, w, _gradient_buffers(rows.shape))
     expected_wc = rows @ np.swapaxes(w, -1, -2)
     s = baseband_samples(expected_wc, 2)
     assert wc.shape == grads.shape == shape
@@ -335,7 +336,7 @@ def test_nan_update_is_refused():
     w = np.eye(4, dtype=complex)[np.newaxis]
     rows = np.ones((1, 1, 4), dtype=complex)
     with pytest.raises(RankDeficientUpdate):
-        _polar_update(w, rows, np.full((1, 1, 4), np.nan + 0j), 1e-3, np.empty_like(w), rows)  # W c = c
+        _polar_update(w, rows, np.full((1, 1, 4), np.nan + 0j), 1e-3, np.empty_like(w), rows, rows.conj())  # W c = c
 
 
 def test_config_validation():
@@ -483,8 +484,8 @@ def test_factored_polar_step_does_not_drift():
 
 def polar_step(w, rows, eps, out):
     """``_polar_update`` of a stack from its gradient rows and W c: the step norms."""
-    grads, wc = _gradient_rows(rows, w)
-    return _polar_update(w, rows, grads, eps, out, wc)
+    grads, wc = _gradient_rows(rows, w, _gradient_buffers(rows.shape))
+    return _polar_update(w, rows, grads, eps, out, wc, rows.conj())
 
 
 def one_codeword_update(w, c, eps):
@@ -649,7 +650,6 @@ def test_draw_block_replays_keyed_default_rng(seed, sizes, block):
     got = np.vstack([_draw_block(seed, sizes, block), _draw_block(seed, sizes, block + 1)[:1]])
     expected = [oracle_picks(seed, sizes, 256 * block + row) for row in range(257)]
     np.testing.assert_array_equal(got, expected)
-    assert not _draw_block(seed, sizes, block).flags.writeable
 
 
 def test_draw_block_refuses_sizes_it_cannot_replay():
@@ -688,11 +688,12 @@ def test_steps_leave_their_input_alone(mode, projection, sizes):
 
 @pytest.mark.parametrize("mode, projection, sizes", STEP_CASES)
 def test_returned_states_keep_their_bytes(mode, projection, sizes):
-    # A chain of steps with and without ``run``'s plan: each returned
-    # state keeps its bytes through every later step, the plan's steps
-    # give the plan-less bits, and neither chain writes its start.  A plan
-    # reuses its two W stacks only while no state handed out in them is
-    # alive, so a held state is never written over.
+    # A chain of steps on one plan, as ``run`` takes them, and a chain of
+    # calls without a plan, each on a one-step plan: each returned state
+    # keeps its bytes through every later step, both chains give the same
+    # bits, and neither writes its start.  A plan reuses its two W stacks
+    # only while no state handed out in them is alive, so a held state is
+    # never written over.
     const = QamConstellation.square(16)
     rng = np.random.default_rng(33)
     book = Codebook(symbols=const.points[rng.integers(0, 16, (sum(sizes), 8))], subset_sizes=sizes)
@@ -731,7 +732,8 @@ def test_run_keeps_its_initial_set_and_its_results(mode):
 def test_run_gathers_the_keyed_rows_in_any_span(monkeypatch):
     # ``run``'s plan gathers the drawn rows of the next few iterations,
     # cut at draw-block ends.  Started inside a block, with spans of 7
-    # iterations and of whole blocks, it gives the bits of plan-less steps.
+    # iterations and of whole blocks, it gives the bits of steps called
+    # one by one without a plan, each of which gathers on a one-step plan.
     book, basis = desk_setup()
     cfg = OptimizerConfig(epsilon=1e-3, max_iters=300, stop_tol=0.0, seed=6)
     start = UnitarySet(UnitarySet.identity(book.n_subsets, book.k_carriers).matrices, iteration=200)
@@ -742,6 +744,21 @@ def test_run_gathers_the_keyed_rows_in_any_span(monkeypatch):
         monkeypatch.setattr("paprbound.optimizer._GATHER_BYTES", gather_bytes)
         state, _ = run(book, basis, cfg, start)
         assert state.iteration == 500 and state.matrices.tobytes() == expected.matrices.tobytes()
+
+
+def test_batch_run_makes_gradient_buffers_once_per_row_shape(monkeypatch):
+    # ``run``'s plan keeps one set of gradient buffers per row shape: a
+    # batch run over subsets of 6, 6 and 3 rows makes two sets in all,
+    # not one per subset and step.
+    const = QamConstellation.square(16)
+    rng = np.random.default_rng(36)
+    book = Codebook(symbols=const.points[rng.integers(0, 16, (15, 8))], subset_sizes=(6, 6, 3))
+    made = []
+    monkeypatch.setattr("paprbound.optimizer._gradient_buffers",
+                        lambda shape: made.append(shape) or _gradient_buffers(shape))
+    cfg = OptimizerConfig(epsilon=1e-3, max_iters=5, stop_tol=0.0, mode="batch")
+    state, _ = run(book, build_basis(8), cfg)
+    assert state.iteration == 5 and sorted(made) == [(1, 3, 8), (1, 6, 8)]
 
 
 def test_rank_one_update_rounds_alike_for_any_float_epsilon():
