@@ -18,8 +18,8 @@ one untimed warm-up call per tree:
 * ``build_basis``: the 2K-point envelope grid and its check;
 * ``step_stochastic``: one stochastic step with symmetric decorrelation.
   A sample is the mean over 256 chained steps that start on a fresh
-  multiple of 256 iterations, so it carries its share of the draws that
-  are made 256 iterations at a time;
+  iteration, so it carries its share of the draws, which a plan
+  replays up to 256 iterations at a time;
 * ``step_batch_symmetric`` and ``step_batch_gram_schmidt``: one batch
   step with each projection.  Each config's steps share one
   ``optimizer._StepPlan`` built from the same book, as ``run``'s do;
@@ -93,7 +93,7 @@ SEED = 0  # codebook, Haar set, draw and noise seed
 CODEWORDS = 1000
 N_SUBSETS = 5
 QAM_ORDER = 16
-CHAIN = 256  # stochastic steps per sample: one block of draws
+CHAIN = 256  # stochastic steps per sample: the most iterations one replay of the draws covers
 BLOCK_CODEWORDS = 256
 CLAIM_WINS = 0.9  # share of pairs a flagged gain or loss must win
 

@@ -413,8 +413,11 @@ def cmd_verify(args) -> int:
         peaks = peak_envelope_power(sample, 16)
         l2 = (np.abs(sample) ** 2).sum(axis=1)
         l1sq = np.abs(sample).sum(axis=1) ** 2
-        report("envelope norm sandwich", bool(np.all(peaks >= l2 - 1e-9) and np.all(peaks <= l1sq + 1e-9)
-               and np.all(l1sq <= codebook.k_carriers * l2 + 1e-9)))
+        # Relative slack: the sides grow like K^2, and l1^2 <= K l2 is an
+        # equality for every constant-modulus codeword.
+        lo, hi = 1 - 1e-12, 1 + 1e-12
+        report("envelope norm sandwich", bool(np.all(peaks >= l2 * lo) and np.all(peaks <= l1sq * hi)
+               and np.all(l1sq <= codebook.k_carriers * l2 * hi)))
 
     for manifest in sorted(out_dir.glob("*.manifest.json")):
         for name, ok in verify_manifest(manifest):

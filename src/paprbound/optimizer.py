@@ -8,8 +8,8 @@ or by symmetric decorrelation, the polar factor (``_PROJECTORS``; with
 one codeword per subset, in closed form by ``_rank_one_polar``).  A
 batch step sums the gradient over a whole subset; a stochastic step
 draws one codeword per subset and iteration from a stream keyed by
-(seed, subset, iteration) (``_draw_block``, numpy 2.4's stream replayed
-for 256 iterations at once), so trajectories are reproducible and
+(seed, subset, iteration) (``_draw``, numpy 2.4's stream replayed for
+a span of iterations at once), so trajectories are reproducible and
 resumable.  Every step runs on a ``_StepPlan``; ``run`` builds one at unit
 mean symbol power and checks the unitarity error at every checkpoint,
 failing closed past ``UNITARITY_TOL``.
@@ -60,8 +60,8 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT_HI, _PCG_MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-_DRAW_BLOCK = 256  # iterations per block of stochastic draws
-_GATHER_BYTES = 1 << 22  # drawn rows and conjugates a plan gathers ahead, at most one block
+_DRAW_SPAN = 256  # most iterations one replay of the draw stream covers
+_GATHER_BYTES = 1 << 22  # most bytes of drawn rows a plan gathers ahead
 
 
 def _seed_sequence_state(words: np.ndarray, length: np.ndarray) -> list[np.ndarray]:
@@ -126,31 +126,29 @@ def _xsl_rr(hi, lo):
     return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
 
 
-def _draw_block(seed: int, sizes: tuple[int, ...], block: int) -> np.ndarray:
-    """Stochastic picks of iterations ``_DRAW_BLOCK * block`` onward.
+def _draw(seed: int, sizes: tuple[int, ...], first: int, count: int) -> np.ndarray:
+    """Stochastic picks of iterations ``first`` to ``first + count - 1``.
 
-    Returns a (_DRAW_BLOCK, N) int64 array whose row j, column n
-    is ``np.random.default_rng(_seed_key(seed, n, it)).integers(sizes[n])``
-    with it = _DRAW_BLOCK * block + j.  It replays numpy's arithmetic for
-    all lanes at once: the SeedSequence hash, PCG64 seeding and output
-    in 128-bit arithmetic held as two uint64 halves, and the 32-bit
-    Lemire bound of ``Generator.integers``, whose rejected lanes go on
-    along their own stream.  This is numpy's stream as of numpy 2.4;
+    Returns a (count, N) int64 array whose row j, column n is
+    ``np.random.default_rng(_seed_key(seed, n, first + j)).integers(sizes[n])``.
+    It replays numpy's arithmetic for all lanes at once: the SeedSequence
+    hash, PCG64 seeding and output in 128-bit arithmetic held as two
+    uint64 halves, and the 32-bit Lemire bound of ``Generator.integers``,
+    whose rejected lanes go on along their own stream.  This is numpy's stream as of numpy 2.4;
     from here on it is fixed by this function, whatever numpy is
     installed.
     """
     if not all(1 <= size <= 1 << 32 for size in sizes):
         raise ValueError("subset sizes must lie in [1, 2**32] to draw from them")
     n_sub = len(sizes)
-    base = np.uint64(_DRAW_BLOCK * block % (1 << 63))
-    its = (base + np.arange(_DRAW_BLOCK, dtype=np.uint64)) & np.uint64((1 << 63) - 1)
+    its = (np.uint64(first % (1 << 63)) + np.arange(count, dtype=np.uint64)) & np.uint64((1 << 63) - 1)
     parts = (
-        np.full(_DRAW_BLOCK * n_sub, _seed_key(seed)[0], dtype=np.uint64),
-        np.tile(np.arange(n_sub, dtype=np.uint64), _DRAW_BLOCK),
+        np.full(count * n_sub, _seed_key(seed)[0], dtype=np.uint64),
+        np.tile(np.arange(n_sub, dtype=np.uint64), count),
         np.repeat(its, n_sub),
     )
     # numpy turns each integer into one 32-bit word, or two from 2^32 on.
-    lanes = np.arange(_DRAW_BLOCK * n_sub)
+    lanes = np.arange(count * n_sub)
     words = np.zeros((6, lanes.size), dtype=np.uint32)
     length = np.zeros(lanes.size, dtype=np.int64)
     for part in parts:
@@ -171,7 +169,7 @@ def _draw_block(seed: int, sizes: tuple[int, ...], block: int) -> np.ndarray:
     # Lemire: pick = (x * size) >> 32 for a 32-bit draw x, redrawn while
     # the low word of the product is below 2^32 mod size.  A 64-bit
     # output gives its low word first, then its high word.
-    size = np.tile(np.array(sizes, dtype=np.uint64), _DRAW_BLOCK)
+    size = np.tile(np.array(sizes, dtype=np.uint64), count)
     threshold = np.uint64(1 << 32) % size
     product = (out & _LOW32) * size
     redraw = np.flatnonzero((product & _LOW32) < threshold)
@@ -186,7 +184,7 @@ def _draw_block(seed: int, sizes: tuple[int, ...], block: int) -> np.ndarray:
         product[redraw] = x * size[redraw]
         redraw = redraw[(product[redraw] & _LOW32) < threshold[redraw]]
         word += 1
-    return (product >> _SHIFT32).astype(np.int64).reshape(_DRAW_BLOCK, n_sub)
+    return (product >> _SHIFT32).astype(np.int64).reshape(count, n_sub)
 
 
 def random_unitary(k: int, rng: np.random.Generator) -> np.ndarray:
@@ -331,13 +329,12 @@ def _require_nonsingular(lam_min: float) -> None:
 
 
 def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: float, out: np.ndarray,
-                  wc: np.ndarray, rows_conj: np.ndarray):
+                  wc: np.ndarray):
     """Symmetric decorrelation of W - epsilon G C* for a stack of subsets.
 
     ``w`` is (N, K, K); ``rows`` and ``grads`` are (N, m, K) codeword
     and gradient rows, so G C* is the unscaled descent direction of the
-    m codewords, ``wc`` is ``rows @ W^T`` from ``_gradient_rows`` and
-    ``rows_conj`` is ``rows.conj()``.
+    m codewords, and ``wc`` is ``rows @ W^T`` from ``_gradient_rows``.
     With H = W* G the update is W A with A = I - epsilon H C*, and its
     polar factor is W U V* for the SVD A = U S V* (N. J. Higham,
     "Computing the polar decomposition -- with applications", SIAM J.
@@ -354,6 +351,7 @@ def _polar_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: f
     contiguous, not overlapping it) and returns the step norms
     ||W' - W||_F.
     """
+    rows_conj = rows.conj()
     if rows.shape[-2] == 1:
         return _rank_one_polar(w, rows, grads, epsilon, out, wc, rows_conj)
     h = np.conj(np.swapaxes(grads.conj() @ w, -1, -2))
@@ -440,16 +438,16 @@ def _row_products(a: np.ndarray, b: np.ndarray | None = None) -> list:
 
 
 def _gram_schmidt_update(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, epsilon: float, out: np.ndarray,
-                         wc: np.ndarray, rows_conj: np.ndarray):
+                         wc: np.ndarray):
     """``_polar_update`` with row-wise Gram-Schmidt: project_gram_schmidt(W - epsilon G C*).
 
     ``wc`` is part of the shared ``_PROJECTORS`` signature and unused here.
     """
-    out[...] = project_gram_schmidt(w - epsilon * (np.swapaxes(grads, -1, -2) @ rows_conj))
+    out[...] = project_gram_schmidt(w - epsilon * (np.swapaxes(grads, -1, -2) @ rows.conj()))
     return np.linalg.norm(out - w, axis=(1, 2))
 
 
-# The stacked update of each projection: (w, rows, grads, epsilon, out, wc, rows_conj) -> step norms.
+# The stacked update of each projection: (w, rows, grads, epsilon, out, wc) -> step norms.
 _PROJECTORS = {
     "symmetric_decorrelation": _polar_update,
     "gram_schmidt": _gram_schmidt_update,
@@ -461,9 +459,10 @@ class _StepPlan:
     the step size (the config's epsilon at unit mean symbol power,
     ``OptimizerConfig``) and projection; two (N, K, K) W stacks that take
     turns as old and new; gradient buffers per row shape; and for
-    stochastic steps the rows drawn for the next iterations of the
-    current draw block, up to ``_GATHER_BYTES`` with their conjugates.
-    ``run`` reuses one; a step called without one builds a one-step plan.
+    stochastic steps the rows drawn from the iteration a step asks for
+    on, one iteration at first, then up to ``_DRAW_SPAN`` iterations and
+    ``_GATHER_BYTES``.  ``run`` reuses one; a step called without one
+    builds a one-step plan.
     A stack is written only while no ``UnitarySet`` it was handed out in
     is alive (a weak reference tells; if both are, a step gets a fresh
     stack), so no step writes the state it reads or one handed out before.
@@ -476,9 +475,9 @@ class _StepPlan:
         self._buffers = {}  # row shape -> ``_gradient_buffers``
         self._stacks = [np.empty((n, k, k), dtype=np.complex128) for _ in range(2)]
         self._holders = [lambda: None] * 2  # weak references to the states in the stacks
-        # Rows of the next iterations, at most _GATHER_BYTES with their conjugates: (first iteration, rows, conj).
-        self._span = max(1, min(_DRAW_BLOCK, _GATHER_BYTES // (32 * n * k)))
-        self._gathered = 0, np.empty((0, n, 1, k), dtype=np.complex128), None
+        # Rows of the next iterations: (first iteration, rows).
+        self._span = max(1, min(_DRAW_SPAN, _GATHER_BYTES // (16 * n * k)))
+        self._gathered = 0, np.empty((0, n, 1, k), dtype=np.complex128)
 
     def new_state(self, iteration: int) -> UnitarySet:
         """A state to write a step into, in a stack no live state holds."""
@@ -494,33 +493,32 @@ class _StepPlan:
             self._buffers[shape] = _gradient_buffers(shape)
         return self._buffers[shape]
 
-    def drawn_rows(self, iteration: int) -> tuple[np.ndarray, np.ndarray]:
-        """The rows drawn at ``iteration``, (N, 1, K), and their conjugates."""
-        first, rows, rows_conj = self._gathered
+    def drawn_rows(self, iteration: int) -> np.ndarray:
+        """The rows drawn at ``iteration``, (N, 1, K)."""
+        first, rows = self._gathered
         if not 0 <= iteration - first < len(rows):
-            block, row = divmod(iteration, _DRAW_BLOCK)
-            picks = _draw_block(self.seed, self.codebook.subset_sizes, block)[row : row + self._span]
+            picks = _draw(self.seed, self.codebook.subset_sizes, iteration, self._span if len(rows) else 1)
             rows = self.codebook.symbols[self.codebook.subset_starts[:-1] + picks][..., np.newaxis, :]
-            first, rows_conj = iteration, rows.conj()
-            self._gathered = first, rows, rows_conj
-        return rows[iteration - first], rows_conj[iteration - first]
+            first = iteration
+            self._gathered = first, rows
+        return rows[iteration - first]
 
 
 def _descend(state: UnitarySet, chunks, plan: _StepPlan):
     """Move each subset's W against the gradient of its codeword rows.
 
-    ``chunks`` yields (subset slice, (n, m, K) rows, their conjugates)
-    tuples, one per stack of n subsets of m rows each.  Each reads a view
-    of the old stack and writes into a view of the plan's new one, with
-    the plan's step size and buffers.  Returns the new state and the
+    ``chunks`` yields (subset slice, (n, m, K) rows) pairs, one per stack
+    of n subsets of m rows each.  Each reads a view of the old stack and
+    writes into a view of the plan's new one, with the plan's step size
+    and buffers.  Returns the new state and the
     per-subset step norms ||W(l+1) - W(l)||_F.
     """
     new = plan.new_state(state.iteration + 1)
     norms = np.empty(state.n_subsets)
-    for chunk, rows, rows_conj in chunks:
+    for chunk, rows in chunks:
         w = state.matrices[chunk]
         grads, wc = _gradient_rows(rows, w, plan.gradient_buffers(rows.shape))
-        norms[chunk] = _PROJECTORS[plan.projection](w, rows, grads, plan.epsilon, new.matrices[chunk], wc, rows_conj)
+        norms[chunk] = _PROJECTORS[plan.projection](w, rows, grads, plan.epsilon, new.matrices[chunk], wc)
     return new, norms
 
 
@@ -535,8 +533,7 @@ def step_batch(state: UnitarySet, codebook: Codebook, config: OptimizerConfig,
     on a one-step plan.
     """
     plan = plan or _StepPlan(codebook, config)
-    chunks = ((slice(n, n + 1), block[np.newaxis], block[np.newaxis].conj())
-              for n, block in enumerate(codebook.subsets()))
+    chunks = ((slice(n, n + 1), block[np.newaxis]) for n, block in enumerate(codebook.subsets()))
     return _descend(state, chunks, plan)
 
 
@@ -547,14 +544,15 @@ def step_stochastic(state: UnitarySet, codebook: Codebook, config: OptimizerConf
     Each subset draws one codeword uniformly from its own stream,
     keyed by (seed, subset, iteration); a rerun or a resumed run
     therefore reproduces the trajectory exactly.  The draws come from
-    ``_draw_block``, 256 iterations at a time.  All subsets move
-    together, as one stack: one 2K-point FFT pair for the gradients and
-    one update (the rank-one polar form, or a stacked QR).  ``run``
-    passes its ``_StepPlan``, which holds the block's rows and buffers;
-    without one, the step runs on a one-step plan.
+    ``_draw``, which replays the stream.  All subsets move together, as
+    one stack: one 2K-point FFT pair for the gradients and one update
+    (the rank-one polar form, or a stacked QR).  ``run`` passes its
+    ``_StepPlan``, which gathers the rows of the next iterations and
+    holds the buffers; without one, the step runs on a one-step plan,
+    which draws this iteration only.
     """
     plan = plan or _StepPlan(codebook, config)
-    return _descend(state, [(slice(None), *plan.drawn_rows(state.iteration))], plan)
+    return _descend(state, [(slice(None), plan.drawn_rows(state.iteration))], plan)
 
 
 @dataclass(frozen=True)

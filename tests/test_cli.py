@@ -27,7 +27,7 @@ from paprbound.cli import (
     verify_manifest,
     write_manifest,
 )
-from paprbound.core import QamConstellation, generate_codebook, load_codebook, save_codebook
+from paprbound.core import Codebook, QamConstellation, generate_codebook, load_codebook, save_codebook
 from paprbound.optimizer import UnitarySet, load_unitaries, run, save_unitaries
 from paprbound.spectral import build_basis
 
@@ -524,8 +524,8 @@ def test_extreme_backoff_runs_clean(tmp_path, backoff_db):
 @pytest.mark.parametrize("qam_scale", [1e-30, 1e10, 1e30])
 def test_verify_is_scale_free(tmp_path, capsys, qam_scale):
     # The envelope sandwich is homogeneous in the symbol scale; verify
-    # checks it at unit power, so its absolute tolerances hold at any scale
-    # a config allows.
+    # checks it at unit power with relative tolerances, so they hold at
+    # any scale a config allows.
     cfg_path = small_config(tmp_path, qam_scale=qam_scale, max_iters=5)
     out = tmp_path / "run"
     for command in ("gen", "optimize"):
@@ -536,6 +536,38 @@ def test_verify_is_scale_free(tmp_path, capsys, qam_scale):
                    out / "codebook.bin") == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert "ok   envelope norm sandwich" in lines, lines
+
+
+def test_verify_sandwich_passes_constant_modulus_codebooks_at_large_k(tmp_path, capsys, monkeypatch):
+    # For a QPSK codeword ||c||_1^2 = K ||c||_2^2 exactly, and at K=4096
+    # both sides are about 1.7e7, where one ulp is 3.7e-9: the sandwich
+    # takes a relative slack, not an absolute one.  The grid check at
+    # K=4096 is not what is tested, and takes gigabytes: it is stubbed.
+    monkeypatch.setattr(cli, "build_basis", lambda k: None)
+    cfg_path = small_config(tmp_path, k_carriers=4096, qam_order=4, codebook_size=100, n_subsets=4, seed=3)
+    out = tmp_path / "run"
+    assert run_cli("gen", "--config", cfg_path) == EXIT_OK
+    capsys.readouterr()
+    assert run_cli("verify", "--config", cfg_path, out / "codebook.bin") == EXIT_OK
+    assert "ok   envelope norm sandwich" in capsys.readouterr().out.splitlines()
+
+
+def test_verify_sandwich_fails_a_peak_past_its_bound(tmp_path, capsys, monkeypatch):
+    # A constant codeword peaks at exactly ||c||_1^2, so its sandwich is
+    # tight: it passes, and a peak 1e-9 above it, relative, reads FAIL.
+    cfg_path = small_config(tmp_path)
+    (tmp_path / "run").mkdir()
+    book = generate_codebook(QamConstellation.square(16), 8, 64, 4, seed=5)
+    symbols = book.symbols.copy()
+    symbols[0] = symbols[0, 0]
+    save_codebook(Codebook(symbols, book.subset_sizes), tmp_path / "flat.bin")
+    peak_envelope_power = cli.peak_envelope_power
+    for factor, verdict in ((1.0, "ok  "), (1 + 1e-9, "FAIL")):
+        monkeypatch.setattr(cli, "peak_envelope_power", lambda c, j: peak_envelope_power(c, j) * factor)
+        capsys.readouterr()
+        code = run_cli("verify", "--config", cfg_path, tmp_path / "flat.bin")
+        assert f"{verdict} envelope norm sandwich" in capsys.readouterr().out.splitlines()
+        assert code == (EXIT_OK if verdict == "ok  " else EXIT_VALIDATION)
 
 
 def test_verify_passes_every_set_its_loader_accepts(tmp_path, capsys):

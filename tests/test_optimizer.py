@@ -19,7 +19,7 @@ from paprbound.optimizer import (
     OptimizerConfig,
     RankDeficientUpdate,
     UnitarySet,
-    _draw_block,
+    _draw,
     _gradient_buffers,
     _gradient_rows,
     _polar_update,
@@ -51,7 +51,7 @@ def subset_r(subset, w):
 
 def oracle_picks(seed, sizes, iteration):
     """The stochastic draws of one iteration, one keyed generator per
-    subset: the reference that ``_draw_block`` replays."""
+    subset: the reference that ``_draw`` replays."""
     return [int(np.random.default_rng(_seed_key(seed, n, iteration)).integers(size))
             for n, size in enumerate(sizes)]
 
@@ -336,7 +336,7 @@ def test_nan_update_is_refused():
     w = np.eye(4, dtype=complex)[np.newaxis]
     rows = np.ones((1, 1, 4), dtype=complex)
     with pytest.raises(RankDeficientUpdate):
-        _polar_update(w, rows, np.full((1, 1, 4), np.nan + 0j), 1e-3, np.empty_like(w), rows, rows.conj())  # W c = c
+        _polar_update(w, rows, np.full((1, 1, 4), np.nan + 0j), 1e-3, np.empty_like(w), rows)  # W c = c
 
 
 def test_config_validation():
@@ -485,7 +485,7 @@ def test_factored_polar_step_does_not_drift():
 def polar_step(w, rows, eps, out):
     """``_polar_update`` of a stack from its gradient rows and W c: the step norms."""
     grads, wc = _gradient_rows(rows, w, _gradient_buffers(rows.shape))
-    return _polar_update(w, rows, grads, eps, out, wc, rows.conj())
+    return _polar_update(w, rows, grads, eps, out, wc)
 
 
 def one_codeword_update(w, c, eps):
@@ -629,33 +629,30 @@ def test_unitary_header_is_validated(tmp_path):
             load_unitaries(path)
 
 
-BLOCK_2_32 = 2**32 // 256  # the block whose first iteration is 2^32
-
-
 @given(
     seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**63 - 1]), st.integers(0, 2**80)),
     sizes=st.lists(
         st.one_of(st.sampled_from([1, 2, 200, 2**31, 2**32 - 1]), st.integers(1, 2**32)),
         min_size=1, max_size=3,
     ).map(tuple),
-    block=st.one_of(st.sampled_from([0, BLOCK_2_32 - 1, BLOCK_2_32]), st.integers(0, 2**56)),
+    first=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**63 - 1]), st.integers(0, 2**64)),
+    count=st.integers(1, 257),
 )
 # About half the first draws of size 2^31 + 1 (and a quarter of
-# 3 * 2^30) fail Lemire's bound, some several times in a row.
-@example(seed=2**63 - 1, sizes=(2**31 + 1, 3 * 2**30, 2**32 - 1), block=BLOCK_2_32 - 1)
-@example(seed=2**64 + 3, sizes=(1, 2, 200, 2**31, 2**32 - 1), block=2**55 - 1)  # iterations wrap at 2^63
-def test_draw_block_replays_keyed_default_rng(seed, sizes, block):
-    # Every row of the block, and the first row of the next: the
-    # iterations cross a block boundary.
-    got = np.vstack([_draw_block(seed, sizes, block), _draw_block(seed, sizes, block + 1)[:1]])
-    expected = [oracle_picks(seed, sizes, 256 * block + row) for row in range(257)]
-    np.testing.assert_array_equal(got, expected)
+# 3 * 2^30) fail Lemire's bound, some several times in a row.  The
+# window crosses 2^32, where numpy splits an iteration into two words.
+@example(seed=2**63 - 1, sizes=(2**31 + 1, 3 * 2**30, 2**32 - 1), first=2**32 - 200, count=257)
+@example(seed=2**64 + 3, sizes=(1, 2, 200, 2**31, 2**32 - 1), first=2**63 - 256, count=257)  # wraps at 2^63
+def test_draw_block_replays_keyed_default_rng(seed, sizes, first, count):
+    # Any window of iterations, wherever it starts.
+    expected = [oracle_picks(seed, sizes, first + row) for row in range(count)]
+    np.testing.assert_array_equal(_draw(seed, sizes, first, count), expected)
 
 
 def test_draw_block_refuses_sizes_it_cannot_replay():
     for sizes in ((0,), (5, 2**32 + 1)):
         with pytest.raises(ValueError, match="subset sizes"):
-            _draw_block(0, sizes, 0)
+            _draw(0, sizes, 0, 1)
 
 
 STEP_CASES = [
@@ -731,19 +728,41 @@ def test_run_keeps_its_initial_set_and_its_results(mode):
 
 def test_run_gathers_the_keyed_rows_in_any_span(monkeypatch):
     # ``run``'s plan gathers the drawn rows of the next few iterations,
-    # cut at draw-block ends.  Started inside a block, with spans of 7
-    # iterations and of whole blocks, it gives the bits of steps called
-    # one by one without a plan, each of which gathers on a one-step plan.
+    # from the one it steps on.  Started at 200, with spans of 7 and of
+    # 256 iterations, it gives the bits of steps called one by one
+    # without a plan, each of which draws its own iteration only.
     book, basis = desk_setup()
     cfg = OptimizerConfig(epsilon=1e-3, max_iters=300, stop_tol=0.0, seed=6)
     start = UnitarySet(UnitarySet.identity(book.n_subsets, book.k_carriers).matrices, iteration=200)
     expected = start
     for _ in range(cfg.max_iters):
         expected, _ = step_stochastic(expected, book, cfg)
-    for gather_bytes in (7 * 32 * book.n_subsets * book.k_carriers, 1 << 22):
+    for gather_bytes in (7 * 16 * book.n_subsets * book.k_carriers, 1 << 22):
         monkeypatch.setattr("paprbound.optimizer._GATHER_BYTES", gather_bytes)
         state, _ = run(book, basis, cfg, start)
         assert state.iteration == 500 and state.matrices.tobytes() == expected.matrices.tobytes()
+
+
+def test_steps_draw_only_the_iterations_they_take(monkeypatch):
+    # A step called without a plan replays the stream for its own
+    # iteration only and gathers one row per subset.  ``run``'s plan
+    # draws its first iteration alone, then a full span from the next.
+    book, basis = desk_setup()
+    drawn = []
+
+    def counted(seed, sizes, first, count):
+        picks = _draw(seed, sizes, first, count)
+        drawn.append((first, picks.shape))
+        return picks
+
+    monkeypatch.setattr("paprbound.optimizer._draw", counted)
+    cfg = OptimizerConfig(epsilon=1e-3, max_iters=3, stop_tol=0.0, seed=6)
+    start = UnitarySet(UnitarySet.identity(book.n_subsets, book.k_carriers).matrices, iteration=300)
+    step_stochastic(start, book, cfg)
+    assert drawn == [(300, (1, book.n_subsets))]
+    drawn.clear()
+    run(book, basis, cfg, start)
+    assert drawn == [(300, (1, book.n_subsets)), (301, (256, book.n_subsets))]
 
 
 def test_batch_run_makes_gradient_buffers_once_per_row_shape(monkeypatch):
