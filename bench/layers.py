@@ -15,7 +15,8 @@ Layers.  For each K in K_VALUES each tree builds one 16-QAM codebook
 unitary set from SEED, and each layer is timed in REPEATS pairs after
 one untimed warm-up call per tree:
 
-* ``build_basis``: the 2K-point envelope grid and its check;
+* ``build_basis``: construction of the 2K-point envelope grid, which
+  keeps only K (``verify`` runs the grid check);
 * ``step_stochastic``: one stochastic step with symmetric decorrelation.
   A sample is the mean over 256 chained steps that start on a fresh
   iteration, so it carries its share of the draws, which a plan

@@ -20,7 +20,7 @@ from .core import Codebook, QamConstellation, scale_back, transformed_subsets, u
 from .spectral import SpectralBasis, quartic_sum
 from .waveform import baseband_samples, linear_to_db
 
-PSD_TOLERANCE = 1e-10  # relative to the largest |eigenvalue|
+PSD_TOLERANCE = 1e-10  # relative to the largest |eigenvalue|, or |entry| for M - M*
 
 
 def r_statistic(codebook: Codebook, unitaries=None) -> float:
@@ -112,7 +112,12 @@ def codebook_endpoints(codebook: Codebook) -> tuple[float, float]:
 
 
 def _require_psd(name: str, matrix: np.ndarray) -> None:
-    """Raise a ValueError naming ``name`` unless ``matrix`` is PSD to ``PSD_TOLERANCE``."""
+    """Raise a ValueError naming ``name`` unless ``matrix`` is Hermitian and
+    PSD to ``PSD_TOLERANCE`` (``eigvalsh`` reads only one triangle)."""
+    with np.errstate(invalid="ignore"):  # inf - inf: eigvalsh refuses non-finite input
+        asymmetry = np.abs(matrix - matrix.conj().T).max()
+    if asymmetry > PSD_TOLERANCE * np.abs(matrix).max():
+        raise ValueError(f"{name} not Hermitian: max |M - M*| {asymmetry:.3e}")
     eigs = np.linalg.eigvalsh(matrix)
     if eigs.min() < -PSD_TOLERANCE * np.abs(eigs).max():
         raise ValueError(f"{name} not PSD: min eigenvalue {eigs.min():.3e}")

@@ -403,7 +403,7 @@ def cmd_verify(args) -> int:
         subset_transforms(codebook, state)
     k = (codebook or state or cfg).k_carriers  # the grid at the K of what was read
     try:
-        build_basis(k)
+        build_basis(k).check_grid()
         report(f"basis build K={k}", True)
     except ArithmeticError:
         report(f"basis build K={k}", False)

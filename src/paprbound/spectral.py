@@ -9,7 +9,7 @@ spectrum beta).  Both spectra are samples of one signal: with
 s = ``baseband_samples(u, 2)``, the envelope of u on the 2K-point grid,
 |alpha|^2 and |beta|^2 are, up to order, the even and the odd samples
 of |s|^2 / K.  So every quartic statistic here is a sum over that grid,
-one 2K-point FFT per codeword; ``build_basis`` checks the grid for each K.
+one 2K-point FFT per codeword; ``verify`` checks the grid for a K.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from .waveform import _CHUNK_SAMPLES, baseband_samples
 
 
 class SpectralBasis:
-    """The 2K-point envelope grid for carrier count K, checked.
+    """The 2K-point envelope grid for carrier count K.
 
-    Construction checks the grid S = ``baseband_samples(I_K, 2)`` that
+    Construction only checks K >= 2 and keeps it as ``size``.
+    ``check_grid`` checks the grid S = ``baseband_samples(I_K, 2)`` that
     every quartic statistic is evaluated on:
 
     * round trip: ``fft(S)`` is 2K I on its first K columns and zero on
@@ -32,38 +33,37 @@ class SpectralBasis:
 
     Together these pin S[k, n] = exp(i pi k n / K) exactly.  A failed
     check raises ``ArithmeticError`` naming it.  The check costs
-    O(K^2 log K) time and O(K^2) memory.
+    O(K^2 log K) time; every check is row-wise, so it takes the rows in
+    chunks of at most ``_CHUNK_SAMPLES`` grid samples (bounded memory).
     """
 
     def __init__(self, k_carriers: int):
         if k_carriers < 2:
             raise ValueError("carrier count K must be at least 2")
         self.size = int(k_carriers)
-        self._check_grid()
 
-    def _check_grid(self):
+    def check_grid(self) -> None:
         k = self.size
-        grid = baseband_samples(np.eye(k), 2)
-        expected = np.zeros((k, 2 * k))
-        expected[:, :k] = np.eye(k)
-        powers = np.ones((k, 2 * k), dtype=np.complex128)  # column n: column 1 ** n
-        np.cumprod(np.broadcast_to(grid[:, 1:2], (k, 2 * k - 1)), axis=1, out=powers[:, 1:])
-        defects = {
-            "round trip": np.fft.fft(grid, axis=-1) / (2 * k) - expected,
-            "first column": grid[:, 1] - np.exp(1j * np.pi * np.arange(k) / k),
-            "column powers": grid - powers,
-        }
-        for name, defect in defects.items():
-            err = np.abs(defect).max()
-            if not err <= 1e-10:
-                raise ArithmeticError(f"envelope grid check ({name}) failed at K={k}: {err:.2e}")
+        step = max(1, _CHUNK_SAMPLES // (2 * k))
+        for first in range(0, k, step):
+            rows = min(step, k - first)
+            grid = baseband_samples(np.eye(rows, k, first), 2)
+            powers = np.ones((rows, 2 * k), dtype=np.complex128)  # column n: column 1 ** n
+            np.cumprod(np.broadcast_to(grid[:, 1:2], (rows, 2 * k - 1)), axis=1, out=powers[:, 1:])
+            defects = {
+                "round trip": np.fft.fft(grid, axis=-1) / (2 * k) - np.eye(rows, 2 * k, first),
+                "first column": grid[:, 1] - np.exp(1j * np.pi * np.arange(first, first + rows) / k),
+                "column powers": grid - powers,
+            }
+            for name, defect in defects.items():
+                err = np.abs(defect).max()
+                if not err <= 1e-10:
+                    raise ArithmeticError(f"envelope grid check ({name}) failed at K={k}: {err:.2e}")
 
 
 def build_basis(k_carriers: int) -> SpectralBasis:
-    """Construct and numerically check the 2K-point envelope grid for K.
-
-    The check costs O(K^2 log K) time, about half a millisecond at K=64.
-    """
+    """The 2K-point envelope grid for K, unchecked; ``verify`` runs its
+    ``check_grid``, about half a millisecond at K=64."""
     return SpectralBasis(k_carriers)
 
 

@@ -19,7 +19,7 @@ from paprbound.bounds import (
     r_statistic,
     real_embedding,
 )
-from paprbound.core import Codebook, QamConstellation, generate_codebook, transformed_subsets
+from paprbound.core import Codebook, QamConstellation, generate_codebook, subset_gram, transformed_subsets
 from paprbound.optimizer import UnitarySet, random_unitary
 from paprbound.spectral import build_basis, quartic_sum
 from paprbound.waveform import (
@@ -207,6 +207,43 @@ def test_gaussian_psd_checks_scale_with_the_matrix():
         gaussian_ccdf_bound(negative, basis, grid)
     with pytest.raises(ValueError, match="cov not PSD"):
         gaussian_quartic_moment(np.eye(k), negative)
+
+
+def test_gaussian_checks_need_a_hermitian_matrix():
+    # eigvalsh reads one triangle: with cov[0, 1] = 5 the identity's
+    # bound came back, and with cov[1, 0] = 5 a matrix whose eigenvalues
+    # are all 1 was called "not PSD".  Either way it is not Hermitian.
+    k = 4
+    for entry in ((0, 1), (1, 0)):
+        cov = np.eye(k)
+        cov[entry] = 5.0
+        with pytest.raises(ValueError, match="^covariance not Hermitian: max"):
+            gaussian_ccdf_bound(cov, build_basis(k), np.array([2.0, 10.0]))
+        with pytest.raises(ValueError, match="^g not Hermitian: max"):
+            gaussian_quartic_moment(cov, np.eye(k))
+        with pytest.raises(ValueError, match="^cov not Hermitian: max"):
+            gaussian_quartic_moment(np.eye(k), cov)
+    # A non-finite matrix still reaches eigvalsh, which refuses it,
+    # with no RuntimeWarning from the Hermitian check on the way.
+    cov = np.eye(k)
+    cov[2, 2] = np.inf
+    with pytest.raises(np.linalg.LinAlgError):
+        gaussian_ccdf_bound(cov, build_basis(k), np.array([2.0, 10.0]))
+    # subset_gram's output, and a Hermitian matrix with one triangle
+    # moved by a few ulps, are Hermitian to rounding, and pass.
+    k = 16
+    book = generate_codebook(QamConstellation.square(16), k, 400, 2, seed=9)
+    basis = build_basis(k)
+    grid = np.array([2.0, 10.0])
+    cov = random_psd(k, np.random.default_rng(10))
+    rounded = cov + np.triu(cov, 1) * 4e-16
+    np.testing.assert_allclose(gaussian_ccdf_bound(rounded, basis, grid),
+                               gaussian_ccdf_bound(cov, basis, grid), rtol=1e-12)
+    for n in range(book.n_subsets):
+        gram = subset_gram(book, n)
+        assert np.all(np.isfinite(gaussian_ccdf_bound(gram, basis, grid)))
+        exact, bound = gaussian_quartic_moment(gram, rounded)
+        assert exact <= bound
 
 
 def test_gaussian_bound_refuses_a_zero_covariance():

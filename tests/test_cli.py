@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paprbound
-from paprbound import cli
+from paprbound import cli, spectral
 from paprbound.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -542,14 +542,30 @@ def test_verify_sandwich_passes_constant_modulus_codebooks_at_large_k(tmp_path, 
     # For a QPSK codeword ||c||_1^2 = K ||c||_2^2 exactly, and at K=4096
     # both sides are about 1.7e7, where one ulp is 3.7e-9: the sandwich
     # takes a relative slack, not an absolute one.  The grid check at
-    # K=4096 is not what is tested, and takes gigabytes: it is stubbed.
-    monkeypatch.setattr(cli, "build_basis", lambda k: None)
+    # K=4096 is not what is tested, and takes over a second: it is stubbed.
+    monkeypatch.setattr(spectral.SpectralBasis, "check_grid", lambda self: None)
     cfg_path = small_config(tmp_path, k_carriers=4096, qam_order=4, codebook_size=100, n_subsets=4, seed=3)
     out = tmp_path / "run"
     assert run_cli("gen", "--config", cfg_path) == EXIT_OK
     capsys.readouterr()
     assert run_cli("verify", "--config", cfg_path, out / "codebook.bin") == EXIT_OK
     assert "ok   envelope norm sandwich" in capsys.readouterr().out.splitlines()
+
+
+def test_only_verify_checks_the_grid(tmp_path, capsys, monkeypatch):
+    # A conjugated grid fails the check but leaves every |s|, so every
+    # quartic sum, as it was: bounds and optimize, which do not check
+    # the grid, succeed, and verify reports the check as FAIL.
+    cfg_path = small_config(tmp_path, max_iters=5)
+    out = tmp_path / "run"
+    assert run_cli("gen", "--config", cfg_path) == EXIT_OK
+    exact = spectral.baseband_samples
+    monkeypatch.setattr(spectral, "baseband_samples", lambda x, j=1: np.conj(exact(x, j)))
+    assert run_cli("bounds", "--config", cfg_path, out / "codebook.bin") == EXIT_OK
+    assert run_cli("optimize", "--config", cfg_path, out / "codebook.bin") == EXIT_OK
+    capsys.readouterr()
+    assert run_cli("verify", "--config", cfg_path, out / "codebook.bin") == EXIT_VALIDATION
+    assert capsys.readouterr().out.splitlines()[0] == "FAIL basis build K=8"
 
 
 def test_verify_sandwich_fails_a_peak_past_its_bound(tmp_path, capsys, monkeypatch):

@@ -129,7 +129,7 @@ def test_grid_interleaves_the_shift_eigenvalues():
 
 
 def faulty_grid(monkeypatch, fault):
-    """Make ``build_basis`` see ``fault(grid)`` in place of the grid."""
+    """Make ``check_grid`` see ``fault(grid)`` in place of the grid."""
     exact = spectral.baseband_samples
     monkeypatch.setattr(spectral, "baseband_samples", lambda x, j=1: fault(exact(x, j)))
 
@@ -140,7 +140,7 @@ def test_check_rejects_flipped_half_phase(monkeypatch, k):
     # conjugating the grid flips its sign everywhere.
     faulty_grid(monkeypatch, np.conj)
     with pytest.raises(ArithmeticError, match="envelope grid check"):
-        build_basis(k)
+        build_basis(k).check_grid()
 
 
 @pytest.mark.parametrize("faulty_hat", [False, True])
@@ -155,7 +155,7 @@ def test_check_rejects_wrong_phase_at_last_shift(monkeypatch, k, faulty_hat):
 
     faulty_grid(monkeypatch, fault)
     with pytest.raises(ArithmeticError):
-        build_basis(k)
+        build_basis(k).check_grid()
 
 
 @pytest.mark.parametrize("k", [2, 3, 16, 64, 128, 256])
@@ -166,7 +166,7 @@ def test_check_rejects_phase_error_in_last_column(monkeypatch, k):
 
     faulty_grid(monkeypatch, fault)
     with pytest.raises(ArithmeticError):
-        build_basis(k)
+        build_basis(k).check_grid()
 
 
 def test_check_rejects_invertible_non_unitary_path(monkeypatch):
@@ -176,7 +176,7 @@ def test_check_rejects_invertible_non_unitary_path(monkeypatch):
     fft = np.fft.fft
     monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: 2.0 * fft(*a, **kw))
     with pytest.raises(ArithmeticError, match="first column"):
-        build_basis(16)
+        build_basis(16).check_grid()
 
 
 @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-8])
@@ -185,12 +185,52 @@ def test_check_rejects_scaled_forward_fft(monkeypatch, k, scale):
     fft = np.fft.fft
     monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: scale * fft(*a, **kw))
     with pytest.raises(ArithmeticError, match="round trip"):
-        build_basis(k)
+        build_basis(k).check_grid()
 
 
 @given(st.integers(min_value=2, max_value=256))
 def test_check_accepts_every_size(k):
-    assert build_basis(k).size == k
+    basis = build_basis(k)
+    basis.check_grid()
+    assert basis.size == k
+
+
+def test_build_basis_does_not_check_the_grid(monkeypatch):
+    # Construction keeps only K; the grid is checked where verify
+    # reports it, so bounds and optimize do not pay for it.
+    def refuse(*args):
+        raise AssertionError("build_basis formed the grid")
+
+    monkeypatch.setattr(spectral, "baseband_samples", refuse)
+    assert build_basis(4096).size == 4096
+
+
+def test_check_memory_is_bounded_per_chunk():
+    # The whole-identity check peaks near 160 MiB at K=1024 and 2.6 GB
+    # at K=4096; row chunks of at most 2^17 grid samples keep it small.
+    basis = build_basis(1024)
+    tracemalloc.start()
+    try:
+        basis.check_grid()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
+def test_check_reaches_the_last_chunk(monkeypatch):
+    # At K=1024 the check takes 64 rows a chunk; a 1e-6 rad error on
+    # row K-1 alone, in the last chunk, still fails it.
+    exact = spectral.baseband_samples
+
+    def fault(x, j=1):
+        grid = exact(x, j)
+        grid[x[:, -1] == 1] *= np.exp(1e-6j)
+        return grid
+
+    monkeypatch.setattr(spectral, "baseband_samples", fault)
+    with pytest.raises(ArithmeticError, match="at K=1024"):
+        build_basis(1024).check_grid()
 
 
 def test_build_basis_rejects_tiny_k():
