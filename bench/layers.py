@@ -12,11 +12,11 @@ floor.
 
 Layers.  For each K in K_VALUES each tree builds one 16-QAM codebook
 (1000 codewords in N = 5 subsets, so m = 200 per subset) and a Haar
-unitary set from SEED, and each layer is timed in REPEATS pairs after
-one untimed warm-up call per tree:
+unitary set from SEED, and each layer is timed in REPEATS pairs.  Every
+pair sets both trees up afresh and makes one untimed warm-up call per
+tree before its timed calls, so no one instance's state (where its
+arrays landed, say) repeats in every pair:
 
-* ``build_basis``: construction of the 2K-point envelope grid, which
-  keeps only K (``verify`` runs the grid check);
 * ``step_stochastic``: one stochastic step with symmetric decorrelation.
   A sample is the mean over 256 chained steps that start on a fresh
   iteration, so it carries its share of the draws, which a plan
@@ -77,6 +77,7 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+from collections import defaultdict  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
@@ -129,7 +130,6 @@ def layer_calls(pb, k: int) -> dict:
         return state
 
     return {
-        "build_basis": lambda: pb.build_basis(k),
         "step_stochastic": chain,
         "step_batch_symmetric": lambda: batch["symmetric_decorrelation"](haar),
         "step_batch_gram_schmidt": lambda: batch["gram_schmidt"](haar),
@@ -158,7 +158,7 @@ def exec_file(name: str, path: Path, binds_paprbound=None, **location):
 
 def arrays(output) -> list[np.ndarray]:
     """A layer's output as a flat list of arrays: sequences and objects
-    (dataclasses, the spectral basis) are taken apart field by field."""
+    (dataclasses, unitary sets) are taken apart field by field."""
     if isinstance(output, np.ndarray):
         return [output]
     if isinstance(output, (tuple, list)):
@@ -190,26 +190,27 @@ def compare(got: list[np.ndarray], ref: list[np.ndarray]) -> tuple[bool, float]:
 
 def ab_layers(parent, k: int, repeats: int) -> dict:
     """Alternating samples of every layer on this checkout ("change")
-    and on ``parent``, with the output comparison of every pair."""
-    calls = {"change": layer_calls(paprbound, k), "parent": layer_calls(parent, k)}
-    rows = {}
-    for name in calls["change"]:
-        fns = {side: calls[side][name] for side in calls}
-        for fn in fns.values():
-            fn()  # warm-up
-        times = {side: [] for side in fns}
-        equal, worst = True, 0.0
-        for i in range(repeats):
+    and on ``parent``, with the output comparison of every pair.  Each
+    pair sets up both trees' ``layer_calls`` afresh and warms each
+    layer up once per tree."""
+    packages = {"change": paprbound, "parent": parent}
+    times = defaultdict(lambda: {"change": [], "parent": []})
+    compared = defaultdict(list)  # per layer, each pair's (byte-equal, max rel diff)
+    for i in range(repeats):
+        calls = {side: layer_calls(pb, k) for side, pb in packages.items()}
+        order = ("change", "parent") if i % 2 == 0 else ("parent", "change")
+        for name in calls["change"]:
+            for side in order:
+                calls[side][name]()  # warm-up
             outputs = {}
-            for side in ("change", "parent") if i % 2 == 0 else ("parent", "change"):
+            for side in order:
                 started = perf_counter()
-                outputs[side] = fns[side]()
-                times[side].append((perf_counter() - started) * 1e3 / (CHAIN if name == "step_stochastic" else 1))
-            same, diff = compare(arrays(outputs["change"]), arrays(outputs["parent"]))
-            equal, worst = equal and same, max(worst, diff)
-        rows[name] = {"unit": "ms", **ab_row(times["change"], times["parent"], "lower"),
-                      "outputs_byte_equal": equal, "max_rel_diff": worst}
-    return rows
+                outputs[side] = calls[side][name]()
+                times[name][side].append((perf_counter() - started) * 1e3 / (CHAIN if name == "step_stochastic" else 1))
+            compared[name].append(compare(arrays(outputs["change"]), arrays(outputs["parent"])))
+    return {name: {"unit": "ms", **ab_row(t["change"], t["parent"], "lower"),
+                   "outputs_byte_equal": all(same for same, _ in compared[name]),
+                   "max_rel_diff": max(diff for _, diff in compared[name])} for name, t in times.items()}
 
 
 def compared_outputs(wl, inputs, outputs) -> dict:
@@ -320,7 +321,8 @@ def header(repeats: int, size: str) -> dict:
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "paprbound": paprbound.__version__},
         "setup": {"codewords": CODEWORDS, "n_subsets": N_SUBSETS, "qam_order": QAM_ORDER,
-                  "repeats": repeats, "seed": SEED, "stochastic_chain": CHAIN, "workload_size": size},
+                  "repeats": repeats, "seed": SEED, "stochastic_chain": CHAIN, "workload_size": size,
+                  "layer_setup": "afresh every pair, one warm-up call per tree"},
     }
 
 

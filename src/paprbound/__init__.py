@@ -46,7 +46,7 @@ from .optimizer import (
     step_batch,
     step_stochastic,
 )
-from .spectral import SpectralBasis, build_basis, quartic_sum
+from .spectral import SpectralBasis, build_basis
 from .waveform import (
     CcdfCurve,
     baseband_samples,
@@ -57,4 +57,5 @@ from .waveform import (
     linear_to_db,
     peak_envelope_power,
     pmepr,
+    quartic_sum,
 )

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import Codebook, QamConstellation, scale_back, transformed_subsets, unit_power, write_json, write_table
-from .spectral import SpectralBasis, quartic_sum
-from .waveform import baseband_samples, linear_to_db
+from .spectral import SpectralBasis
+from .waveform import baseband_samples, linear_to_db, quartic_sum
 
 PSD_TOLERANCE = 1e-10  # relative to the largest |eigenvalue|, or |entry| for M - M*
 

@@ -389,7 +389,7 @@ def cmd_ber(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg, out_dir, _ = _prepare(args, create=False)
+    _, out_dir, _ = _prepare(args, create=False)
     failures = 0
 
     def report(name: str, ok: bool):
@@ -401,12 +401,6 @@ def cmd_verify(args) -> int:
     state = None if args.unitaries is None else load_unitaries(args.unitaries)  # refuses a set not unitary
     if codebook is not None and state is not None:
         subset_transforms(codebook, state)
-    k = (codebook or state or cfg).k_carriers  # the grid at the K of what was read
-    try:
-        build_basis(k).check_grid()
-        report(f"basis build K={k}", True)
-    except ArithmeticError:
-        report(f"basis build K={k}", False)
 
     if codebook is not None:
         sample = unit_power(codebook)[1].symbols[:100]  # tolerances at unit mean symbol power

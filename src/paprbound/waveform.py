@@ -1,7 +1,13 @@
-"""Oversampled baseband synthesis, PMEPR measurement, and empirical CCDF.
+"""Baseband synthesis on the 2K-point envelope grid, the quartic sums and
+the PMEPR taken on it, and empirical CCDFs.
 
-``peak_envelope_power`` takes the envelope power on the 2K-point grid,
-which fixes it exactly, and upsamples that real signal to the J grid.
+The paper's two K-point spectra of a codeword u, the cyclic (a DFT) and
+the negacyclic (a half-sample shifted DFT), are samples of one signal:
+with s = ``baseband_samples(u, 2)``, their squared magnitudes are, up to
+order, the even and the odd samples of |s|^2 / K.  So ``quartic_sum``
+sums |s|^4 over that grid, and ``peak_envelope_power`` takes the envelope
+power there, which fixes it exactly, and upsamples it to the J grid.
+Both take the rows in ``_row_chunks``.
 """
 
 from __future__ import annotations
@@ -15,9 +21,15 @@ from .core import Codebook, transformed_subsets, unit_power, write_table
 
 PMEPR_OVERSAMPLING_DEFAULT = 16
 # Grid samples per chunk in ``peak_envelope_power`` (J grid) and
-# ``spectral.quartic_sum`` (2K grid): one chunk's buffers (1 MB of real
-# power) stay in cache, and memory does not grow with the batch.
+# ``quartic_sum`` (2K grid): one chunk's buffers (1 MB of real power)
+# stay in cache, and memory does not grow with the batch.
 _CHUNK_SAMPLES = 1 << 17
+
+
+def _row_chunks(n_rows: int, row_samples: int):
+    """Consecutive slices of ``n_rows`` rows, ``_CHUNK_SAMPLES // row_samples`` (at least one) each."""
+    step = max(1, _CHUNK_SAMPLES // row_samples)
+    return (slice(start, start + step) for start in range(0, n_rows, step))
 
 
 def db_to_linear(x):
@@ -70,16 +82,35 @@ def peak_envelope_power(c: np.ndarray, oversampling: int = PMEPR_OVERSAMPLING_DE
     n = k * oversampling
     rows = x.reshape(-1, k)
     peaks = np.empty(rows.shape[0])
-    step = max(1, _CHUNK_SAMPLES // n)
-    for start in range(0, rows.shape[0], step):
-        s = baseband_samples(rows[start : start + step], min(oversampling, 2))
+    for chunk in _row_chunks(len(rows), n):
+        s = baseband_samples(rows[chunk], min(oversampling, 2))
         power = np.square(s.real)
         power += np.square(s.imag)
         if oversampling > 2:
             spectrum = np.fft.rfft(power, axis=-1, norm="forward")[:, :k]
             power = np.fft.irfft(spectrum, n=n, axis=-1, norm="forward")
-        power.max(axis=-1, out=peaks[start : start + s.shape[0]])
+        power.max(axis=-1, out=peaks[chunk])
     return peaks.reshape(x.shape[:-1])[()]
+
+
+def quartic_sum(c: np.ndarray):
+    """Sum of fourth powers of the two spectra of c (for W c, pass ``c @ W.T``).
+
+    Equals sum_k (c* C_k c)^2 + (c* C_hat_k c)^2, evaluated as
+    sum_n |s_n|^4 / K^2 over the 2K-point envelope s of c, K = c.shape[-1].
+    Accepts a single codeword or a (m, K) batch; returns a scalar or an
+    (m,) vector accordingly.  Takes the rows in ``_row_chunks``, as
+    ``peak_envelope_power`` does, but squares as ``np.abs(s) ** 2``, not
+    as ``s.real**2 + s.imag**2``: the two differ in the last bit of R.
+    """
+    x = np.asarray(c, dtype=np.complex128)
+    rows = x.reshape(-1, x.shape[-1])
+    total = np.empty(len(rows))
+    for chunk in _row_chunks(len(rows), 2 * x.shape[-1]):
+        power = np.abs(baseband_samples(rows[chunk], 2)) ** 2
+        (power * power).sum(axis=-1, out=total[chunk])
+    total = total.reshape(x.shape[:-1]) / x.shape[-1] ** 2
+    return float(total) if x.ndim == 1 else total
 
 
 def pmepr(c: np.ndarray, p_av: float, oversampling: int = PMEPR_OVERSAMPLING_DEFAULT):

@@ -43,8 +43,8 @@ from paprbound.optimizer import (
     random_unitary,
     run,
 )
-from paprbound.spectral import build_basis, quartic_sum
-from paprbound.waveform import codebook_pmeprs, db_to_linear, default_gamma_grid_db
+from paprbound.spectral import build_basis
+from paprbound.waveform import codebook_pmeprs, db_to_linear, default_gamma_grid_db, quartic_sum
 
 
 def report(number: int, ok: bool, detail: str) -> None:

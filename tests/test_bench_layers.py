@@ -7,6 +7,8 @@ import os
 import shutil
 import subprocess
 import sys
+import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 LAYERS = {
-    "build_basis", "step_stochastic", "step_batch_symmetric", "step_batch_gram_schmidt",
+    "step_stochastic", "step_batch_symmetric", "step_batch_gram_schmidt",
     "r_statistic", "codebook_pmeprs_j16", "ber_sweep_block", "ber_sweep_block_identity",
 }
 WORKLOADS = {"pipeline-k64", "batch-gs-k128", "link-k128"}
@@ -162,6 +164,25 @@ def test_step_rows_pass_the_plan(layers, monkeypatch):
         assert len(plans) == steps and len(set(map(id, plans))) == 1, name
         used.append(plans[0])
     assert len(set(map(id, used))) == 3
+
+
+def test_every_pair_sets_up_both_trees_afresh(layers, monkeypatch):
+    # Each pair builds each tree's layer calls once and calls every layer
+    # of that set-up twice: one untimed warm-up, then the timed call.
+    parent = types.ModuleType("paprbound_parent")
+    vars(parent).update(vars(layers.paprbound))
+    layer_calls, setups = layers.layer_calls, []
+
+    def counted(pb, k):
+        calls, used = layer_calls(pb, k), Counter()
+        setups.append((pb, used))
+        return {name: lambda name=name, fn=fn: (used.update([name]), fn())[1] for name, fn in calls.items()}
+
+    monkeypatch.setattr(layers, "layer_calls", counted)
+    rows = layers.ab_layers(parent, 16, 3)
+    assert set(rows) == LAYERS and all(row["pairs"] == 3 for row in rows.values())
+    assert [pb for pb, _ in setups] == [layers.paprbound, parent] * 3
+    assert all(used == dict.fromkeys(LAYERS, 2) for _, used in setups)
 
 
 def test_ab_row_counts_in_the_better_direction(layers):

@@ -21,7 +21,7 @@ from paprbound.bounds import (
 )
 from paprbound.core import Codebook, QamConstellation, generate_codebook, subset_gram, transformed_subsets
 from paprbound.optimizer import UnitarySet, random_unitary
-from paprbound.spectral import build_basis, quartic_sum
+from paprbound.spectral import build_basis
 from paprbound.waveform import (
     baseband_samples,
     db_to_linear,
@@ -29,6 +29,7 @@ from paprbound.waveform import (
     empirical_ccdf,
     peak_envelope_power,
     pmepr,
+    quartic_sum,
 )
 
 

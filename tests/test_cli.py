@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paprbound
-from paprbound import cli, spectral
+from paprbound import cli
 from paprbound.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -538,34 +538,16 @@ def test_verify_is_scale_free(tmp_path, capsys, qam_scale):
     assert "ok   envelope norm sandwich" in lines, lines
 
 
-def test_verify_sandwich_passes_constant_modulus_codebooks_at_large_k(tmp_path, capsys, monkeypatch):
+def test_verify_sandwich_passes_constant_modulus_codebooks_at_large_k(tmp_path, capsys):
     # For a QPSK codeword ||c||_1^2 = K ||c||_2^2 exactly, and at K=4096
     # both sides are about 1.7e7, where one ulp is 3.7e-9: the sandwich
-    # takes a relative slack, not an absolute one.  The grid check at
-    # K=4096 is not what is tested, and takes over a second: it is stubbed.
-    monkeypatch.setattr(spectral.SpectralBasis, "check_grid", lambda self: None)
+    # takes a relative slack, not an absolute one.
     cfg_path = small_config(tmp_path, k_carriers=4096, qam_order=4, codebook_size=100, n_subsets=4, seed=3)
     out = tmp_path / "run"
     assert run_cli("gen", "--config", cfg_path) == EXIT_OK
     capsys.readouterr()
     assert run_cli("verify", "--config", cfg_path, out / "codebook.bin") == EXIT_OK
     assert "ok   envelope norm sandwich" in capsys.readouterr().out.splitlines()
-
-
-def test_only_verify_checks_the_grid(tmp_path, capsys, monkeypatch):
-    # A conjugated grid fails the check but leaves every |s|, so every
-    # quartic sum, as it was: bounds and optimize, which do not check
-    # the grid, succeed, and verify reports the check as FAIL.
-    cfg_path = small_config(tmp_path, max_iters=5)
-    out = tmp_path / "run"
-    assert run_cli("gen", "--config", cfg_path) == EXIT_OK
-    exact = spectral.baseband_samples
-    monkeypatch.setattr(spectral, "baseband_samples", lambda x, j=1: np.conj(exact(x, j)))
-    assert run_cli("bounds", "--config", cfg_path, out / "codebook.bin") == EXIT_OK
-    assert run_cli("optimize", "--config", cfg_path, out / "codebook.bin") == EXIT_OK
-    capsys.readouterr()
-    assert run_cli("verify", "--config", cfg_path, out / "codebook.bin") == EXIT_VALIDATION
-    assert capsys.readouterr().out.splitlines()[0] == "FAIL basis build K=8"
 
 
 def test_verify_sandwich_fails_a_peak_past_its_bound(tmp_path, capsys, monkeypatch):
@@ -612,8 +594,11 @@ def test_verify_checks_a_set_without_a_codebook(tmp_path, capsys):
     assert run_cli("optimize", "--config", cfg_path, out / "codebook.bin") == EXIT_OK
     capsys.readouterr()
     assert run_cli("verify", "--config", cfg_path, "--unitaries", out / "unitaries.bin") == EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "ok   basis build K=8" and not any("sandwich" in line for line in lines), lines
+    assert capsys.readouterr().out.splitlines() == [
+        "ok   checksum gen.manifest.json:codebook.bin",
+        "ok   checksum optimize.manifest.json:optimize_trace.csv",
+        "ok   checksum optimize.manifest.json:unitaries.bin",
+    ]
     header, payload = (out / "unitaries.bin").read_bytes().split(b"\n", 1)
     bad = tmp_path / "bad.bin"
     bad.write_bytes(header + b"\n" + (np.frombuffer(payload, "<c16") * 3).tobytes())
@@ -623,8 +608,8 @@ def test_verify_checks_a_set_without_a_codebook(tmp_path, capsys):
 
 
 def test_verify_prints_only_checks_of_its_artifacts(tmp_path, capsys):
-    # The grid check at the K of the files read, the check on the given
-    # codebook, then one checksum line per file each manifest lists.
+    # The check on the given codebook, then one checksum line per file
+    # each manifest lists.
     cfg_path = small_config(tmp_path, max_iters=5)
     out = tmp_path / "run"
     assert run_cli("gen", "--config", cfg_path) == EXIT_OK
@@ -633,7 +618,6 @@ def test_verify_prints_only_checks_of_its_artifacts(tmp_path, capsys):
     assert run_cli("verify", "--config", cfg_path, "--unitaries", out / "unitaries.bin",
                    out / "codebook.bin") == EXIT_OK
     assert capsys.readouterr().out.splitlines() == [
-        "ok   basis build K=8",
         "ok   envelope norm sandwich",
         "ok   checksum gen.manifest.json:codebook.bin",
         "ok   checksum optimize.manifest.json:optimize_trace.csv",
@@ -641,23 +625,15 @@ def test_verify_prints_only_checks_of_its_artifacts(tmp_path, capsys):
     ]
 
 
-def test_verify_checks_the_grid_at_the_k_it_reads(tmp_path, capsys):
-    # A K=16 codebook and set under a K=8 config: the grid is built at the
-    # codebook's K, else the set's; the config's K only with neither file.
-    # A refused file ends the run before any line.
-    cfg_path = small_config(tmp_path, k_carriers=16, max_iters=5)
+def test_verify_refuses_a_missing_file_or_a_mismatched_set(tmp_path, capsys):
+    # A codebook that cannot be read, or a set whose K differs from the
+    # codebook's, ends the run before any line: exit 2, one error line.
+    cfg_path = small_config(tmp_path, k_carriers=16)
     out = tmp_path / "run"
     assert run_cli("gen", "--config", cfg_path) == EXIT_OK
-    assert run_cli("optimize", "--config", cfg_path, out / "codebook.bin") == EXIT_OK
-    cfg_path = small_config(tmp_path, k_carriers=8)
-    book, unit = out / "codebook.bin", out / "unitaries.bin"
-    for files, k in (((book,), 16), (("--unitaries", unit), 16), (("--unitaries", unit, book), 16), ((), 8)):
-        capsys.readouterr()
-        assert run_cli("verify", "--config", cfg_path, *files) == EXIT_OK
-        assert capsys.readouterr().out.splitlines()[0] == f"ok   basis build K={k}", files
     wrong_k = tmp_path / "k8.bin"
     save_unitaries(UnitarySet.identity(4, 8), wrong_k)
-    for files in ((tmp_path / "missing.bin",), ("--unitaries", wrong_k, book)):
+    for files in ((tmp_path / "missing.bin",), ("--unitaries", wrong_k, out / "codebook.bin")):
         capsys.readouterr()
         assert run_cli("verify", "--config", cfg_path, *files) == EXIT_VALIDATION
         printed = capsys.readouterr()
@@ -747,7 +723,7 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli("ccdf", "--config", cfg_path, corrupt) == EXIT_VALIDATION
 
     # singular update: eps = 1/quartic_sum of the drawn codeword at K=2
-    from paprbound.spectral import quartic_sum
+    from paprbound.waveform import quartic_sum
 
     cfg_k2 = small_config(
         tmp_path, k_carriers=2, codebook_size=4, n_subsets=4, max_iters=5,

